@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-quick bench-parallel bench-prune bench-taint bench-race bench-xtaint bench-incremental bench-alias bench-ptaflow bench-serve report lint-corpus clean
+.PHONY: install test bench bench-quick bench-parallel bench-prune bench-taint bench-race bench-xtaint bench-alias bench-ptaflow bench-serve report lint-corpus clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -46,11 +46,6 @@ bench-race:
 # cold/warm-cache report-identity differential; writes BENCH_xtaint.json.
 bench-xtaint:
 	$(PYTHON) -m pytest benchmarks/bench_components.py -k xtaint_checker_vs_naive -q --benchmark-disable
-
-# Incremental cache cold/warm/one-function-edit comparison on the linux
-# corpus; writes BENCH_incremental.json.
-bench-incremental:
-	$(PYTHON) -m pytest benchmarks/bench_components.py -k incremental_cold_warm_edit -q --benchmark-disable
 
 # Tiered alias analysis on/off (cold interleaved pairs + warm cache) on
 # the linux corpus; writes BENCH_alias.json.  Like bench-parallel the

@@ -617,118 +617,6 @@ def test_pruned_vs_unpruned_entry_analysis(benchmark, harness):
     assert pruned.stats.explored_paths < unpruned.stats.explored_paths
 
 
-def test_incremental_cold_warm_edit(benchmark, harness, tmp_path):
-    """The incremental cache end-to-end (compile + analyze) on the
-    largest generated corpus; writes ``BENCH_incremental.json`` at the
-    repo root with cold / warm / one-function-edit timings.
-
-    Three invariants are asserted: all four report sets (baseline, cold,
-    warm, edit-vs-rebuilt-baseline) are byte-identical; the fully-warm
-    run is at least 5x faster end-to-end than the cache-off run (2x at
-    reduced ``REPRO_BENCH_SCALE``, where fixed overheads dominate); and
-    the one-function edit re-analyzes only the dirty closure, never the
-    whole entry list."""
-    import json
-    import pathlib
-    import time
-
-    from repro.corpus import PROFILES_BY_NAME, generate
-    from repro.incremental import compile_with_cache, open_store
-    from repro.lang import compile_program
-
-    helper_v1 = """
-static int bench_helper(int n) {
-    return n + 1;
-}
-int bench_entry_hot(int n) {
-    int *p = malloc(8);
-    if (!p) return -1;
-    *p = bench_helper(n);
-    free(p);
-    return 0;
-}
-int bench_entry_cold(int n) {
-    int *q = malloc(8);
-    if (!q) return -1;
-    *q = n;
-    free(q);
-    return 0;
-}
-"""
-    helper_v2 = helper_v1.replace("return n + 1;", "return n + 2;")
-
-    corpus = generate(PROFILES_BY_NAME["linux"].scaled(harness.scale))
-    base_sources = list(corpus.compiled_sources())
-    sources = base_sources + [("bench_extra.c", helper_v1)]
-    edited = base_sources + [("bench_extra.c", helper_v2)]
-    cache_dir = str(tmp_path / "cache")
-
-    def run_off(srcs):
-        started = time.perf_counter()
-        result = PATA(config=AnalysisConfig(), checker_spec="all").analyze(
-            compile_program(srcs)
-        )
-        return result, time.perf_counter() - started
-
-    def run_cached(srcs):
-        started = time.perf_counter()
-        config = AnalysisConfig(cache_dir=cache_dir, cache_mode="rw")
-        store = open_store(cache_dir, "rw")
-        program = compile_with_cache(srcs, store)
-        if store is not None:
-            store.commit()
-        result = PATA(config=config, checker_spec="all").analyze(program)
-        return result, time.perf_counter() - started
-
-    baseline, off_seconds = run_off(sources)
-    cold, cold_seconds = run_cached(sources)
-
-    def run_warm():
-        return run_cached(sources)
-
-    warm, first_warm = benchmark.pedantic(run_warm, rounds=1, iterations=1)
-    # Best of three: the warm leg is sub-second, so a single scheduler
-    # hiccup would dominate a lone measurement.
-    warm_seconds = min([first_warm] + [run_cached(sources)[1] for _ in range(2)])
-
-    edit_baseline, _ = run_off(edited)
-    edit, edit_seconds = run_cached(edited)
-
-    def text(result):
-        return [r.render() for r in result.reports]
-
-    identical = (
-        text(cold) == text(baseline)
-        and text(warm) == text(baseline)
-        and text(edit) == text(edit_baseline)
-    )
-    speedup = off_seconds / warm_seconds if warm_seconds else None
-    payload = {
-        "corpus": "linux",
-        "scale": harness.scale,
-        "entry_functions": cold.stats.entry_functions,
-        "cache_off_seconds": round(off_seconds, 4),
-        "cold_seconds": round(cold_seconds, 4),
-        "warm_seconds": round(warm_seconds, 4),
-        "edit_seconds": round(edit_seconds, 4),
-        "warm_speedup": round(speedup, 3) if speedup else None,
-        "warm_entries_cached": warm.stats.entries_cached,
-        "warm_entries_reanalyzed": warm.stats.entries_reanalyzed,
-        "edit_entries_reanalyzed": edit.stats.entries_reanalyzed,
-        "edit_entries_cached": edit.stats.entries_cached,
-        "identical_reports": identical,
-        "reports": len(warm.reports),
-    }
-    out = pathlib.Path(__file__).parent.parent / "BENCH_incremental.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    assert identical
-    assert warm.stats.entries_reanalyzed == 0
-    # The edit dirties bench_entry_hot's closure only.
-    assert 0 < edit.stats.entries_reanalyzed < cold.stats.entries_reanalyzed
-    assert edit.stats.entries_cached > 0
-    assert speedup is not None and speedup >= (5.0 if harness.scale >= 1.0 else 2.0)
-
-
 def test_alias_tier_cold_warm(benchmark, harness, tmp_path):
     """The tiered alias analysis (P1.7 Steensgaard pre-pass + singleton
     fast paths) on/off at the headline corpus; writes ``BENCH_alias.json``

@@ -89,15 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--no-prune", action="store_true",
                        help="disable the checker-relevance pre-analysis "
                             "(P1.5) entry/path pruning")
-    check.add_argument("--alias-tier", choices=["off", "steens", "flow", "on"],
+    check.add_argument("--alias-tier", choices=["off", "steens", "flow"],
                        default="flow",
                        help="alias precision tier: off (per-path graphs only), "
                             "steens (P1.7 whole-program Steensgaard pre-pass "
                             "and its singleton fast paths), flow (additionally "
                             "the P1.8 flow-sensitive pass with strong updates); "
                             "reports are byte-identical across tiers "
-                            "(default: flow; 'on' is a deprecated alias for "
-                            "steens, kept for pre-tier-ladder scripts)")
+                            "(default: flow)")
     check.add_argument("--taint-borders", action="store_true",
                        help="xtaint border-source inference: treat interface "
                             "parameters of registered functions with no extern "
@@ -139,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shorthand for --checkers all")
     serve.add_argument("--workers", type=int, default=1, metavar="N",
                        help="worker processes per analysis (as in check)")
-    serve.add_argument("--alias-tier", choices=["off", "steens", "flow", "on"],
+    serve.add_argument("--alias-tier", choices=["off", "steens", "flow"],
                        default="flow", help="alias precision tier (as in check)")
     serve.add_argument("--no-prune", action="store_true",
                        help="disable P1.5 pruning (as in check)")

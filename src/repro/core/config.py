@@ -58,8 +58,7 @@ class AnalysisConfig:
     #: flow-sensitive pass with strong updates: per-entry-closure skip
     #: sets, strong-update symbol resolution in trace translation, and
     #: taint-source sharpening).  Reports are byte-identical across all
-    #: tiers; only speed changes.  Legacy values are normalized: ``True``
-    #: / ``"on"`` mean ``"steens"``, ``False`` means ``"off"``.
+    #: tiers; only speed changes.
     alias_tier: str = "flow"
     #: run the checker-relevance pre-analysis (P1.5) and its two sound
     #: pruning layers: skip entry functions whose transitive region holds
@@ -105,20 +104,11 @@ class AnalysisConfig:
     cache_mode: str = "off"
 
     def __post_init__(self) -> None:
-        # Tier back-compat: the knob was a bool through PR 7 ("on" on the
-        # CLI).  Normalize once here so every consumer sees a tier string
-        # and old configs/pickles keep meaning what they meant.
-        tier = self.alias_tier
-        if tier is True or tier == "on":
-            tier = "steens"
-        elif tier is False:
-            tier = "off"
-        if tier not in _ALIAS_TIERS:
+        if self.alias_tier not in _ALIAS_TIERS:
             raise ValueError(
-                f"alias_tier must be one of {sorted(_ALIAS_TIERS)} "
-                f"(or legacy True/False/'on'), got {self.alias_tier!r}"
+                f"alias_tier must be one of {sorted(_ALIAS_TIERS)}, "
+                f"got {self.alias_tier!r}"
             )
-        self.alias_tier = tier
 
     def alias_tier_level(self) -> int:
         """The tier as a comparable rung: 0 = off, 1 = steens, 2 = flow."""

@@ -99,9 +99,13 @@ class PATA:
                 program, self.config, self._checker_spec(), store=self._store
             )
         phase_started = time.monotonic()
-        collector = InformationCollector(
-            program, cached_facts=incr.cached_facts() if incr is not None else None
-        )
+        cached_facts = None
+        if incr is not None:
+            cached_facts = {
+                name: facts for name in incr.keys.fingerprints
+                if (facts := incr.load("facts", name)) is not None
+            }
+        collector = InformationCollector(program, cached_facts=cached_facts)
         stats = AnalysisStats(
             analyzed_files=len(program.modules),
             analyzed_lines=program.total_source_lines(),
@@ -165,13 +169,13 @@ class PATA:
         if self.config.alias_tier_level() >= 1 and self.config.alias_aware:
             phase_started = time.monotonic()
             if incr is not None:
-                partition = incr.cached_partition()
+                partition = incr.load("partition")
             if partition is None:
                 from ..pointsto.steensgaard import build_partition
 
                 partition = build_partition(program)
                 if incr is not None:
-                    incr.stage_partition(partition)
+                    incr.stage("partition", partition)
             stats.singletons_proven = len(partition.singletons)
             stats.alias_cells = partition.cell_count
             stats.time_unify_seconds = time.monotonic() - phase_started
@@ -190,7 +194,7 @@ class PATA:
         if partition is not None and self.config.alias_tier_level() >= 2:
             phase_started = time.monotonic()
             if incr is not None:
-                flow_facts = incr.cached_flow_facts()
+                flow_facts = incr.load("flowfacts")
             if flow_facts is None:
                 from ..pointsto.flow_tier import compute_flow_facts
 
@@ -198,7 +202,7 @@ class PATA:
                     program, partition, self.config.resolve_function_pointers
                 )
                 if incr is not None:
-                    incr.stage_flow_facts(flow_facts)
+                    incr.stage("flowfacts", flow_facts)
             stats.must_singletons = flow_facts.must_singletons
             stats.strong_updates = flow_facts.strong_updates
             stats.time_flow_seconds = time.monotonic() - phase_started
@@ -304,14 +308,14 @@ class PATA:
         if taint_flows:
             from ..xtaint import all_flows, build_summaries, match_cross_module
 
-            summaries = incr.cached_xtaint_summaries() if incr is not None else None
+            summaries = incr.load("xsummary") if incr is not None else None
             if summaries is not None:
                 stats.summaries_cached = len(summaries)
                 taint_flows = all_flows(summaries)
             else:
                 summaries = build_summaries(taint_flows, partition=partition)
                 if incr is not None:
-                    incr.stage_xtaint_summaries(summaries)
+                    incr.stage("xsummary", summaries)
             xtaint_bugs = match_cross_module(summaries)
             stats.taint_flows_recorded = len(taint_flows)
             stats.xtaint_pairs_matched = len(xtaint_bugs)

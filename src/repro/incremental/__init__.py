@@ -11,11 +11,13 @@ The subsystem splits into four modules:
 * :mod:`.coords` — stable instruction coordinates and outcome
   rehydration across process boundaries (uids are process-local);
 * :mod:`.engine` — orchestration: :class:`IncrementalContext` drives
-  plan/load/commit inside :meth:`repro.core.pata.PATA.analyze`;
+  plan/load/stage/commit inside :meth:`repro.core.pata.PATA.analyze`;
   :func:`compile_with_cache` is the frontend (layer-0) cache.
 
-Cache layers (see :mod:`.engine` for the key table): compiled modules,
-P1 collector facts, P1.5 relevance masks, per-entry P2 outcomes.
+Cache layers (one row each in :data:`.engine.LAYERS`): compiled
+modules, P1 collector facts, P1.5 relevance masks, per-entry P2
+outcomes, the P1.7 partition, P1.8 must-alias facts, and P2.6 module
+summaries.
 Corruption, version skew, and stale coordinates all degrade to warned
 misses — a cache can make a run faster, never wrong.
 """

@@ -100,7 +100,7 @@ class CoordIndex:
             )
 
 
-# -- outcome snapshot / rehydrate -------------------------------------------
+# -- record snapshot / rehydrate --------------------------------------------
 
 
 def _is_inst(obj) -> bool:
@@ -119,25 +119,26 @@ def _key_uids(key) -> Iterator[int]:
         yield int(match.group(1))
 
 
-def outcome_coords(outcome, index: CoordIndex) -> Dict[int, Coord]:
-    """uid → coordinate for every instruction a cached outcome mentions:
-    bug sources/sinks, trace steps, access instructions, and the malloc
-    uids embedded in ``heap#N`` shared-state roots (keys and locksets).
-    Stored alongside the pickled outcome; the loading run inverts it."""
+def record_coords(bugs, accesses, index: CoordIndex) -> Dict[int, Coord]:
+    """uid → coordinate for every instruction a cached record set
+    mentions: bug sources/sinks, trace steps, access instructions, and
+    the malloc uids embedded in ``heap#N`` shared-state roots (keys and
+    locksets).  Stored alongside the pickled payload; the loading run
+    inverts it."""
     coords: Dict[int, Coord] = {}
 
     def note(uid: int) -> None:
         if uid not in coords:
             coords[uid] = index.coord_of(uid)
 
-    for bug in outcome.bugs:
+    for bug in bugs:
         note(bug.source.uid)
         note(bug.sink.uid)
         for uid in _trace_uids(bug.trace):
             note(uid)
         for uid in _trace_uids(bug.second_trace):
             note(uid)
-    for access in outcome.accesses:
+    for access in accesses:
         note(access.inst.uid)
         for uid in _trace_uids(access.trace):
             note(uid)
@@ -158,10 +159,10 @@ def outcome_coords(outcome, index: CoordIndex) -> Dict[int, Coord]:
     return coords
 
 
-def rehydrate_outcome(outcome, coords: Dict[int, Coord], index: CoordIndex):
-    """Swap every unpickled instruction (and ``heap#N`` root) in
-    ``outcome`` for the current program's object at the recorded
-    coordinate, **in place**.  Raises :class:`StaleEntry` when any
+def rehydrate_records(bugs, accesses, coords: Dict[int, Coord], index: CoordIndex) -> None:
+    """Swap every unpickled instruction (and ``heap#N`` root) in the
+    bug and access records for the current program's object at the
+    recorded coordinate, **in place**.  Raises :class:`StaleEntry` when any
     coordinate no longer resolves — the caller downgrades to a miss."""
 
     resolved: Dict[int, object] = {
@@ -192,13 +193,13 @@ def rehydrate_outcome(outcome, coords: Dict[int, Coord], index: CoordIndex):
     def map_key(key):
         return (map_root(key[0]), key[1])
 
-    for bug in outcome.bugs:
+    for bug in bugs:
         bug.source = map_inst(bug.source)
         bug.sink = map_inst(bug.sink)
         bug.trace = map_trace(bug.trace)
         if bug.second_trace:
             bug.second_trace = map_trace(bug.second_trace)
-    for access in outcome.accesses:
+    for access in accesses:
         access.inst = map_inst(access.inst)
         access.trace = map_trace(access.trace)
         access.key = map_key(access.key)
@@ -207,7 +208,6 @@ def rehydrate_outcome(outcome, coords: Dict[int, Coord], index: CoordIndex):
             access.source = map_inst(access.source)
         if getattr(access, "dst_key", None) is not None:
             access.dst_key = map_key(access.dst_key)
-    return outcome
 
 
 def renumber_program(program: Program) -> None:

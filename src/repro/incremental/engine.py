@@ -6,41 +6,29 @@ caching and the checker set is spec-addressable), it:
 
 * derives every function's transitive key (:mod:`.fingerprint`) and the
   program's coordinate index (:mod:`.coords`) once;
-* seeds the P1 collector with cached may-return facts (**layer a**);
+* serves every cache layer through one :meth:`~IncrementalContext.load`
+  and one :meth:`~IncrementalContext.stage`, both driven by the
+  declarative :data:`LAYERS` table;
 * partitions the entry list into cache hits, cached skips, and dirty
-  entries (**layers b and c**), rehydrating each hit's outcome onto the
-  current program;
-* after the dirty entries are explored, stages all three layers and
-  flushes them with the store's single :meth:`~.store.CacheStore.commit`
-  — the parent process is the only store client: worker processes never
-  open it (the parent ships them its collector facts and relevance
-  masks directly, see :mod:`repro.core.parallel`).
-
-Layer keys, and what each deliberately excludes:
-
-=========  ======================================================  =================================
-layer      key ingredients                                         survives
-=========  ======================================================  =================================
-modules    source sha + filename + frontend tag                    any non-frontend config change
-facts      function transitive key                                 checker-spec *and* config changes
-partition  module closure (every transitive key)                   checker-spec *and* config changes
-masks      entry transitive key + spec + presolve-config fp        P2 budget changes
-outcomes   entry transitive key + spec + engine-config fp          edits outside the entry's closure
-xsummary   module closure + spec + engine-config fp                nothing (any edit rebuilds)
-=========  ======================================================  =================================
-
-Every key also folds the engine + cache-format versions (see
-:meth:`~.store.CacheStore.object_key`).
+  entries (:meth:`~IncrementalContext.plan`);
+* after the dirty entries are explored, stages the per-function and
+  per-entry layers and flushes everything with the store's single
+  :meth:`~.store.CacheStore.commit` — the parent process is the only
+  store client: worker processes never open it (the parent ships them
+  its collector facts and relevance masks directly, see
+  :mod:`repro.core.parallel`).
 """
 
 from __future__ import annotations
 
+import importlib
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from functools import lru_cache
+from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from ..ir import Function, Program
-from .coords import CoordIndex, StaleEntry, outcome_coords, rehydrate_outcome, renumber_program
+from .coords import CoordIndex, StaleEntry, record_coords, rehydrate_records, renumber_program
 from .fingerprint import (
     TransitiveKeys,
     _sha,
@@ -53,75 +41,129 @@ from .store import CacheStore, open_store
 log = logging.getLogger("repro.incremental")
 
 
-def _facts_key(name: str, tkey: str) -> str:
-    return CacheStore.object_key("facts", name, tkey)
+class CompiledModule(NamedTuple):
+    """Layer-0 payload: a compiled module and its function fingerprints."""
+
+    module: Any
+    fingerprints: Dict[str, str]
 
 
-def _mask_key(name: str, tkey: str, spec_fp: str, presolve_fp: str) -> str:
-    return CacheStore.object_key("mask", name, tkey, spec_fp, presolve_fp)
+class ReturnFacts(NamedTuple):
+    """Layer-a payload: one function's P1 may-return facts."""
+
+    may_return_negative: bool
+    may_return_zero: bool
 
 
-def _outcome_key(name: str, tkey: str, spec_fp: str, engine_fp: str) -> str:
-    return CacheStore.object_key("outcome", name, tkey, spec_fp, engine_fp)
+class RelevanceMask(NamedTuple):
+    """Layer-b payload: one entry's P1.5 verdict — whether any checker
+    is relevant, its dead blocks as stable indexes, and the armed
+    checker names (``None`` = arming unsupported)."""
+
+    relevant: bool
+    dead: List[int]
+    armed: Optional[List[str]]
 
 
-def _module_key(filename: str, source: str) -> str:
-    return CacheStore.object_key("module", filename, _sha("src", source))
+class Located(NamedTuple):
+    """A payload stored with the coordinates of every instruction it
+    mentions (see :func:`~.coords.record_coords`)."""
+
+    value: Any
+    coords: Dict[int, Tuple[str, int, int]]
 
 
-def _partition_key(closure_pairs: List[str]) -> str:
-    """P1.7 may-alias partition layer: one object per *module closure* —
-    the sorted name=transitive-key pairs — because the unification pass
-    reads the whole program.  Any edit anywhere misses and rebuilds."""
-    return CacheStore.object_key("partition", *closure_pairs)
+def _outcome_records(outcome):
+    return outcome.bugs, outcome.accesses
 
 
-def _flow_key(closure_pairs: List[str], resolve_fp: bool) -> str:
-    """P1.8 must-alias-facts layer: like the partition, one object per
-    module closure — the facts embed their own callgraph and the
-    occurrence walk reads every function.  Indirect-call resolution
-    changes the disqualification rules and the embedded pool, so the
-    flag folds into the key."""
-    return CacheStore.object_key("flowfacts", repr(resolve_fp), *closure_pairs)
+def _summary_records(summaries):
+    from ..xtaint import all_flows
+
+    # Flows are rehydrated in place, so the summaries referencing them
+    # heal too.
+    return (), all_flows(summaries)
 
 
-def _xsummary_key(closure_pairs: List[str], spec_fp: str, engine_fp: str) -> str:
-    """P2.6 interface-summary layer: one object per module closure — the
-    summaries are a projection of every module's merged taint flows, so
-    an edit anywhere rebuilds them.  The spec and engine fingerprints
-    participate because the flows depend on which checkers are armed and
-    on the exploration budgets (same ingredients as the outcome layer:
-    the summaries are exactly a re-grouping of outcome records)."""
-    return CacheStore.object_key("xsummary", spec_fp, engine_fp, *closure_pairs)
+@lru_cache(maxsize=None)
+def _resolve(path: str) -> type:
+    module, _, name = path.partition(":")
+    return getattr(importlib.import_module(module), name)
 
 
-class _FlowBundle:
-    """Adapter giving a flat TaintFlow list the ``(bugs, accesses)``
-    shape that :func:`~.coords.outcome_coords` and
-    :func:`~.coords.rehydrate_outcome` walk — flows are rehydrated in
-    place, so the summaries referencing them heal too."""
+@dataclass(frozen=True)
+class Layer:
+    """One row of the layer table."""
 
-    def __init__(self, flows):
-        self.bugs: List = []
-        self.accesses = flows
+    #: key tag, also the layer's name in :data:`LAYERS`
+    tag: str
+    #: what one object covers: ``"source"`` (one file's text),
+    #: ``"function"`` / ``"entry"`` (one function's transitive key), or
+    #: ``"closure"`` (every transitive key — any edit anywhere misses)
+    scope: str
+    #: context fingerprints folded into the key on top of the scope's
+    folds: Tuple[str, ...]
+    #: ``"module:Class"`` of the payload, imported on first use
+    payload: str
+    #: for dict payloads, ``"module:Class"`` of every value
+    items: Optional[str] = None
+    #: ``(bugs, accesses)`` of a payload that carries outcome coordinates
+    records: Optional[Callable] = None
+
+    def key(self, *parts: str) -> str:
+        return CacheStore.object_key(self.tag, *parts)
+
+    def accepts(self, value) -> bool:
+        if not isinstance(value, _resolve(self.payload)):
+            return False
+        return self.items is None or all(
+            isinstance(item, _resolve(self.items)) for item in value.values()
+        )
 
 
-# Program-wide *bundle* objects: the fully-warm fast path.  A warm run
-# over N functions would otherwise pay N small reads (and their pathlib
-# + unpickle fixed costs) per layer; the bundles collapse each layer to
-# one read, keyed over every transitive key at once, so *any* edit
-# anywhere misses the bundle and falls back to the granular objects.
+#: Every cache layer.  Each key also folds the engine and cache-format
+#: versions (see :meth:`~.store.CacheStore.object_key`).
+LAYERS: Dict[str, Layer] = {row.tag: row for row in (
+    Layer("module", "source", (), "repro.incremental.engine:CompiledModule"),
+    Layer("facts", "function", (), "repro.incremental.engine:ReturnFacts"),
+    Layer("mask", "entry", ("spec_fp", "presolve_fp"),
+          "repro.incremental.engine:RelevanceMask"),
+    Layer("outcome", "entry", ("spec_fp", "engine_fp"),
+          "repro.core.parallel:EntryOutcome", records=_outcome_records),
+    Layer("partition", "closure", (), "repro.pointsto.steensgaard:MayAliasPartition"),
+    Layer("flowfacts", "closure", ("resolve_fp",),
+          "repro.pointsto.flow_tier:MustAliasFacts"),
+    Layer("xsummary", "closure", ("spec_fp", "engine_fp"), "builtins:dict",
+          items="repro.xtaint.summary:ModuleSummary", records=_summary_records),
+)}
 
 
-def _facts_bundle_key(closure_pairs: List[str]) -> str:
-    return CacheStore.object_key("facts-bundle", *closure_pairs)
-
-
-def _plan_bundle_key(closure_pairs: List[str], entry_names: List[str],
-                     spec_fp: str, engine_fp: str) -> str:
-    return CacheStore.object_key(
-        "plan-bundle", spec_fp, engine_fp, *closure_pairs, "entries:", *entry_names
-    )
+def _fetch(store, row: Layer, key: str, index: Optional[CoordIndex] = None):
+    """The one load path: get, shape-check, rehydrate.  A wrong-typed
+    payload or a stale coordinate is a warned miss — never a crash,
+    never a report against the wrong instructions — and the store lets
+    the next stage of the key overwrite the object."""
+    stored = store.get(key)
+    if stored is None:
+        return None
+    if row.records is None:
+        if row.accepts(stored):
+            return stored
+        problem = "unexpected payload shape"
+    elif not (isinstance(stored, Located) and isinstance(stored.coords, dict)
+              and row.accepts(stored.value)):
+        problem = "unexpected payload shape"
+    else:
+        try:
+            rehydrate_records(*row.records(stored.value), stored.coords, index)
+            return stored.value
+        except StaleEntry as exc:
+            # The transitive key should make this unreachable; if key
+            # derivation ever misses a dependency, degrade to a miss.
+            problem = f"stale coordinates ({exc})"
+    log.warning("cache: %s object %s: %s; treating as a miss", row.tag, key[:12], problem)
+    store.reject(key)
+    return None
 
 
 @dataclass
@@ -180,7 +222,6 @@ class IncrementalContext:
         # idempotently a moment later).
         mark_interface_functions(program)
         self.store = store
-        self.program = program
         self.config = config
         self.keys = TransitiveKeys(
             program,
@@ -190,232 +231,81 @@ class IncrementalContext:
         self.spec_fp = spec_fingerprint(checker_spec)
         self.engine_fp = engine_config_fingerprint(config)
         self.presolve_fp = presolve_config_fingerprint(config)
+        #: indirect-call resolution changes the flow facts' embedded
+        #: callgraph and disqualification rules
+        self.resolve_fp = repr(config.resolve_function_pointers)
         self.index = CoordIndex(program)
-        self.facts_reused = 0
-        self.masks_reused = 0
-        self.stale_entries = 0
-        #: sorted "name=transitive-key" pairs — the program-wide stamp
-        #: every bundle key is derived from
+        #: sorted "name=transitive-key" pairs — the closure-scope stamp
         self._closure_pairs = sorted(
             f"{name}={self.keys.key(name)}" for name in self.keys.fingerprints
         )
-        self._facts_bundled = False
-        self._plan_bundled = False
-        self._entry_names: List[str] = []
-        self._last_plan: Optional[IncrementalPlan] = None
 
-    # -- layer a: collector facts -------------------------------------------
+    # -- the generic layer path -----------------------------------------------
 
-    def cached_facts(self) -> Dict[str, Tuple[bool, bool]]:
-        """name -> (may_return_negative, may_return_zero) for every
-        function whose facts are cached under its current transitive key.
-        Sound to seed: the facts were computed over byte-identical
-        content, and the collector's fixpoint only flips False->True."""
-        bundle = self.store.get(_facts_bundle_key(self._closure_pairs))
-        if isinstance(bundle, dict) and set(bundle) == set(self.keys.fingerprints):
-            self._facts_bundled = True
-            self.facts_reused = len(bundle)
-            return bundle
-        facts: Dict[str, Tuple[bool, bool]] = {}
-        for name in self.keys.fingerprints:
-            value = self.store.get(_facts_key(name, self.keys.key(name)))
-            if isinstance(value, tuple) and len(value) == 2:
-                facts[name] = value
-        self.facts_reused = len(facts)
-        return facts
+    def _key(self, row: Layer, name: Optional[str]) -> str:
+        folds = [getattr(self, fp) for fp in row.folds]
+        if row.scope == "closure":
+            return row.key(*folds, *self._closure_pairs)
+        return row.key(*folds, name, self.keys.key(name))
 
-    # -- layer p: P1.7 may-alias partition -----------------------------------
+    def load(self, layer: str, name: Optional[str] = None):
+        """Layer ``layer``'s payload for ``name`` (closure layers take
+        none), rehydrated onto the current program, or ``None`` on a
+        miss."""
+        row = LAYERS[layer]
+        return _fetch(self.store, row, self._key(row, name), self.index)
 
-    def cached_partition(self):
-        """The whole-program :class:`~repro.pointsto.steensgaard.
-        MayAliasPartition` cached under this program's module closure, or
-        ``None`` on a miss (including any shape surprise — a corrupt
-        payload degrades to rebuilding the pass, never to a crash)."""
-        from ..pointsto.steensgaard import MayAliasPartition
-
-        payload = self.store.get(_partition_key(self._closure_pairs))
-        if isinstance(payload, MayAliasPartition):
-            return payload
-        return None
-
-    def stage_partition(self, partition) -> None:
-        """Stage the freshly built partition for the next commit (put
-        already skips keys staged or on disk, so warm runs write
-        nothing)."""
-        if partition is not None and self.store.mode == "rw":
-            self.store.put(_partition_key(self._closure_pairs), partition)
-
-    # -- layer f: P1.8 must-alias facts --------------------------------------
-
-    def cached_flow_facts(self):
-        """The :class:`~repro.pointsto.flow_tier.MustAliasFacts` cached
-        under this program's module closure, or ``None`` on a miss (any
-        shape surprise degrades to rebuilding the pass)."""
-        from ..pointsto.flow_tier import MustAliasFacts
-
-        payload = self.store.get(
-            _flow_key(self._closure_pairs, self.config.resolve_function_pointers)
-        )
-        if isinstance(payload, MustAliasFacts):
-            return payload
-        return None
-
-    def stage_flow_facts(self, facts) -> None:
-        """Stage freshly computed facts for the next commit."""
-        if facts is not None and self.store.mode == "rw":
-            self.store.put(
-                _flow_key(self._closure_pairs, self.config.resolve_function_pointers),
-                facts,
-            )
-
-    # -- layer x: P2.6 interface summaries ------------------------------------
-
-    def cached_xtaint_summaries(self):
-        """module -> :class:`~repro.xtaint.summary.ModuleSummary` cached
-        under this program's module closure, rehydrated onto the current
-        program, or ``None`` on a miss (shape surprises and stale
-        coordinates degrade to rebuilding from the merged flows)."""
-        from ..xtaint import ModuleSummary, all_flows
-
-        payload = self.store.get(
-            _xsummary_key(self._closure_pairs, self.spec_fp, self.engine_fp)
-        )
-        if not isinstance(payload, dict) or "summaries" not in payload:
-            return None
-        summaries = payload["summaries"]
-        if not isinstance(summaries, dict) or not all(
-            isinstance(s, ModuleSummary) for s in summaries.values()
-        ):
-            return None
-        bundle = _FlowBundle(all_flows(summaries))
-        try:
-            rehydrate_outcome(bundle, payload.get("coords", {}), self.index)
-        except StaleEntry as exc:
-            log.warning("cache: stale xtaint summaries (%s); rebuilding", exc)
-            self.stale_entries += 1
-            return None
-        return summaries
-
-    def stage_xtaint_summaries(self, summaries) -> None:
-        """Stage freshly built summaries for the next commit."""
-        if not summaries or self.store.mode != "rw":
+    def stage(self, layer: str, value, name: Optional[str] = None) -> None:
+        """Stage ``value`` for the next commit (``put`` skips keys staged
+        or on disk, so warm runs write nothing)."""
+        if self.store.mode != "rw":
             return
-        from ..xtaint import all_flows
-
-        key = _xsummary_key(self._closure_pairs, self.spec_fp, self.engine_fp)
-        if self.store.contains(key):
-            return
-        try:
-            coords = outcome_coords(_FlowBundle(all_flows(summaries)), self.index)
-        except StaleEntry as exc:  # pragma: no cover - defensive
-            log.warning("cache: not storing xtaint summaries (%s)", exc)
-            return
-        self.store.put(key, {"summaries": summaries, "coords": coords})
+        row = LAYERS[layer]
+        key = self._key(row, name)
+        if row.records is not None:
+            if self.store.contains(key):
+                return
+            try:
+                value = Located(value, record_coords(*row.records(value), self.index))
+            except StaleEntry as exc:  # pragma: no cover - defensive
+                log.warning("cache: not storing %s object (%s)", row.tag, exc)
+                return
+        self.store.put(key, value)
 
     # -- layers b + c: entry partition --------------------------------------
 
     def plan(self, entry_list: List[Function]) -> IncrementalPlan:
-        self._entry_names = [entry.name for entry in entry_list]
-        bundled = self._plan_from_bundle(entry_list)
-        if bundled is not None:
-            return bundled
         plan = IncrementalPlan()
         missing_mask = False
         for entry in entry_list:
-            tkey = self.keys.key(entry.name)
-            relevant = True
             if self.config.prune:
-                mask = self.store.get(
-                    _mask_key(entry.name, tkey, self.spec_fp, self.presolve_fp)
-                )
-                if isinstance(mask, dict) and "relevant" in mask and "armed" in mask:
-                    relevant = bool(mask["relevant"])
-                    if not relevant:
-                        plan.skipped.append(entry.name)
-                        continue
-                    armed = mask["armed"]
+                mask = self.load("mask", entry.name)
+                if mask is None:
+                    missing_mask = True
+                elif not mask.relevant:
+                    plan.skipped.append(entry.name)
+                    continue
+                else:
                     plan.armed[entry.name] = (
-                        frozenset(armed) if armed is not None else None
+                        frozenset(mask.armed) if mask.armed is not None else None
                     )
                     try:
                         plan.masks[entry.name] = CoordIndex.resolve_block_coords(
-                            entry, mask.get("dead", ())
+                            entry, mask.dead
                         )
                     except StaleEntry:
                         missing_mask = True
-                else:
-                    missing_mask = True
-            outcome = self._load_outcome(entry, tkey)
-            if outcome is not None:
-                plan.cached[entry.name] = outcome
-            else:
-                plan.dirty.append(entry)
-        plan.needs_relevance = self.config.prune and missing_mask
-        self.masks_reused = len(plan.masks) + len(plan.skipped)
-        self._last_plan = plan
-        return plan
-
-    def _plan_from_bundle(self, entry_list: List[Function]) -> Optional[IncrementalPlan]:
-        """The fully-warm fast path: one read covering layers b and c for
-        every entry at once.  The bundle key folds every closure key, so
-        it only ever hits when *nothing* is dirty — any shape or
-        rehydration surprise falls back silently to the granular plan."""
-        bundle = self.store.get(
-            _plan_bundle_key(
-                self._closure_pairs, self._entry_names, self.spec_fp, self.engine_fp
-            )
-        )
-        if not isinstance(bundle, dict):
-            return None
-        skipped = bundle.get("skipped")
-        outcomes = bundle.get("outcomes")
-        if not isinstance(skipped, (list, tuple)) or not isinstance(outcomes, dict):
-            return None
-        skipped_set = set(skipped)
-        if (skipped_set | set(outcomes)) != set(self._entry_names) or (
-            skipped_set & set(outcomes)
-        ):
-            return None
-        plan = IncrementalPlan(needs_relevance=False)
-        for entry in entry_list:
-            if entry.name in skipped_set:
-                plan.skipped.append(entry.name)
-                continue
-            outcome = self._rehydrate_payload(entry.name, outcomes[entry.name])
+            outcome = self.load("outcome", entry.name)
             if outcome is None:
-                return None
+                plan.dirty.append(entry)
+                continue
+            # A cached entry's phase timing is 0 by definition — the
+            # stored wall time belongs to the run that produced it.
+            outcome.stats.wall_seconds = 0.0
+            outcome.stats.cached = True
             plan.cached[entry.name] = outcome
-        self._plan_bundled = True
-        self.masks_reused = len(plan.skipped) + len(plan.cached)
-        self._last_plan = plan
+        plan.needs_relevance = self.config.prune and missing_mask
         return plan
-
-    def _load_outcome(self, entry: Function, tkey: str):
-        payload = self.store.get(
-            _outcome_key(entry.name, tkey, self.spec_fp, self.engine_fp)
-        )
-        return self._rehydrate_payload(entry.name, payload)
-
-    def _rehydrate_payload(self, name: str, payload):
-        if not isinstance(payload, dict) or "outcome" not in payload:
-            return None
-        outcome = payload["outcome"]
-        try:
-            rehydrate_outcome(outcome, payload.get("coords", {}), self.index)
-        except StaleEntry as exc:
-            # The transitive key should make this unreachable; if key
-            # derivation ever misses a dependency, degrade to a miss
-            # rather than report against the wrong instructions.
-            log.warning(
-                "cache: stale outcome for entry %s (%s); re-analyzing", name, exc
-            )
-            self.stale_entries += 1
-            return None
-        # A skipped entry's phase timing is 0 by definition — the stored
-        # wall time belongs to the run that produced it.
-        outcome.stats.wall_seconds = 0.0
-        outcome.stats.cached = True
-        return outcome
 
     # -- commit (parent process, single writer) ------------------------------
 
@@ -428,99 +318,30 @@ class IncrementalContext:
         skipped_names: List[str],
     ) -> int:
         """Stage layers a/b/c for everything this run computed, then
-        flush atomically.  ``put`` already skips keys that are staged or
-        on disk, so warm runs write nothing."""
+        flush atomically."""
         if self.store.mode != "rw":
             return 0
-        all_facts: Dict[str, Tuple[bool, bool]] = {
-            name: (info.may_return_negative, info.may_return_zero)
-            for name, info in collector.functions.items()
-            if name in self.keys.fingerprints
-        }
-        if not self._facts_bundled:
-            for name, value in all_facts.items():
-                self.store.put(_facts_key(name, self.keys.key(name)), value)
-            if set(all_facts) == set(self.keys.fingerprints):
-                self.store.put(_facts_bundle_key(self._closure_pairs), all_facts)
+        for name, info in collector.functions.items():
+            if name in self.keys.fingerprints:
+                facts = ReturnFacts(info.may_return_negative, info.may_return_zero)
+                self.stage("facts", facts, name)
         if self.config.prune and relevance is not None:
             from ..presolve import RelevancePreAnalysis
 
             if isinstance(relevance, RelevancePreAnalysis):
                 for entry in analyzed:
-                    dead = relevance.dead_blocks(entry)
+                    dead = self.index.block_coords(entry, relevance.dead_blocks(entry))
                     armed = relevance.armed_names(entry)
-                    self.store.put(
-                        _mask_key(
-                            entry.name, self.keys.key(entry.name),
-                            self.spec_fp, self.presolve_fp,
-                        ),
-                        {"relevant": True,
-                         "dead": self.index.block_coords(entry, dead),
-                         "armed": None if armed is None else sorted(armed)},
-                    )
+                    mask = RelevanceMask(True, dead, None if armed is None else sorted(armed))
+                    self.stage("mask", mask, entry.name)
                 for name in skipped_names:
-                    if name not in self.keys.fingerprints:
-                        continue
-                    self.store.put(
-                        _mask_key(
-                            name, self.keys.key(name), self.spec_fp, self.presolve_fp
-                        ),
-                        {"relevant": False, "dead": [], "armed": []},
-                    )
+                    if name in self.keys.fingerprints:
+                        self.stage("mask", RelevanceMask(False, [], []), name)
         for entry in analyzed:
             outcome = outcomes.get(entry.name)
-            if outcome is None or outcome.stats.cached:
-                continue
-            key = _outcome_key(
-                entry.name, self.keys.key(entry.name), self.spec_fp, self.engine_fp
-            )
-            if self.store.contains(key):
-                continue
-            try:
-                coords = outcome_coords(outcome, self.index)
-            except StaleEntry as exc:  # pragma: no cover - defensive
-                log.warning("cache: not storing entry %s (%s)", entry.name, exc)
-                continue
-            self.store.put(key, {"outcome": outcome, "coords": coords})
-        if not self._plan_bundled:
-            self._stage_plan_bundle(outcomes, skipped_names)
+            if outcome is not None and not outcome.stats.cached:
+                self.stage("outcome", outcome, entry.name)
         return self.store.commit()
-
-    def _stage_plan_bundle(self, outcomes: Dict[str, object],
-                           skipped_names: List[str]) -> None:
-        """Assemble the plan bundle from this run's fresh outcomes plus
-        any granular cache hits, but only when every non-skipped entry is
-        covered — a partial bundle would be a wrong answer on the next
-        fully-warm read."""
-        if not self._entry_names:
-            return
-        cached = self._last_plan.cached if self._last_plan is not None else {}
-        skipped_set = set(skipped_names)
-        payload: Dict[str, dict] = {}
-        for name in self._entry_names:
-            if name in skipped_set:
-                continue
-            outcome = outcomes.get(name)
-            if outcome is None:
-                outcome = cached.get(name)
-            if outcome is None:
-                return
-            try:
-                payload[name] = {
-                    "outcome": outcome,
-                    "coords": outcome_coords(outcome, self.index),
-                }
-            except StaleEntry:  # pragma: no cover - defensive
-                return
-        self.store.put(
-            _plan_bundle_key(
-                self._closure_pairs, self._entry_names, self.spec_fp, self.engine_fp
-            ),
-            {
-                "skipped": [n for n in self._entry_names if n in skipped_set],
-                "outcomes": payload,
-            },
-        )
 
 
 def open_incremental(program: Program, config, checker_spec: Optional[str],
@@ -580,22 +401,21 @@ def compile_with_cache(sources, store: Optional[CacheStore]) -> Program:
     from ..lang import compile_source
     from .fingerprint import module_fingerprints
 
+    row = LAYERS["module"]
     program = Program()
     fingerprints: Dict[str, str] = {}
     for filename, source in sources:
-        key = _module_key(filename, source) if store is not None else None
-        payload = store.get(key) if store is not None else None
-        module = payload.get("module") if isinstance(payload, dict) else payload
-        fps = payload.get("fingerprints") if isinstance(payload, dict) else None
-        if module is None or not hasattr(module, "functions"):
-            module = compile_source(source, filename)
-            fps = None
-        if not isinstance(fps, dict):
-            fps = module_fingerprints(module)
+        compiled = None
         if store is not None:
-            store.put(key, {"module": module, "fingerprints": fps})
-        program.add_module(module)
-        fingerprints.update(fps)
+            key = row.key(filename, _sha("src", source))
+            compiled = _fetch(store, row, key)
+        if compiled is None:
+            module = compile_source(source, filename)
+            compiled = CompiledModule(module, module_fingerprints(module))
+            if store is not None:
+                store.put(key, compiled)
+        program.add_module(compiled.module)
+        fingerprints.update(compiled.fingerprints)
     renumber_program(program)
     mark_interface_functions(program)
     for module in program.modules:

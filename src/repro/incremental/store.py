@@ -41,8 +41,9 @@ log = logging.getLogger("repro.incremental")
 #: (2: P1.7 partition layer + sharpened relevance-mask payloads;
 #: 3: P1.8 must-alias-facts layer + taint-sharpened relevance masks;
 #: 4: P2.6 xtaint module-summary layer + TaintFlow records in cached
-#: outcomes' access lists)
-CACHE_FORMAT = 4
+#: outcomes' access lists; 5: typed payloads from the engine's layer
+#: table, no facts or plan bundles)
+CACHE_FORMAT = 5
 _MAGIC = b"PATACHE1"
 _DIGEST_BYTES = 32
 
@@ -68,6 +69,9 @@ class CacheStore:
         #: — lets `put` skip re-reading them without trusting mere
         #: file existence (a corrupt object must be re-written)
         self._known_good: set = set()
+        #: keys whose verified object the caller could not use — `put`
+        #: must overwrite them
+        self._rejected: set = set()
         self._objects = self.root / "objects"
         if mode == "rw":
             self._objects.mkdir(parents=True, exist_ok=True)
@@ -163,7 +167,11 @@ class CacheStore:
     def contains(self, key: str) -> bool:
         """Whether ``key`` would hit, without counting a hit/miss or
         decoding the payload (checksum still verified)."""
-        if key in self._staged or key in self._known_good:
+        if key in self._staged:
+            return True
+        if key in self._rejected:
+            return False
+        if key in self._known_good:
             return True
         try:
             blob = self._path_of(key).read_bytes()
@@ -173,6 +181,16 @@ class CacheStore:
             return False
         self._known_good.add(key)
         return True
+
+    def reject(self, key: str) -> None:
+        """The caller could not use what :meth:`get` just returned for
+        ``key`` (wrong payload shape, stale coordinates): recount that
+        hit as a miss, and let the next :meth:`put` overwrite the
+        object."""
+        self.hits -= 1
+        self.misses += 1
+        self._known_good.discard(key)
+        self._rejected.add(key)
 
     # -- write path (single writer) -------------------------------------------
 

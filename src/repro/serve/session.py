@@ -6,9 +6,9 @@ cold run that populates every cache layer — compiled modules (+
 fingerprints), P1 may-return facts, P1.5 relevance masks, the P1.7
 may-alias partition, P1.8 must-alias facts (layer f), per-entry P2
 outcomes, and P2.6 xtaint interface summaries (layer x).  Every later
-request over unchanged content is a fully-warm run: the plan bundle
-resolves in one in-memory read and only dirtied fingerprint closures
-are re-explored.  Reports are byte-identical to a one-shot
+request over unchanged content is a fully-warm run: every layer
+resolves from RAM and only dirtied fingerprint closures are
+re-explored.  Reports are byte-identical to a one-shot
 ``PATA().analyze`` over the same sources and config — residency is an
 optimization, never a precision or soundness trade.
 

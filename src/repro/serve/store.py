@@ -2,14 +2,14 @@
 
 :class:`ResidentStore` speaks the same surface as
 :class:`repro.incremental.store.CacheStore` — ``get``/``put``/
-``contains``/``commit``, the ``mode`` attribute, and the
+``contains``/``reject``/``commit``, the ``mode`` attribute, and the
 ``hits``/``misses``/``corrupt`` counters — but keeps every object in
 RAM, so a long-lived session pays neither disk I/O nor cold-start
 deserialization of a cache directory.
 
 Objects are stored as pickled blobs, not live object graphs, on
 purpose: the disk store hands every ``get`` a *fresh* unpickled copy,
-and rehydration (:func:`repro.incremental.coords.rehydrate_outcome`)
+and rehydration (:func:`repro.incremental.coords.rehydrate_records`)
 mutates that copy in place to point at the current program.  Returning
 live objects instead would let one request's in-place rehydration
 corrupt the resident copy the next request reads.  The pickle
@@ -73,6 +73,15 @@ class ResidentStore:
     def contains(self, key: str) -> bool:
         with self._lock:
             return key in self._staged or key in self._objects
+
+    def reject(self, key: str) -> None:
+        """Recount the hit ``get`` just served for ``key`` as a miss and
+        drop the object, so the next ``put`` replaces it."""
+        with self._lock:
+            self.hits -= 1
+            self.misses += 1
+            self._objects.pop(key, None)
+            self._staged.pop(key, None)
 
     def put(self, key: str, value: Any) -> None:
         if self.contains(key):

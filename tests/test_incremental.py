@@ -39,6 +39,7 @@ from repro.incremental import (
     open_store,
     spec_fingerprint,
 )
+from repro.incremental.engine import LAYERS, Located
 from repro.lang import compile_program
 
 
@@ -197,11 +198,11 @@ def test_store_pre_bump_format_heals_on_commit(tmp_path, caplog):
     """Regression for the CACHE_FORMAT bumps (1 -> 2: partition layer;
     2 -> 3: P1.8 flow-facts layer + taint-sharpened relevance masks;
     3 -> 4: P2.6 xtaint summary layer + TaintFlow records in cached
-    outcomes — each changed what an entry result depends on): a
+    outcomes; 4 -> 5: typed layer-table payloads, bundles dropped): a
     directory stamped with the pre-bump format must read as all-misses,
     stay usable, and be re-stamped with the current format by the next
     commit — no manual cache wipe needed."""
-    assert CACHE_FORMAT == 4  # update the pre-bump fixture when bumping again
+    assert CACHE_FORMAT == 5  # update the pre-bump fixture when bumping again
     # A pre-bump cache: old header stamp plus an object under a key only
     # the old derivation could have produced.
     stale_dir = tmp_path / "objects" / "ab"
@@ -250,6 +251,26 @@ def test_engine_heals_pre_bump_cache_directory(tmp_path):
     assert any(row.cached for row in warm.stats.per_entry)
 
 
+@pytest.mark.parametrize("kind", ["disk", "resident"])
+def test_store_reject_counts_a_miss_and_lets_put_overwrite(tmp_path, kind):
+    """An object the engine could not use is recounted as a miss, and
+    the next put replaces it even though its checksum verifies."""
+    from repro.serve.store import ResidentStore
+
+    store = CacheStore(str(tmp_path), "rw") if kind == "disk" else ResidentStore()
+    key = CacheStore.object_key("test", "reject")
+    store.put(key, "wrong shape")
+    store.commit()
+    if kind == "disk":
+        store = CacheStore(str(tmp_path), "rw")  # a fresh handle reads from disk
+    assert store.get(key) == "wrong shape"
+    store.reject(key)
+    assert store.hits == 0 and store.misses == 1
+    store.put(key, "right shape")
+    assert store.commit() == 1
+    assert store.get(key) == "right shape"
+
+
 def test_open_store_unopenable_dir_is_none(tmp_path, caplog):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file where the cache dir should be")
@@ -257,6 +278,75 @@ def test_open_store_unopenable_dir_is_none(tmp_path, caplog):
         assert open_store(str(blocker), "rw") is None
     assert open_store(None, "rw") is None
     assert open_store(str(tmp_path), "off") is None
+
+
+# ---------------------------------------------------------------------------
+# The layer table: every layer degrades a shape surprise to a rebuild
+# ---------------------------------------------------------------------------
+
+XT_WRITER = r"""
+int g_xdiv;
+int read_user_cnt(void);
+
+void dev_tune(void) {
+    int n = read_user_cnt();
+    g_xdiv = n;
+}
+"""
+
+XT_READER = r"""
+int g_xdiv;
+
+int dev_avg(int total) {
+    int d = g_xdiv;
+    return total / d;
+}
+"""
+
+
+def _layer_run(sources, cache_dir):
+    """One cached run engaging every layer: its report text and the
+    misses of both the frontend store and the analysis store."""
+    store = open_store(cache_dir, "rw")
+    program = compile_with_cache(sources, store)
+    store.commit()
+    config = AnalysisConfig(cache_dir=cache_dir, cache_mode="rw")
+    result = PATA(config=config, checker_spec="default,xtaint").analyze(program)
+    return _report_text(result), store.misses + result.stats.cache_misses
+
+
+@pytest.mark.parametrize("tag", list(LAYERS))
+def test_layer_shape_surprise_degrades_to_rebuild(tmp_path, tag):
+    """A checksummed object of the wrong type under any layer's key is
+    a miss with a rebuild — never a crash, never a wrong report."""
+    import pickle as _pickle
+
+    row = LAYERS[tag]
+    sources = _sources() + [("w.c", XT_WRITER), ("r.c", XT_READER)]
+    cache_dir = str(tmp_path)
+    cold, _ = _layer_run(sources, cache_dir)
+    warm, clean_misses = _layer_run(sources, cache_dir)
+    assert warm == cold
+
+    def held(value):
+        if row.records is not None:
+            return isinstance(value, Located) and row.accepts(value.value)
+        return row.accepts(value)
+
+    bogus = {"not": "a payload"}
+    if row.records is not None:
+        bogus = Located(bogus, {})
+    blob = _pickle.dumps(bogus)
+    replaced = 0
+    for path in pathlib.Path(cache_dir).glob("objects/*/*.bin"):
+        if held(_pickle.loads(path.read_bytes()[8 + 32:])):
+            path.write_bytes(b"PATACHE1" + hashlib.sha256(blob).digest() + blob)
+            replaced += 1
+    assert replaced > 0
+
+    surprised, misses = _layer_run(sources, cache_dir)
+    assert surprised == cold
+    assert misses == clean_misses + replaced
 
 
 # ---------------------------------------------------------------------------
@@ -304,47 +394,6 @@ def test_flow_facts_invalidated_by_module_edit(tmp_path, monkeypatch):
     assert calls  # the edit forced a fresh flow pass
     baseline = _analyze(_sources(HELPER_V2))
     assert _report_text(edited) == _report_text(baseline)
-
-
-def test_flow_facts_shape_surprise_degrades_to_rebuild(tmp_path, monkeypatch):
-    """A cache object of the wrong type under the facts key is a miss
-    with a rebuild — never a crash, never a wrong report."""
-    import pickle as _pickle
-
-    from repro.pointsto.flow_tier import MustAliasFacts
-
-    cache_dir = str(tmp_path)
-    cold = _analyze(_sources(), cache_dir=cache_dir, cache_mode="rw")
-
-    # Find the committed facts object and replace it with a same-format,
-    # checksummed payload of the wrong type.
-    replaced = 0
-    for path in pathlib.Path(cache_dir).glob("objects/*/*.bin"):
-        blob = path.read_bytes()
-        payload = blob[8 + 32:]
-        try:
-            value = _pickle.loads(payload)
-        except Exception:
-            continue
-        if isinstance(value, MustAliasFacts):
-            bogus = _pickle.dumps({"not": "facts"})
-            path.write_bytes(b"PATACHE1" + hashlib.sha256(bogus).digest() + bogus)
-            replaced += 1
-    assert replaced == 1
-
-    import repro.pointsto.flow_tier as flow_tier
-
-    calls = []
-    real = flow_tier.compute_flow_facts
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(flow_tier, "compute_flow_facts", counting)
-    warm = _analyze(_sources(), cache_dir=cache_dir, cache_mode="rw")
-    assert calls  # shape surprise -> recompute
-    assert _report_text(warm) == _report_text(cold)
 
 
 def test_flow_facts_key_distinguishes_fp_resolution(tmp_path, monkeypatch):
