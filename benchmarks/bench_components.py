@@ -163,20 +163,6 @@ def test_ablation_validation_cost_and_value(benchmark, harness):
     assert with_validation.stats.dropped_false_bugs > 0
 
 
-def test_frontend_compile_throughput(benchmark, harness):
-    from repro.corpus import TENCENTOS, generate
-
-    corpus = generate(TENCENTOS.scaled(min(1.0, harness.scale)))
-
-    def run():
-        from repro.lang import compile_program
-
-        return compile_program(corpus.compiled_sources())
-
-    program = benchmark(run)
-    assert sum(1 for _ in program.functions()) > 10
-
-
 def _phase_seconds(stats):
     return {
         "collect": round(stats.time_collect_seconds, 4),

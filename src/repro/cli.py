@@ -23,6 +23,7 @@ from typing import List, Optional
 from . import PATA, AnalysisConfig, __version__
 from .baselines import all_baselines
 from .corpus import PROFILES_BY_NAME, generate, match_findings
+from .errors import LexError, ParseError, SemaError
 from .evaluation import (
     EvaluationHarness,
     PRIMARY_KINDS,
@@ -35,6 +36,10 @@ from .evaluation import (
     table8_comparison,
 )
 from .lang import compile_program
+
+#: What the frontend raises for a malformed source file; the message
+#: starts with ``file:line[:col]:``.
+_SOURCE_ERRORS = (LexError, ParseError, SemaError)
 
 _EVAL_TARGETS = {
     "table4": table4_os_info,
@@ -245,7 +250,8 @@ def cmd_list_checkers() -> int:
 
 
 def cmd_check(args) -> int:
-    """``check``: analyze mini-C files with PATA; exit 1 when bugs found."""
+    """``check``: analyze mini-C files with PATA; exit 1 when bugs found,
+    2 on a usage error or a malformed source file."""
     if args.list_checkers:
         return cmd_list_checkers()
     if not args.files:
@@ -285,20 +291,24 @@ def cmd_check(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.cache_active():
-        # Layer-0 frontend cache: unchanged files skip the parser and
-        # lowering entirely.  The store is committed here (parent
-        # process, before analysis) — PATA opens its own handle for the
-        # summary layers and performs the second, analysis-side commit.
-        from .incremental import compile_with_cache, open_store
+    try:
+        if config.cache_active():
+            # Layer-0 frontend cache: unchanged files skip the parser and
+            # lowering entirely.  The store is committed here (parent
+            # process, before analysis) — PATA opens its own handle for the
+            # summary layers and performs the second, analysis-side commit.
+            from .incremental import compile_with_cache, open_store
 
-        store = open_store(config.cache_dir, config.cache_mode)
-        program = compile_with_cache(sources, store)
-        if store is not None:
-            store.commit()
-        result = pata.analyze(program)
-    else:
-        result = pata.analyze_sources(sources)
+            store = open_store(config.cache_dir, config.cache_mode)
+            program = compile_with_cache(sources, store)
+            if store is not None:
+                store.commit()
+            result = pata.analyze(program)
+        else:
+            result = pata.analyze_sources(sources)
+    except _SOURCE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     confirmations = {}
     if args.confirm and result.reports:
@@ -479,7 +489,8 @@ def cmd_submit(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    """``lint``: source diagnostics without compilation; exit 1 on findings."""
+    """``lint``: source diagnostics without compilation; exit 1 on findings,
+    2 on a missing or malformed source file."""
     from .lang.sema import check_source
 
     total = 0
@@ -488,7 +499,12 @@ def cmd_lint(args) -> int:
         if not path.exists():
             print(f"error: no such file: {name}", file=sys.stderr)
             return 2
-        for diagnostic in check_source(path.read_text(), str(path)):
+        try:
+            diagnostics = check_source(path.read_text(), str(path))
+        except _SOURCE_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        for diagnostic in diagnostics:
             print(diagnostic)
             total += 1
     print(f"{total} diagnostic(s)")

@@ -7,13 +7,13 @@ through :func:`compile_program`.
 from typing import Iterable, Tuple
 
 from ..ir import Module, Program
-from .lexer import Lexer, Token, tokenize
+from .lexer import Token, tokenize
 from .parser import Parser, parse
 from .lower import ALLOCATORS, DEALLOCATORS, LOCK_APIS, compile_source, lower_unit
 from .sema import Diagnostic, SemaChecker, check_source
 
 __all__ = [
-    "Lexer", "Token", "tokenize", "Parser", "parse",
+    "Token", "tokenize", "Parser", "parse",
     "ALLOCATORS", "DEALLOCATORS", "LOCK_APIS",
     "compile_source", "lower_unit", "compile_program",
     "Diagnostic", "SemaChecker", "check_source",

@@ -4,12 +4,19 @@ Mini-C covers the constructs PATA's evaluation exercises: structs with
 designated initializers (module-interface registration), pointers, field
 accesses, arrays, control flow including ``goto``, and the kernel-ish
 allocation/locking APIs (recognized later, at lowering).
+
+:func:`tokenize` is one loop over one compiled master regex: each
+alternative is a named group for one token class, tried in order, so
+the group that matched names what was read.  Positions come from the
+offset of the last newline seen, not from per-character counters.
+Every rejected input raises :class:`~repro.errors.LexError` with the
+line and column the error was found at.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import List, NamedTuple
 
 from ..errors import LexError
 
@@ -31,8 +38,7 @@ PUNCT = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'id', 'num', 'char', 'string', 'kw', 'punct', 'eof'
     text: str
     line: int
@@ -42,141 +48,103 @@ class Token:
         return f"{self.kind}({self.text!r})@{self.line}:{self.column}"
 
 
-class Lexer:
-    """Streaming tokenizer over one mini-C source buffer."""
+# A string literal's body: a backslash escapes any character, newline included.
+_STRING_BODY = r'[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*'
 
-    def __init__(self, source: str, filename: str = "<input>"):
-        self.source = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+# Alternatives are tried in this order; the first that matches wins.
+_TOKEN_GROUPS = [
+    # A run of whitespace, // and /* */ comments, and preprocessor lines
+    # (ignored: the corpus does not rely on macros; a backslash-newline
+    # continues the line).
+    ("skip", r"(?:[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/|#[^\\\n]*(?:\\\n?[^\\\n]*)*)+"),
+    # A /* that the skip group could not close.
+    ("open_comment", r"/\*"),
+    ("id", r"[A-Za-z_]\w*"),
+    ("punct", "|".join(re.escape(p) for p in PUNCT if len(p) > 1)
+     + "|[" + re.escape("".join(p for p in PUNCT if len(p) == 1)) + "]"),
+    ("bad_hex", r"0[xX](?![0-9a-fA-F])"),
+    # Decimal digits followed by a non-ASCII word character go to
+    # ``digits``, which checks whether that character is a digit.
+    ("num", r"(?:0[xX][0-9a-fA-F]+|[0-9]+(?![0-9]|[^\W\x00-\x7f]))[uUlL]*"),
+    ("digits", r"[0-9]+"),
+    # A word starting with a non-ASCII character: a letter starts an
+    # identifier, a digit a malformed literal, anything else is an error.
+    ("uword", r"[^\W\x00-\x7f]\w*"),
+    ("string", f'"{_STRING_BODY}"'),
+    ("char", r"'(?:\\[\s\S]|[^\\])'"),
+    ("open_string", r'"'),
+    ("open_char", r"'"),
+    ("other", r"[\s\S]"),
+]
+_MASTER = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_GROUPS))
+_ESCAPE = re.compile(r"\\([\s\S])")
+_CHAR_ESCAPES = {"n": "\n", "t": "\t", "0": "\0", "\\": "\\", "'": "'", "r": "\r"}
 
-    def _error(self, message: str) -> LexError:
-        return LexError(message, self.filename, self.line, self.column)
 
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source) and self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.source[index] if index < len(self.source) else ""
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.source) and not (self._peek() == "*" and self._peek(1) == "/"):
-                    self._advance()
-                if self.pos >= len(self.source):
-                    raise self._error("unterminated block comment")
-                self._advance(2)
-            elif ch == "#":
-                # Preprocessor lines are ignored (the corpus does not rely on
-                # macros; kernel-ish APIs are plain functions in mini-C).
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    if self._peek() == "\\" and self._peek(1) == "\n":
-                        self._advance()
-                    self._advance()
-            else:
-                return
-
-    def tokens(self) -> Iterator[Token]:
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.source):
-                yield Token("eof", "", self.line, self.column)
-                return
-            start_line, start_col = self.line, self.column
-            ch = self._peek()
-            if ch.isalpha() or ch == "_":
-                text = self._lex_word()
-                kind = "kw" if text in KEYWORDS else "id"
-                yield Token(kind, text, start_line, start_col)
-            elif ch.isdigit():
-                yield Token("num", self._lex_number(), start_line, start_col)
-            elif ch == '"':
-                yield Token("string", self._lex_string(), start_line, start_col)
-            elif ch == "'":
-                yield Token("char", self._lex_char(), start_line, start_col)
-            else:
-                for punct in PUNCT:
-                    if self.source.startswith(punct, self.pos):
-                        self._advance(len(punct))
-                        yield Token("punct", punct, start_line, start_col)
-                        break
-                else:
-                    raise self._error(f"unexpected character {ch!r}")
-
-    def _lex_word(self) -> str:
-        start = self.pos
-        while self.pos < len(self.source) and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        return self.source[start : self.pos]
-
-    def _lex_number(self) -> str:
-        start = self.pos
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-        else:
-            while self._peek().isdigit():
-                self._advance()
-        # Integer suffixes (UL, LL, u, ...) are consumed and ignored.
-        while self._peek() and self._peek() in "uUlL":
-            self._advance()
-        return self.source[start : self.pos]
-
-    def _lex_string(self) -> str:
-        self._advance()  # opening quote
-        chars: List[str] = []
-        while True:
-            ch = self._peek()
-            if not ch or ch == "\n":
-                raise self._error("unterminated string literal")
-            if ch == '"':
-                self._advance()
-                return "".join(chars)
-            if ch == "\\":
-                self._advance()
-                chars.append(self._peek())
-                self._advance()
-            else:
-                chars.append(ch)
-                self._advance()
-
-    def _lex_char(self) -> str:
-        self._advance()  # opening quote
-        if self._peek() == "\\":
-            self._advance()
-            escapes = {"n": "\n", "t": "\t", "0": "\0", "\\": "\\", "'": "'", "r": "\r"}
-            ch = escapes.get(self._peek(), self._peek())
-            self._advance()
-        else:
-            ch = self._peek()
-            self._advance()
-        if self._peek() != "'":
-            raise self._error("unterminated character literal")
-        self._advance()
-        return ch
+def _error(message: str, filename: str, source: str, offset: int) -> LexError:
+    """A ``LexError`` at ``offset``; offsets past the end keep counting columns."""
+    end = min(offset, len(source))
+    line = source.count("\n", 0, end) + 1
+    return LexError(message, filename, line, offset - source.rfind("\n", 0, end))
 
 
 def tokenize(source: str, filename: str = "<input>") -> List[Token]:
     """Tokenize ``source`` fully, returning the token list ending with EOF."""
-    return list(Lexer(source, filename).tokens())
+    tokens: List[Token] = []
+    append = tokens.append
+    new = tuple.__new__  # Token(...) without the Python-level __new__ frame
+    line = 1
+    line_base = -1  # offset of the last newline seen; column = offset - line_base
+    for match in _MASTER.finditer(source):
+        kind = match.lastgroup
+        text = match.group()
+        start = match.start()
+        if kind == "skip":
+            if "\n" in text:
+                line += text.count("\n")
+                line_base = start + text.rindex("\n")
+        elif kind == "id":
+            append(new(Token, ("kw" if text in KEYWORDS else "id", text, line, start - line_base)))
+        elif kind == "punct" or kind == "num":
+            append(new(Token, (kind, text, line, start - line_base)))
+        elif kind == "string" or kind == "char":
+            body = text[1:-1]
+            if kind == "char":
+                value = _CHAR_ESCAPES.get(body[1], body[1]) if body[0] == "\\" else body
+            else:
+                value = _ESCAPE.sub(r"\1", body) if "\\" in body else body
+            append(new(Token, (kind, value, line, start - line_base)))
+            if "\n" in text:
+                line += text.count("\n")
+                line_base = start + text.rindex("\n")
+        else:
+            append(_rare_token(kind, match, filename, line, start - line_base))
+    append(Token("eof", "", line, len(source) - line_base))
+    return tokens
+
+
+def _rare_token(kind: str, match: re.Match, filename: str, line: int, column: int) -> Token:
+    """The token for a match outside the common groups, or the error it is."""
+    source, text, start = match.string, match.group(), match.start()
+    if kind == "uword" and text[0].isalpha():
+        return Token("id", text, line, column)
+    if kind == "digits" and not source[match.end()].isdigit():
+        return Token("num", text, line, column)
+    if kind in ("bad_hex", "digits") or (kind == "uword" and text[0].isdigit()):
+        raise LexError("malformed integer literal", filename, line, column)
+    if kind == "open_comment":
+        raise _error("unterminated block comment", filename, source, len(source))
+    if kind == "open_string":
+        end = re.compile(_STRING_BODY).match(source, start + 1).end()
+        # A backslash stops the body only as the last character; its
+        # escape then reads one past the end.
+        raise _error("unterminated string literal", filename, source,
+                     end + 2 if end < len(source) and source[end] == "\\" else end)
+    if kind == "open_char":
+        # Where the closing quote should have been.
+        end = start + (3 if source[start + 1 : start + 2] == "\\" else 2)
+        raise _error("unterminated character literal", filename, source, end)
+    raise LexError(f"unexpected character {text[0]!r}", filename, line, column)
 
 
 def parse_int_literal(text: str) -> int:

@@ -41,7 +41,10 @@ class Parser:
     """Recursive-descent parser; one instance per translation unit."""
 
     def __init__(self, source: str, filename: str = "<input>"):
-        self.tokens: List[Token] = tokenize(source, filename)
+        tokens = tokenize(source, filename)
+        # Two more copies of EOF make ``_peek(offset)`` for offset <= 2 a
+        # plain index: ``pos`` never moves past the first EOF.
+        self.tokens: List[Token] = tokens + tokens[-1:] * 2
         self.filename = filename
         self.pos = 0
         self.typedefs: Set[str] = set()
@@ -50,30 +53,34 @@ class Parser:
     # -- token helpers ------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        return self.tokens[self.pos + offset]
 
     def _next(self) -> Token:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
         return tok
 
     def _at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def _accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        if self._at(kind, text):
-            return self._next()
-        return None
+        tok = self.tokens[self.pos]
+        if tok.kind != kind or (text is not None and tok.text != text):
+            return None
+        if kind != "eof":
+            self.pos += 1
+        return tok
 
     def _expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self._peek()
-        if not self._at(kind, text):
+        tok = self.tokens[self.pos]
+        if tok.kind != kind or (text is not None and tok.text != text):
             want = text or kind
             raise ParseError(f"expected {want!r}, found {tok.text!r}", self.filename, tok.line, tok.column)
-        return self._next()
+        if kind != "eof":
+            self.pos += 1
+        return tok
 
     def _error(self, message: str) -> ParseError:
         tok = self._peek()

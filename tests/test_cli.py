@@ -159,6 +159,26 @@ def test_lint_clean_file(tmp_path, capsys):
     assert main(["lint", str(path)]) == 0
 
 
+@pytest.mark.parametrize("source, where, message", [
+    ("int f(void){ int x = 1 @ 2; return x; }", "1:24", "unexpected character '@'"),
+    ("int f(void){\n  return 1\n}", "3:1", "expected ';', found '}'"),
+    ("int f(void){\n  break;\n}", "2", "break outside loop/switch"),
+], ids=["lex", "parse", "sema"])
+def test_check_malformed_source_exits_2(tmp_path, capsys, source, where, message):
+    path = tmp_path / "bad.c"
+    path.write_text(source)
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:{where}: {message}\n"
+
+
+def test_lint_malformed_source_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.c"
+    path.write_text("int f(void){ return 0x; }")
+    assert main(["lint", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:1:21: malformed integer literal\n"
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
