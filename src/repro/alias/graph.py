@@ -16,8 +16,8 @@ the graph (see trail.py for why this is equivalent to Fig. 7's COPY).
 
 from __future__ import annotations
 
+import functools
 import itertools
-import weakref
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..ir import Value, Var, is_null_const
@@ -32,7 +32,7 @@ class AliasNode:
     """One alias class.  ``vars`` holds variable names (unique program-wide
     by construction: ``func.v``, ``%func.tN``, ``@g``)."""
 
-    __slots__ = ("uid", "vars", "out", "inc", "__weakref__")
+    __slots__ = ("uid", "vars", "out", "inc")
 
     def __init__(self) -> None:
         self.uid = next(_node_ids)
@@ -63,9 +63,11 @@ class AliasGraph:
                  skip_names: Optional[FrozenSet[str]] = None):
         self.trail = trail if trail is not None else Trail()
         self._node_of: Dict[str, AliasNode] = {}
-        #: uid -> node for nodes still alive (weak: undone nodes vanish);
-        #: used to canonicalize typestate keys for exit-merge digests.
-        self.by_uid = weakref.WeakValueDictionary()
+        #: uid -> node for every node whose creation the trail has not
+        #: undone; used to canonicalize typestate keys for exit-merge
+        #: digests.  The trail removes the entry, so what it holds never
+        #: depends on when the garbage collector runs.
+        self.by_uid: Dict[int, AliasNode] = {}
         #: names whose binding changed, in order — lets the engine digest
         #: "what did this callee touch" for exit-path merging (§4, P2).
         #: Kept in sync with the trail (entries pop on undo).
@@ -100,6 +102,7 @@ class AliasGraph:
     def _new_node(self) -> AliasNode:
         node = AliasNode()
         self.by_uid[node.uid] = node
+        self.trail.push(functools.partial(self.by_uid.pop, node.uid))
         return node
 
     # -- node lookup ---------------------------------------------------------

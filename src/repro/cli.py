@@ -21,34 +21,41 @@ import sys
 from typing import List, Optional
 
 from . import PATA, AnalysisConfig, __version__
-from .baselines import all_baselines
-from .corpus import PROFILES_BY_NAME, generate, match_findings
 from .errors import LexError, ParseError, SemaError
-from .evaluation import (
-    EvaluationHarness,
-    PRIMARY_KINDS,
-    fig11_distribution,
-    render_table,
-    table4_os_info,
-    table5_analysis,
-    table6_sensitivity,
-    table7_generality,
-    table8_comparison,
-)
-from .lang import compile_program
+from .heap import analysis_heap
+
+# ``check`` is most CLI runs and never needs the corpus generator, the
+# evaluation harness or the baselines: the commands that do import them.
 
 #: What the frontend raises for a malformed source file; the message
 #: starts with ``file:line[:col]:``.
 _SOURCE_ERRORS = (LexError, ParseError, SemaError)
 
+#: ``eval`` target -> the :mod:`repro.evaluation` function that builds it
 _EVAL_TARGETS = {
-    "table4": table4_os_info,
-    "table5": table5_analysis,
-    "table6": table6_sensitivity,
-    "table7": table7_generality,
-    "table8": table8_comparison,
-    "fig11": fig11_distribution,
+    "table4": "table4_os_info",
+    "table5": "table5_analysis",
+    "table6": "table6_sensitivity",
+    "table7": "table7_generality",
+    "table8": "table8_comparison",
+    "fig11": "fig11_distribution",
 }
+
+
+class _ProfileNames:
+    """The corpus profile names as argparse ``choices``, read from
+    :mod:`repro.corpus` only when a command line names or lists them."""
+
+    def _names(self) -> List[str]:
+        from .corpus import PROFILES_BY_NAME
+
+        return sorted(PROFILES_BY_NAME)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,8 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser("lint", help="source-level diagnostics (no compilation)")
     lint.add_argument("files", nargs="+", help="mini-C source files")
 
+    profiles = _ProfileNames()
     corpus = sub.add_parser("corpus", help="generate a synthetic OS corpus")
-    corpus.add_argument("--os", choices=sorted(PROFILES_BY_NAME), required=True)
+    corpus.add_argument("--os", choices=profiles, metavar="OS", required=True,
+                        help="corpus profile: %(choices)s")
     corpus.add_argument("--scale", type=float, default=1.0)
     corpus.add_argument("--out", type=pathlib.Path, default=None,
                         help="write the tree (plus ground_truth.json) here")
@@ -199,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "(1 = sequential, 0 = one per CPU)")
 
     compare = sub.add_parser("compare", help="PATA vs the seven baselines on one OS")
-    compare.add_argument("--os", choices=sorted(PROFILES_BY_NAME), default="zephyr")
+    compare.add_argument("--os", choices=profiles, metavar="OS", default="zephyr",
+                         help="corpus profile: %(choices)s (default %(default)s)")
     compare.add_argument("--scale", type=float, default=1.0)
     return parser
 
@@ -292,20 +302,21 @@ def cmd_check(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if config.cache_active():
-            # Layer-0 frontend cache: unchanged files skip the parser and
-            # lowering entirely.  The store is committed here (parent
-            # process, before analysis) — PATA opens its own handle for the
-            # summary layers and performs the second, analysis-side commit.
-            from .incremental import compile_with_cache, open_store
+        with analysis_heap():
+            if config.cache_active():
+                # Layer-0 frontend cache: unchanged files skip the parser and
+                # lowering entirely.  The store is committed here (parent
+                # process, before analysis) — PATA opens its own handle for the
+                # summary layers and performs the second, analysis-side commit.
+                from .incremental import compile_with_cache, open_store
 
-            store = open_store(config.cache_dir, config.cache_mode)
-            program = compile_with_cache(sources, store)
-            if store is not None:
-                store.commit()
-            result = pata.analyze(program)
-        else:
-            result = pata.analyze_sources(sources)
+                store = open_store(config.cache_dir, config.cache_mode)
+                program = compile_with_cache(sources, store)
+                if store is not None:
+                    store.commit()
+                result = pata.analyze(program)
+            else:
+                result = pata.analyze_sources(sources)
     except _SOURCE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -513,6 +524,8 @@ def cmd_lint(args) -> int:
 
 def cmd_corpus(args) -> int:
     """``corpus``: generate a synthetic OS tree (optionally to disk)."""
+    from .corpus import PROFILES_BY_NAME, generate
+
     profile = PROFILES_BY_NAME[args.os].scaled(args.scale)
     corpus = generate(profile)
     print(f"{profile.name} {profile.version_label}: {len(corpus.files)} files, "
@@ -546,17 +559,18 @@ def cmd_corpus(args) -> int:
 
 def cmd_eval(args) -> int:
     """``eval``: regenerate paper tables/figures (or a markdown report)."""
-    harness = EvaluationHarness(scale=args.scale, config=AnalysisConfig(workers=args.workers))
-    if args.markdown is not None and args.target == "all":
-        from .evaluation import generate_markdown_report
+    from . import evaluation
 
-        report = generate_markdown_report(harness)
+    harness = evaluation.EvaluationHarness(scale=args.scale,
+                                           config=AnalysisConfig(workers=args.workers))
+    if args.markdown is not None and args.target == "all":
+        report = evaluation.generate_markdown_report(harness)
         args.markdown.write_text(report)
         print(f"wrote {args.markdown}")
         return 0
     targets = sorted(_EVAL_TARGETS) if args.target == "all" else [args.target]
     for name in targets:
-        _, text = _EVAL_TARGETS[name](harness)
+        _, text = getattr(evaluation, _EVAL_TARGETS[name])(harness)
         print(text)
         print()
     return 0
@@ -564,6 +578,11 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     """``compare``: one Table-8 row — PATA vs the baselines on one OS."""
+    from .baselines import all_baselines
+    from .corpus import PROFILES_BY_NAME, generate, match_findings
+    from .evaluation import PRIMARY_KINDS, render_table
+    from .lang import compile_program
+
     profile = PROFILES_BY_NAME[args.os].scaled(args.scale)
     corpus = generate(profile)
     compiled = compile_program(corpus.compiled_sources())

@@ -41,14 +41,13 @@ in-process path — never a crash.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from .. import heap
 from ..ir import Function, Program
 from ..races.shared import SharedAccess
 from ..typestate import PossibleBug
@@ -70,6 +69,8 @@ _TOUCH_ENV = "REPRO_PARALLEL_TEST_TOUCH_DIR"
 
 def _fork_available() -> bool:
     """Whether workers can inherit the parent's memory (Linux/BSD fork)."""
+    import multiprocessing
+
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -258,8 +259,11 @@ _WORLD: Optional[_WorkerWorld] = None
 
 
 def _init_worker(init: _WorkerInit) -> None:
-    """Pool initializer: runs once per worker process, before any batch."""
+    """Pool initializer: runs once per worker process, before any batch.
+    A worker does nothing but analysis, so it keeps the analysis heap
+    policy for its whole life."""
     global _WORLD
+    heap.adopt()
     if init.program is not None:
         program = init.program
         collector = init.collector
@@ -420,6 +424,10 @@ def run_parallel(
     batch_size = config.resolved_batch_size(len(entry_list), workers)
     batches = _make_batches(entry_list, batch_size)
     outcomes: Dict[str, EntryOutcome] = {}
+    # Imported here: a run with one worker never starts a pool.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     try:
         mp_context = multiprocessing.get_context("fork" if use_fork else "spawn")
         with ProcessPoolExecutor(

@@ -40,6 +40,7 @@ import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core import AnalysisConfig, AnalysisResult, PATA
+from ..heap import analysis_heap
 from .store import ResidentStore
 
 Source = Tuple[str, str]
@@ -88,14 +89,24 @@ class Session:
         Byte-identical to ``PATA(config, checker_spec).analyze_sources``
         on the same inputs; repeated calls on unchanged sources are
         warm-cache runs that re-explore nothing.
-        """
-        from ..incremental import compile_with_cache
 
+        Runs under the analysis heap policy.  A request that analyzes
+        starts with one full collection, which reclaims the cyclic
+        garbage earlier requests left (the policy defers automatic full
+        passes); a replay allocates next to nothing and collects nothing.
+        """
         sources = list(sources)
         key = self._request_key(sources)
         memo = self._memo.get(key)
-        if memo is not None:
-            return self._replay(key, memo)
+        with analysis_heap(collect_first=memo is None):
+            if memo is not None:
+                return self._replay(key, memo)
+            return self._analyze(key, sources)
+
+    def _analyze(self, key: str, sources: List[Source]) -> AnalysisResult:
+        """A memo miss: the cache tier, then memoize the result."""
+        from ..incremental import compile_with_cache
+
         hits0, misses0, corrupt0 = (
             self.store.hits, self.store.misses, self.store.corrupt,
         )

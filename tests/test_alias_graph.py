@@ -1,10 +1,12 @@
 """Alias-graph unit and property tests (the Fig. 5 rules)."""
 
 import random
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
 from repro.alias import AliasGraph, DEREF, Trail
+from repro.core.analyzer import PathExplorer
 from repro.ir import INT, PointerType, Var, VOID_PTR
 
 P = PointerType(INT)
@@ -173,6 +175,40 @@ def test_journal_tracks_and_rewinds():
     assert len(g.journal) == jmark
 
 
+def _canonical(g, uid):
+    """The exit-merge digest's canonical form of a node-keyed typestate."""
+    return PathExplorer._canonical_node_key(
+        SimpleNamespace(graph=g), uid,
+        lambda node: tuple(sorted(node.vars)), lambda name: True)
+
+
+def test_undone_node_leaves_by_uid_and_canonicalises_to_none():
+    """Whether a node counts as alive is the trail's call, not the
+    garbage collector's: the undone node below is still referenced (and
+    still lists ``a``), yet it is gone from ``by_uid``."""
+    trail = Trail()
+    g = AliasGraph(trail)
+    a = var("a")
+    mark = trail.mark()
+    node = g.node_of(a)
+    assert g.by_uid[node.uid] is node
+    assert _canonical(g, node.uid) == ("a",)
+    trail.undo_to(mark)
+    assert node.uid not in g.by_uid
+    assert node.vars == {"a"}
+    assert _canonical(g, node.uid) is None
+
+
+def test_node_bound_to_no_name_canonicalises_to_none():
+    g = AliasGraph()
+    a = var("a")
+    old = g.handle_fresh_object(a)
+    new = g.handle_fresh_object(a)
+    assert old.uid in g.by_uid and not old.vars
+    assert _canonical(g, old.uid) is None
+    assert _canonical(g, new.uid) == ("a",)
+
+
 def test_stats_counts_classes_and_vars():
     g = AliasGraph()
     a, b, c = var("a"), var("b"), var("c")
@@ -269,6 +305,20 @@ def test_property_trail_undo_is_exact(prefix, suffix):
     _apply(g, suffix)
     trail.undo_to(mark)
     assert _snapshot(g) == before
+
+
+@settings(max_examples=80, deadline=None)
+@given(_op_sequences(), _op_sequences())
+def test_property_by_uid_follows_the_trail(prefix, suffix):
+    trail = Trail()
+    g = AliasGraph(trail)
+    _apply(g, prefix)
+    before = dict(g.by_uid)
+    mark = trail.mark()
+    _apply(g, suffix)
+    assert all(g.by_uid[node.uid] is node for node in g.nodes())
+    trail.undo_to(mark)
+    assert g.by_uid == before
 
 
 @settings(max_examples=80, deadline=None)
