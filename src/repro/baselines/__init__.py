@@ -23,9 +23,9 @@ __all__ = [
 
 def all_baselines():
     """The seven compared tools in Table 8's column order.  ``TaintNaive``
-    and ``EraserLike`` are deliberately excluded: they benchmark the
-    taint and race checkers (``make bench-taint`` / ``make bench-race``),
-    not the paper's comparison."""
+    and ``EraserLike`` are deliberately excluded: they are the contrast
+    for the taint and race checkers (``tests/test_taint.py``,
+    ``tests/test_races.py``), not the paper's comparison."""
     return [
         CppcheckLike(),
         CoccinelleLike(),

@@ -9,7 +9,8 @@ locksets share no lock.  No path sensitivity and no feasibility
 reasoning — accesses serialized by a mode flag (the
 ``race_bait_flag_guarded`` corpus pattern) are reported anyway, which is
 exactly what PATA's stage-2 pair validation discharges.  The measuring
-stick for ``make bench-race``; deliberately **not** part of
+stick the racelab tests in ``tests/test_races.py`` hold the race
+checker against; deliberately **not** part of
 :func:`~repro.baselines.all_baselines` (Table 8's column order is
 fixed).
 """

@@ -18,9 +18,9 @@ exactly the near-miss false positive the P2.6 summaries avoid (the
 ``cross-module:`` message prefix lets the harness count these FPs
 separately).  The measuring stick the alias-aware SMT-discharged
 checkers (:mod:`repro.taint`, :mod:`repro.xtaint`) are compared against
-in ``make bench-taint`` / ``make bench-xtaint``; deliberately **not**
-part of :func:`~repro.baselines.all_baselines` (Table 8's column order
-is fixed).
+in ``tests/test_taint.py`` and ``tests/test_xtaint.py``; deliberately
+**not** part of :func:`~repro.baselines.all_baselines` (Table 8's
+column order is fixed).
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ import sys
 from typing import List, Optional
 
 from . import PATA, AnalysisConfig, __version__
+from .core.config import DISPATCH_FACTOR
 from .errors import LexError, ParseError, SemaError
 from .heap import analysis_heap
 
@@ -91,10 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(1 = sequential, 0 = one per CPU)")
     check.add_argument("--batch-size", type=int, default=0, metavar="N",
                        help="entries per dispatched work batch (0 = auto-size "
-                            "for ~--dispatch-factor batches per worker)")
-    check.add_argument("--dispatch-factor", type=int, default=4, metavar="K",
-                       help="with auto batch sizing, target batches pulled per "
-                            "worker (higher = finer work stealing)")
+                            f"for ~{DISPATCH_FACTOR} batches per worker)")
     check.add_argument("--start-method", choices=["fork", "spawn"], default=None,
                        help="worker start method (default: fork where available; "
                             "spawn forces the portable rebuild-once path)")
@@ -287,7 +285,6 @@ def cmd_check(args) -> int:
                             prune=not args.no_prune,
                             alias_tier=args.alias_tier,
                             parallel_batch_size=args.batch_size,
-                            parallel_dispatch_factor=args.dispatch_factor,
                             parallel_start_method=args.start_method,
                             taint_borders=args.taint_borders,
                             cache_dir=args.cache_dir, cache_mode=args.cache)

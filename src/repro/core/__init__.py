@@ -5,12 +5,11 @@ from .collector import FunctionInfo, InformationCollector
 from .analyzer import PathExplorer
 from .filter import BugFilter, FilterResult, FilterStats
 from .report import AnalysisResult, AnalysisStats, BugReport, EntryStats
-from .parallel import ShardResult
 from .pata import PATA
 
 __all__ = [
     "AnalysisConfig", "FunctionInfo", "InformationCollector", "PathExplorer",
     "BugFilter", "FilterResult", "FilterStats",
     "AnalysisResult", "AnalysisStats", "BugReport", "EntryStats",
-    "ShardResult", "PATA",
+    "PATA",
 ]

@@ -18,7 +18,6 @@ continuation runs once per distinct exit state, bounded by
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..alias import AliasGraph, Trail, apply_instruction
@@ -213,7 +212,6 @@ class PathExplorer:
         self.blocks_pruned = 0
         self._frame_ids = 0
         self._call_stack: List[str] = []
-        self._deadline: Optional[float] = None
 
     # -- reporting -----------------------------------------------------------------
 
@@ -300,8 +298,6 @@ class PathExplorer:
         if self.flow_facts is not None and self.graph is not None:
             self.graph.skip_names = self.flow_facts.skip_names_for_entry(entry.name)
         self.ctx.entry_function = entry.name
-        if self.config.entry_time_limit is not None:
-            self._deadline = time.monotonic() + self.config.entry_time_limit
         mark = self.trail.mark()
         tlen = len(self.trace)
         # After the mark: path-start state (e.g. border-source taint on
@@ -332,7 +328,6 @@ class PathExplorer:
             # previous entry could resolve a function pointer through
             # another entry's loads.
             self.load_srcs.clear()
-            self._deadline = None
 
     def _new_frame(self, func: Function, is_entry: bool, cont) -> _Frame:
         self._frame_ids += 1
@@ -396,8 +391,6 @@ class PathExplorer:
         self.steps += 1
         if self.steps > self.config.max_steps_per_entry:
             raise BudgetExceeded("step budget")
-        if self._deadline is not None and self.steps % 2048 == 0 and time.monotonic() > self._deadline:
-            raise BudgetExceeded("time budget")
 
     def _can_inline(self, callee: Function) -> bool:
         if callee.is_declaration:

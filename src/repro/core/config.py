@@ -16,6 +16,10 @@ from typing import Optional
 #: the precision-tier ladder, in rung order
 _ALIAS_TIERS = {"off": 0, "steens": 1, "flow": 2}
 
+#: with auto batch sizing, the number of batches each worker pulls over
+#: a parallel run; higher = finer-grained stealing, more queue round trips
+DISPATCH_FACTOR = 4
+
 
 @dataclass
 class AnalysisConfig:
@@ -39,8 +43,6 @@ class AnalysisConfig:
     #: functions may appear at most this many times on the call stack
     #: (2 = one recursive re-entry, the paper's unroll-once for recursion)
     max_recursion_occurrences: int = 1
-    #: wall-clock guard per entry function, seconds (None = off)
-    entry_time_limit: Optional[float] = None
     #: run the semantics-preserving IR cleanup passes (constant folding,
     #: jump threading, unreachable-block removal) before analysis
     optimize_ir: bool = False
@@ -74,15 +76,11 @@ class AnalysisConfig:
     #: CPU (os.cpu_count()), N > 1 = exactly N processes
     workers: int = 1
     #: entries per dispatched work batch (0 = auto: size the batches so
-    #: each worker pulls ~``parallel_dispatch_factor`` of them, which
-    #: balances queue-round-trip amortization against work stealing).
+    #: each worker pulls ~``DISPATCH_FACTOR`` of them, which balances
+    #: queue-round-trip amortization against work stealing).
     #: Batches are the streaming executor's unit of dispatch *and* of
     #: result pickling, so this also bounds peak result-message size
     parallel_batch_size: int = 0
-    #: with auto batch sizing, the target number of batches each worker
-    #: pulls over the run; higher = finer-grained stealing, more queue
-    #: round trips
-    parallel_dispatch_factor: int = 4
     #: multiprocessing start method for worker processes: None = fork
     #: where the platform has it (workers inherit the program zero-copy),
     #: else spawn (workers unpickle the program once at initialization);
@@ -128,15 +126,14 @@ class AnalysisConfig:
         """The effective entries-per-batch for a parallel run.
 
         ``0`` auto-sizes: enough batches that each worker pulls about
-        ``parallel_dispatch_factor`` of them, so one slow batch steals at
-        most ``1/factor`` of a worker's fair share of wall-clock, while a
-        tiny entry list still dispatches one entry per batch (maximum
-        stealing) rather than one fat shard per worker.
+        ``DISPATCH_FACTOR`` of them, so one slow batch steals at most
+        ``1/DISPATCH_FACTOR`` of a worker's fair share of wall-clock,
+        while a tiny entry list still dispatches one entry per batch
+        (maximum stealing) rather than one fat shard per worker.
         """
         if self.parallel_batch_size > 0:
             return self.parallel_batch_size
-        factor = max(1, self.parallel_dispatch_factor)
-        return max(1, -(-entry_count // (max(1, workers) * factor)))
+        return max(1, -(-entry_count // (max(1, workers) * DISPATCH_FACTOR)))
 
     def for_pata_na(self) -> "AnalysisConfig":
         """The ablation of Table 6: no alias relationships in typestate

@@ -96,17 +96,6 @@ class EntryOutcome:
 
 
 @dataclass
-class ShardResult:
-    """Everything one contiguous run of entries through a single explorer
-    returns (the sequential path is the single-shard case)."""
-
-    entries: List[EntryOutcome] = field(default_factory=list)
-    aware_updates: int = 0
-    unaware_updates: int = 0
-    repeated_bugs: int = 0
-
-
-@dataclass
 class ParallelRun:
     """What :func:`run_parallel` hands back: every explored entry's
     outcome (keyed by entry name), plus how the run was shaped."""
@@ -167,16 +156,6 @@ def explore_entries(
     return outcomes
 
 
-def shard_result(explorer: PathExplorer, outcomes: List[EntryOutcome]) -> ShardResult:
-    """Package one explorer's cumulative counters with its entry outcomes."""
-    return ShardResult(
-        entries=outcomes,
-        aware_updates=explorer.store.aware_updates,
-        unaware_updates=explorer.store.unaware_updates,
-        repeated_bugs=explorer.repeated_bugs,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Worker side: initialize-once world, then stream batches
 # ---------------------------------------------------------------------------
@@ -185,11 +164,14 @@ def shard_result(explorer: PathExplorer, outcomes: List[EntryOutcome]) -> ShardR
 class PrecomputedRelevance:
     """A read-only stand-in for
     :class:`~repro.presolve.prune.RelevancePreAnalysis` built from
-    dead-block uid sets (and per-entry armed checker names) the *parent*
-    already computed: same ``dead_blocks``/``armed_names`` surface the
-    explorer consumes, none of the summary-index build cost.  Block uids
-    are assigned at IR construction and survive both fork and pickling,
-    so the sets index the worker's program copy exactly."""
+    dead-block uid sets (and per-entry armed checker names) computed
+    earlier: by the parent for spawned workers, or read from the
+    incremental cache's layer-(b) masks.  Same ``dead_blocks``/
+    ``armed_names`` surface the explorer consumes, none of the
+    summary-index build cost.  Block uids are assigned at IR
+    construction and survive both fork and pickling, so the sets index
+    a worker's program copy exactly.  The cache path only builds one
+    when *every* entry it will be asked about has a cached mask."""
 
     supported = True
 
@@ -520,21 +502,3 @@ def merge_outcomes(
     stats.dropped_repeated_bugs = repeated
     return merged, merged_accesses
 
-
-def merge_shard_results(
-    entry_list: Sequence[Function],
-    shards: Sequence[Sequence[Function]],
-    results: Sequence[ShardResult],
-    stats: AnalysisStats,
-) -> Tuple[List[PossibleBug], List[SharedAccess]]:
-    """Shard-shaped adapter over :func:`merge_outcomes` (the sequential
-    path and older callers package outcomes as :class:`ShardResult`
-    lists).  Summing per-outcome deltas reproduces each shard's
-    cumulative counters exactly — every counter increment happens inside
-    some entry's ``explore()`` window — so the fold needs nothing from
-    the shard wrapper itself."""
-    outcome_by_entry: Dict[str, EntryOutcome] = {}
-    for shard, result in zip(shards, results):
-        for entry, outcome in zip(shard, result.entries):
-            outcome_by_entry[entry.name] = outcome
-    return merge_outcomes(entry_list, outcome_by_entry, stats)

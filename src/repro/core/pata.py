@@ -24,7 +24,12 @@ from .analyzer import PathExplorer
 from .collector import InformationCollector
 from .config import AnalysisConfig
 from .filter import BugFilter
-from .parallel import explore_entries, merge_outcomes, run_parallel
+from .parallel import (
+    PrecomputedRelevance,
+    explore_entries,
+    merge_outcomes,
+    run_parallel,
+)
 from .report import AnalysisResult, AnalysisStats, EntryStats
 
 log = logging.getLogger("repro.parallel")
@@ -89,8 +94,8 @@ class PATA:
         # Incremental cache (opt-in): fingerprint the program and open the
         # summary store before P1, so cached collector facts can seed it.
         # `incr` stays None when caching is off or cannot apply (live
-        # checker objects, wall-clock budgets) — every later cache branch
-        # collapses to today's behaviour then.
+        # checker objects) — every later cache branch collapses to
+        # today's behaviour then.
         incr = None
         if self.config.cache_active() or self._store is not None:
             from ..incremental import open_incremental
@@ -134,9 +139,7 @@ class PATA:
             skipped_names = list(plan.skipped)
             analyzed_list = plan.dirty
             if self.config.prune and plan.dirty and not plan.needs_relevance:
-                from ..incremental import CachedRelevance
-
-                relevance = CachedRelevance(plan.masks, plan.armed)
+                relevance = PrecomputedRelevance(plan.masks, plan.armed)
         if self.config.prune and relevance is None and (
             incr is None or (plan.needs_relevance and analyzed_list)
         ):

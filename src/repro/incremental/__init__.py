@@ -24,7 +24,6 @@ misses — a cache can make a run faster, never wrong.
 
 from .coords import CoordIndex, StaleEntry, renumber_program
 from .engine import (
-    CachedRelevance,
     IncrementalContext,
     IncrementalPlan,
     compile_with_cache,
@@ -42,7 +41,6 @@ from .store import CACHE_FORMAT, CacheStore, open_store
 __all__ = [
     "CACHE_FORMAT",
     "CacheStore",
-    "CachedRelevance",
     "CoordIndex",
     "IncrementalContext",
     "IncrementalPlan",

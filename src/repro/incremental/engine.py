@@ -186,31 +186,6 @@ class IncrementalPlan:
     needs_relevance: bool = True
 
 
-class CachedRelevance:
-    """A drop-in for :class:`~repro.presolve.prune.RelevancePreAnalysis`
-    backed entirely by cached layer-(b) masks: same ``dead_blocks`` and
-    ``armed_names`` surface the explorer consumes, none of the
-    summary-index build cost.  Only constructed when *every* entry it
-    will be asked about has a cached mask (anything else falls back to
-    the live pre-analysis)."""
-
-    supported = True
-
-    def __init__(
-        self,
-        masks: Dict[str, FrozenSet[int]],
-        armed: Optional[Dict[str, Optional[FrozenSet[str]]]] = None,
-    ):
-        self._masks = masks
-        self._armed = armed or {}
-
-    def dead_blocks(self, entry: Function) -> FrozenSet[int]:
-        return self._masks.get(entry.name, frozenset())
-
-    def armed_names(self, entry: Function) -> Optional[FrozenSet[str]]:
-        return self._armed.get(entry.name)
-
-
 class IncrementalContext:
     """One analysis run's view of the cache (see module docstring)."""
 
@@ -348,8 +323,7 @@ def open_incremental(program: Program, config, checker_spec: Optional[str],
                      store: Optional[CacheStore] = None):
     """The :class:`IncrementalContext` for one analysis, or ``None`` with
     a one-line warning when caching is configured but cannot apply
-    (live checker objects, per-entry wall-clock budgets, unopenable
-    directory).  Mirrors the parallel fallback contract: degraded modes
+    (live checker objects, unopenable directory).  Mirrors the parallel fallback contract: degraded modes
     warn, they never crash and never change results.
 
     ``store`` bypasses directory resolution with a caller-owned store
@@ -362,12 +336,6 @@ def open_incremental(program: Program, config, checker_spec: Optional[str],
         log.warning(
             "incremental cache disabled: custom checker objects cannot be "
             "fingerprinted; pass a checker_spec string"
-        )
-        return None
-    if config.entry_time_limit is not None:
-        log.warning(
-            "incremental cache disabled: entry_time_limit makes per-entry "
-            "results wall-clock-dependent, so they cannot be reused"
         )
         return None
     if store is None:

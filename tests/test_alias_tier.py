@@ -12,7 +12,8 @@ break it:
 * every checker-spec string (each checker consumes different events);
 * workers 1 and 4 (partition + flow facts ship by fork or pickle);
 * cold and warm incremental cache (both are cached layers, and cached
-  entry results must not leak tier-dependent state).
+  entry results must not leak tier-dependent state);
+* the linux corpus profile, the shape the benchmark workloads run.
 """
 
 import pytest
@@ -74,13 +75,24 @@ def _assert_engagement(result, tier):
             assert result.stats.time_flow_seconds >= 0.0
 
 
-@pytest.mark.parametrize("spec", SPECS)
-def test_tier_ladder_byte_identical_per_spec(mixed_program, spec):
-    results = {tier: _run(mixed_program, spec=spec, tier=tier) for tier in TIERS}
+def _assert_ladder_identical(program, spec):
+    results = {tier: _run(program, spec=spec, tier=tier) for tier in TIERS}
     baseline = _render(results["off"])
     for tier in TIERS:
         assert _render(results[tier]) == baseline
         _assert_engagement(results[tier], tier)
+    return baseline
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_tier_ladder_byte_identical_per_spec(mixed_program, spec):
+    _assert_ladder_identical(mixed_program, spec)
+
+
+def test_tier_ladder_byte_identical_on_linux():
+    linux = generate(PROFILES_BY_NAME["linux"].scaled(0.2))
+    program = compile_program(linux.compiled_sources())
+    assert _assert_ladder_identical(program, "all")  # vacuous otherwise
 
 
 @pytest.mark.parametrize("workers", [1, 4])

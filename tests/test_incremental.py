@@ -613,7 +613,7 @@ def test_budget_change_reuses_masks_but_not_outcomes(tmp_path):
     _analyze(_sources(), cache, "rw")
     warm = _analyze(_sources(), cache, "rw", max_paths_per_entry=1999)
     # The engine fingerprint changed (layer c misses) but the narrow
-    # presolve fingerprint did not (layer b hits feed CachedRelevance).
+    # presolve fingerprint did not (layer b hits feed PrecomputedRelevance).
     assert warm.stats.entries_cached == 0
     assert warm.stats.entries_reanalyzed > 0
     baseline = _analyze(_sources(), max_paths_per_entry=1999)
@@ -659,20 +659,6 @@ def test_live_checker_objects_disable_cache_with_warning(tmp_path, caplog):
         result = pata.analyze(compile_program(_sources()))
     assert result.stats.entries_cached == 0
     assert any("custom checker objects" in r.message for r in caplog.records)
-
-
-def test_entry_time_limit_disables_cache_with_warning(tmp_path, caplog):
-    with caplog.at_level(logging.WARNING, logger="repro.incremental"):
-        result = _analyze(_sources(), str(tmp_path / "cache"), "rw",
-                          entry_time_limit=30.0)
-    assert result.stats.entries_cached == 0
-    assert result.stats.cache_hits == 0
-    assert any("entry_time_limit" in r.message for r in caplog.records)
-    # Only layer-0 modules were written — a second limited run still
-    # re-analyzes everything.
-    again = _analyze(_sources(), str(tmp_path / "cache"), "rw",
-                     entry_time_limit=30.0)
-    assert again.stats.entries_cached == 0
 
 
 def test_warm_totals_match_cold_totals(tmp_path):

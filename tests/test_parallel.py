@@ -14,7 +14,7 @@ import pytest
 
 from repro import PATA, AnalysisConfig
 from repro.core import InformationCollector, PathExplorer
-from repro.core.parallel import explore_entries, merge_shard_results, shard_result
+from repro.core.parallel import explore_entries, merge_outcomes
 from repro.corpus import PROFILES_BY_NAME, generate
 from repro.ir import (
     Call,
@@ -254,8 +254,8 @@ int mid(int b) {
 
 
 def test_resolved_batch_size_auto_and_explicit():
-    config = AnalysisConfig(parallel_dispatch_factor=4)
-    # 100 entries, 4 workers, factor 4 -> ~16 batches of 7
+    config = AnalysisConfig()
+    # 100 entries, 4 workers, DISPATCH_FACTOR 4 -> ~16 batches of 7
     assert config.resolved_batch_size(100, 4) == 7
     # tiny entry lists degrade to one entry per batch, never 0
     assert config.resolved_batch_size(3, 4) == 1
@@ -361,6 +361,10 @@ def test_mid_run_crash_cancels_queued_batches(tmp_path, monkeypatch, caplog):
     injected crash fires on the most expensive entry, i.e. inside the
     very first dispatched batch.  With cancellation, only the handful of
     batches already in flight can complete; without it, all of them do.
+
+    Each surviving entry chains seven branches (128 paths, a few ms to
+    explore), so the parent's cancel latency under a loaded machine
+    spans at most a batch or two instead of many near-empty ones.
     """
     from repro.core.parallel import _CRASH_ENV, _TOUCH_ENV, run_parallel
 
@@ -369,15 +373,15 @@ def test_mid_run_crash_cancels_queued_batches(tmp_path, monkeypatch, caplog):
         pieces.append(
             f"int entry{index:02d}(int a) {{\n"
             f"    int r = a + {index};\n"
-            "    if (a > 0) r = r + 1;\n"
-            "    return r;\n"
+            + "".join(f"    if (a > {k}) r = r + {k + 1};\n" for k in range(7))
+            + "    return r;\n"
             "}\n"
         )
     # The crash target gets extra instructions so size-sorting dispatches
     # it first, deterministically.
     pieces.append(
         "int crashy(int a) {\n"
-        + "".join(f"    int x{i} = a + {i};\n" for i in range(12))
+        + "".join(f"    int x{i} = a + {i};\n" for i in range(16))
         + "    return a;\n}\n"
     )
     program = compile_program([("crash.c", "".join(pieces))])
@@ -457,20 +461,23 @@ int e2(struct s *p) { return helper(p); }
 
     from repro.core.report import AnalysisStats
 
-    shards = [[entries[0]], [entries[1]]]
-    results = []
-    for shard in shards:
+    # One fresh explorer per entry, the way two workers would each see
+    # one batch: both sight the same helper bug.
+    outcomes = {}
+    for entry in entries:
         explorer = PathExplorer(program, AnalysisConfig(), default_checkers())
-        results.append(shard_result(explorer, explore_entries(explorer, shard)))
+        (outcomes[entry.name],) = explore_entries(explorer, [entry])
     stats = AnalysisStats()
-    merged, _ = merge_shard_results(entries, shards, results, stats)
+    merged, _ = merge_outcomes(entries, outcomes, stats)
 
-    # Both shards sight the same helper bug; the merge keeps the first
-    # (entry-order) copy and books the other as a repeat — exactly what
-    # one shared explorer would have done.
+    # The merge keeps the first (entry-order) copy and books the other as
+    # a repeat — exactly what one shared explorer would have done.
     explorer = PathExplorer(program, AnalysisConfig(), default_checkers())
-    seq = shard_result(explorer, explore_entries(explorer, entries))
+    seq = explore_entries(explorer, entries)
     seq_stats = AnalysisStats()
-    seq_merged, _ = merge_shard_results(entries, [entries], [seq], seq_stats)
+    seq_merged, _ = merge_outcomes(
+        entries, {e.name: o for e, o in zip(entries, seq)}, seq_stats
+    )
     assert [str(b) for b in merged] == [str(b) for b in seq_merged]
     assert stats.dropped_repeated_bugs == seq_stats.dropped_repeated_bugs
+    assert stats.dropped_repeated_bugs == 1

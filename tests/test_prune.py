@@ -282,7 +282,9 @@ def _stats_fingerprint(stats):
     return data
 
 
-@pytest.mark.parametrize("os_name,scale", [("zephyr", 0.4), ("riot", 0.4)])
+@pytest.mark.parametrize(
+    "os_name,scale", [("zephyr", 0.4), ("riot", 0.4), ("linux", 0.2)]
+)
 @pytest.mark.parametrize("optimize_ir", [False, True])
 def test_differential_prune_vs_no_prune_on_corpus(os_name, scale, optimize_ir):
     corpus = generate(PROFILES_BY_NAME[os_name].scaled(scale))
@@ -293,8 +295,8 @@ def test_differential_prune_vs_no_prune_on_corpus(os_name, scale, optimize_ir):
     r_off = off.analyze(compile_program(program_sources))
     assert _fingerprint(r_on) == _fingerprint(r_off)
     assert _stats_fingerprint(r_on.stats) == _stats_fingerprint(r_off.stats)
-    # The point of the phase: strictly less exploration, never more.
-    assert r_on.stats.explored_paths <= r_off.stats.explored_paths
+    # The point of the phase: strictly less exploration.
+    assert r_on.stats.explored_paths < r_off.stats.explored_paths
     assert r_on.stats.entries_skipped > 0
 
 

@@ -271,6 +271,14 @@ class TestRacelab:
         assert result.stats.dropped_false_bugs >= len(
             {(f.file, f.line) for f in eraser_bait}) > 0
 
+    def test_pruned_vs_unpruned_reports_identical(self, program, result):
+        unpruned = PATA(
+            checker_spec="race", config=AnalysisConfig(prune=False)
+        ).analyze(program)
+        assert [r.render() for r in unpruned.reports] == [
+            r.render() for r in result.reports
+        ]
+
 
 # -- double-lock source-site regression (satellite) -------------------------
 
