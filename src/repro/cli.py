@@ -302,16 +302,22 @@ def cmd_check(args) -> int:
         with analysis_heap():
             if config.cache_active():
                 # Layer-0 frontend cache: unchanged files skip the parser and
-                # lowering entirely.  The store is committed here (parent
-                # process, before analysis) — PATA opens its own handle for the
-                # summary layers and performs the second, analysis-side commit.
+                # lowering entirely.  One store handle serves the whole run:
+                # the modules are committed here (parent process, before
+                # analysis), and PATA reads the summary layers through the
+                # same handle and performs the second, analysis-side commit.
                 from .incremental import compile_with_cache, open_store
 
                 store = open_store(config.cache_dir, config.cache_mode)
                 program = compile_with_cache(sources, store)
                 if store is not None:
                     store.commit()
-                result = pata.analyze(program)
+                    pata = PATA(config=config, checker_spec=spec, store=store)
+                try:
+                    result = pata.analyze(program)
+                finally:
+                    if store is not None:
+                        store.close()
             else:
                 result = pata.analyze_sources(sources)
     except _SOURCE_ERRORS as exc:

@@ -344,6 +344,8 @@ class PATA:
             stats.cache_hits = incr.store.hits
             stats.cache_misses = incr.store.misses
             stats.cache_corrupt = incr.store.corrupt
+            if self._store is None:
+                incr.store.close()  # opened from the config: PATA owns it
 
         phase_started = time.monotonic()
         bug_filter = BugFilter(

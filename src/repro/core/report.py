@@ -151,8 +151,9 @@ class AnalysisStats:
     summaries_cached: int = 0
     time_xmatch_seconds: float = 0.0
     #: incremental cache (zero unless ``--cache`` is active): object
-    #: store hits/misses across all layers, objects that failed their
-    #: checksum, entries served from cache, entries this run explored
+    #: store hits/misses across all layers, objects (or whole packs)
+    #: that failed a check, entries served from cache, entries this run
+    #: explored
     cache_hits: int = 0
     cache_misses: int = 0
     cache_corrupt: int = 0

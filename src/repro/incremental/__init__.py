@@ -6,8 +6,9 @@ The subsystem splits into four modules:
 * :mod:`.fingerprint` — key derivation: canonical-print function
   fingerprints, SCC-condensed transitive closure keys, the
   indirect-dispatch pool stamp, checker-spec and config fingerprints;
-* :mod:`.store` — the on-disk object store: checksummed reads, staged
-  single-writer atomic commits, versioned header;
+* :mod:`.store` — the on-disk object store: one pack file per commit
+  and an in-memory key index, checksummed reads, staged single-writer
+  atomic commits, a bounded pack count, versioned header;
 * :mod:`.coords` — stable instruction coordinates and outcome
   rehydration across process boundaries (uids are process-local);
 * :mod:`.engine` — orchestration: :class:`IncrementalContext` drives

@@ -2,8 +2,9 @@
 
 Four layers of coverage:
 
-* the object store: atomic commits, checksummed reads, corruption and
-  version skew degrading to warned misses;
+* the object store: atomic pack commits, checksummed reads, corruption
+  of a record or a whole pack and version skew degrading to warned
+  misses, the pack-count bound and concurrent writers;
 * key derivation: canonical-printer byte-determinism across processes
   and hash seeds, closure-exact invalidation, pool-stamp invalidation,
   spec canonicalization;
@@ -18,11 +19,11 @@ The cold/warm/mixed byte-equality sweep lives in
 ``test_incremental_differential.py``.
 """
 
-import hashlib
 import json
 import logging
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 
@@ -40,6 +41,15 @@ from repro.incremental import (
     spec_fingerprint,
 )
 from repro.incremental.engine import LAYERS, Located
+from repro.incremental.store import (
+    DIGEST_BYTES,
+    PACK_DIR,
+    PACK_LIMIT,
+    checksummed,
+    pack_paths,
+    pack_records,
+    write_pack,
+)
 from repro.lang import compile_program
 
 
@@ -114,6 +124,27 @@ def _report_text(result):
     return "\n\n".join(r.render() for r in result.reports)
 
 
+def _rewrite_records(cache_dir, edit):
+    """Rewrite every pack under ``cache_dir`` through ``edit(key,
+    record)``, which returns the record to keep (damaged or not) or None
+    to drop it.  Returns how many records it changed or dropped."""
+    changed = 0
+    for path in pack_paths(cache_dir):
+        kept = []
+        for key, record in pack_records(path):
+            new = edit(key, record)
+            changed += new != record
+            if new is not None:
+                kept.append((key, new))
+        with open(path, "wb") as out:
+            write_pack(out, kept, len(kept))
+    return changed
+
+
+def _payload(record):
+    return pickle.loads(record[DIGEST_BYTES:])
+
+
 def _entry_status(result):
     """name -> 'cached' | 'skipped' | 'analyzed' for every entry row."""
     out = {}
@@ -146,9 +177,8 @@ def test_store_ro_mode_never_writes(tmp_path):
     store.put(key, "value")
     assert store.commit() == 0
     assert store.get(key) is None
-    assert not (tmp_path / "cache" / "objects").exists() or not any(
-        (tmp_path / "cache" / "objects").rglob("*.bin")
-    )
+    assert not (tmp_path / "cache" / PACK_DIR).exists()
+    assert pack_paths(tmp_path / "cache") == []
 
 
 def test_store_put_skips_existing_objects(tmp_path):
@@ -167,16 +197,19 @@ def test_store_corruption_is_a_warned_miss(tmp_path, caplog, damage):
     key = CacheStore.object_key("test", "corrupt", damage)
     store.put(key, list(range(100)))
     store.commit()
-    [path] = list((tmp_path / "objects").rglob("*.bin"))
+    # The damage hits the pack's only record, which ends the file.
+    [path] = pack_paths(tmp_path)
+    [(_, record)] = pack_records(path)
     blob = path.read_bytes()
+    start = len(blob) - len(record)
     if damage == "truncate":
-        path.write_bytes(blob[: len(blob) // 2])
+        path.write_bytes(blob[: start + len(record) // 2])
     elif damage == "bitflip":
         path.write_bytes(blob[:-1] + bytes([blob[-1] ^ 0xFF]))
     elif damage == "garbage":
-        path.write_bytes(b"not a cache object at all")
+        path.write_bytes(blob[:start] + b"not a cache object at all".ljust(len(record), b"!"))
     else:
-        path.write_bytes(b"")
+        path.write_bytes(blob[:start])
     victim = CacheStore(str(tmp_path), "ro")
     with caplog.at_level(logging.WARNING, logger="repro.incremental"):
         assert victim.get(key) is None
@@ -198,13 +231,15 @@ def test_store_pre_bump_format_heals_on_commit(tmp_path, caplog):
     """Regression for the CACHE_FORMAT bumps (1 -> 2: partition layer;
     2 -> 3: P1.8 flow-facts layer + taint-sharpened relevance masks;
     3 -> 4: P2.6 xtaint summary layer + TaintFlow records in cached
-    outcomes; 4 -> 5: typed layer-table payloads, bundles dropped): a
-    directory stamped with the pre-bump format must read as all-misses,
-    stay usable, and be re-stamped with the current format by the next
-    commit — no manual cache wipe needed."""
-    assert CACHE_FORMAT == 5  # update the pre-bump fixture when bumping again
-    # A pre-bump cache: old header stamp plus an object under a key only
-    # the old derivation could have produced.
+    outcomes; 4 -> 5: typed layer-table payloads, bundles dropped;
+    5 -> 6: one pack file per commit): a directory stamped with the
+    pre-bump format must read as all-misses, stay usable, and be
+    re-stamped with the current format by the next commit — no manual
+    cache wipe needed."""
+    assert CACHE_FORMAT == 6  # update the pre-bump fixture when bumping again
+    # A pre-bump cache in the legacy one-file-per-object layout: old
+    # header stamp plus an object under a key only the old derivation
+    # could have produced.
     stale_dir = tmp_path / "objects" / "ab"
     stale_dir.mkdir(parents=True)
     (stale_dir / ("ab" * 32 + ".bin")).write_bytes(b"pre-bump payload")
@@ -232,9 +267,9 @@ def test_store_pre_bump_format_heals_on_commit(tmp_path, caplog):
 
 
 def test_engine_heals_pre_bump_cache_directory(tmp_path):
-    """End to end: analyzing over a pre-bump cache directory matches the
-    uncached run byte for byte, re-stamps the header, and leaves a warm
-    cache behind."""
+    """End to end: analyzing over a pre-bump cache directory (the legacy
+    one-file-per-object layout) matches the uncached run byte for byte,
+    re-stamps the header, and leaves a warm cache behind."""
     baseline = _analyze(_sources())
     stale_dir = tmp_path / "objects" / "de"
     stale_dir.mkdir(parents=True)
@@ -269,6 +304,71 @@ def test_store_reject_counts_a_miss_and_lets_put_overwrite(tmp_path, kind):
     store.put(key, "right shape")
     assert store.commit() == 1
     assert store.get(key) == "right shape"
+
+
+def test_store_rewrite_after_reject_wins_in_a_fresh_handle(tmp_path):
+    """A rejected object's rewrite lands in a newer pack; the stale copy
+    stays on disk, but a fresh handle reads the newest copy."""
+    key = CacheStore.object_key("test", "newest")
+    first = CacheStore(str(tmp_path), "rw")
+    first.put(key, "stale")
+    first.commit()
+    second = CacheStore(str(tmp_path), "rw")
+    assert second.get(key) == "stale"
+    second.reject(key)
+    second.put(key, "fresh")
+    assert second.commit() == 1
+    assert len(pack_paths(tmp_path)) == 2
+    assert CacheStore(str(tmp_path), "ro").get(key) == "fresh"
+
+
+def _helper_variant(n):
+    """``_sources`` with ``helper`` returning ``n + k``: a fresh a.c
+    module and ``top`` outcome per ``k``."""
+    return _sources(HELPER_V1.replace("n + 1", f"n + {n}"))
+
+
+def test_pack_count_stays_within_the_bound(tmp_path):
+    """Every rw run that writes adds packs; past the bound a commit merges
+    instead, and the merges keep every object: both the last and the
+    first tree are fully warm afterwards."""
+    cache = str(tmp_path / "cache")
+    runs = PACK_LIMIT + 2
+    for n in range(1, runs + 1):
+        _analyze(_helper_variant(n), cache, "rw")
+        assert len(pack_paths(cache)) <= PACK_LIMIT
+    for n in (runs, 1):
+        warm = _analyze(_helper_variant(n), cache, "rw")
+        assert warm.stats.entries_reanalyzed == 0
+        assert _report_text(warm) == _report_text(_analyze(_helper_variant(n)))
+
+
+def _flip_first(cache_dir, wanted):
+    """Bit-flip the first record whose payload satisfies ``wanted``."""
+    flipped = []
+
+    def flip(key, record):
+        if flipped or not wanted(_payload(record)):
+            return record
+        flipped.append(key)
+        return record[:-1] + bytes([record[-1] ^ 0xFF])
+
+    assert _rewrite_records(cache_dir, flip) == 1
+
+
+def test_corrupt_object_is_counted_and_warned_once(tmp_path, caplog):
+    """One bit-flipped outcome: the plan's read, the stage and the put
+    all meet it, yet it is one count and one warning line."""
+    cache = str(tmp_path / "cache")
+    cold = _analyze(_sources(), cache, "rw")
+    outcome = LAYERS["outcome"]
+    _flip_first(cache, lambda p: isinstance(p, Located) and outcome.accepts(p.value))
+    with caplog.at_level(logging.WARNING, logger="repro.incremental"):
+        warm = _analyze(_sources(), cache, "rw")
+    assert _report_text(warm) == _report_text(cold)
+    assert warm.stats.cache_corrupt == 1
+    assert warm.stats.entries_reanalyzed == 1
+    assert len([r for r in caplog.records if "corrupt" in r.message]) == 1
 
 
 def test_open_store_unopenable_dir_is_none(tmp_path, caplog):
@@ -319,8 +419,6 @@ def _layer_run(sources, cache_dir):
 def test_layer_shape_surprise_degrades_to_rebuild(tmp_path, tag):
     """A checksummed object of the wrong type under any layer's key is
     a miss with a rebuild — never a crash, never a wrong report."""
-    import pickle as _pickle
-
     row = LAYERS[tag]
     sources = _sources() + [("w.c", XT_WRITER), ("r.c", XT_READER)]
     cache_dir = str(tmp_path)
@@ -336,12 +434,12 @@ def test_layer_shape_surprise_degrades_to_rebuild(tmp_path, tag):
     bogus = {"not": "a payload"}
     if row.records is not None:
         bogus = Located(bogus, {})
-    blob = _pickle.dumps(bogus)
-    replaced = 0
-    for path in pathlib.Path(cache_dir).glob("objects/*/*.bin"):
-        if held(_pickle.loads(path.read_bytes()[8 + 32:])):
-            path.write_bytes(b"PATACHE1" + hashlib.sha256(blob).digest() + blob)
-            replaced += 1
+    blob = pickle.dumps(bogus)
+
+    def swap(key, record):
+        return checksummed(key, blob) if held(_payload(record)) else record
+
+    replaced = _rewrite_records(cache_dir, swap)
     assert replaced > 0
 
     surprised, misses = _layer_run(sources, cache_dir)
@@ -423,18 +521,14 @@ def test_flow_facts_key_distinguishes_fp_resolution(tmp_path, monkeypatch):
 def test_steens_tier_stages_no_flow_facts(tmp_path):
     """Below the flow tier the layer must not exist: a steens-tier run
     commits no :class:`MustAliasFacts` object."""
-    import pickle as _pickle
-
     from repro.pointsto.flow_tier import MustAliasFacts
 
     cache_dir = str(tmp_path)
     _analyze(_sources(), cache_dir=cache_dir, cache_mode="rw", alias_tier="steens")
-    for path in pathlib.Path(cache_dir).glob("objects/*/*.bin"):
-        try:
-            value = _pickle.loads(path.read_bytes()[8 + 32:])
-        except Exception:
-            continue
-        assert not isinstance(value, MustAliasFacts)
+    records = [record for path in pack_paths(cache_dir) for _, record in pack_records(path)]
+    assert records
+    for record in records:
+        assert not isinstance(_payload(record), MustAliasFacts)
 
 
 # ---------------------------------------------------------------------------
@@ -623,22 +717,22 @@ def test_budget_change_reuses_masks_but_not_outcomes(tmp_path):
 def test_ro_mode_reads_but_never_writes(tmp_path):
     cache = tmp_path / "cache"
     _analyze(_sources(), str(cache), "rw")
-    before = sorted(p.name for p in cache.rglob("*.bin"))
+    before = pack_paths(cache)
+    assert before
     warm = _analyze(_sources(), str(cache), "ro")
     assert warm.stats.entries_reanalyzed == 0
-    assert sorted(p.name for p in cache.rglob("*.bin")) == before
+    assert pack_paths(cache) == before
     # An ro run against an empty cache analyzes everything and writes nothing.
     empty = tmp_path / "empty"
     cold_ro = _analyze(_sources(), str(empty), "ro")
     assert cold_ro.stats.entries_cached == 0
-    assert not list(empty.rglob("*.bin"))
+    assert not (empty / PACK_DIR).exists()
 
 
 def test_corrupted_cache_objects_fall_back_cleanly(tmp_path, caplog):
     cache = tmp_path / "cache"
     cold = _analyze(_sources(), str(cache), "rw")
-    for path in cache.rglob("*.bin"):
-        path.write_bytes(path.read_bytes()[:16])
+    assert _rewrite_records(cache, lambda key, record: record[:16]) > 0
     with caplog.at_level(logging.WARNING, logger="repro.incremental"):
         warm = _analyze(_sources(), str(cache), "rw")
     assert _report_text(warm) == _report_text(cold)
@@ -752,3 +846,117 @@ def test_cli_stats_table_marks_cached_rows(tmp_path, capsys):
     cli_main(["check", "--stats", "--cache", "rw", "--cache-dir", cache, *paths])
     out = capsys.readouterr().out
     assert "cached" in out
+
+
+def _cli_run(args, capsys, stats_file):
+    """One in-process CLI run: (exit code, stdout, stats-json dict)."""
+    code = cli_main([*args[:1], "--stats-json", str(stats_file), *args[1:]])
+    return code, capsys.readouterr().out, json.loads(stats_file.read_text())
+
+
+def test_cli_stats_count_the_module_layer(tmp_path, capsys):
+    """One store handle serves a CLI run, so its cache counters include
+    layer 0 (the compiled modules), as daemon responses do."""
+    paths = _write_sources(tmp_path, _sources())
+    cache = str(tmp_path / "cache")
+    args = ["check", "--cache", "rw", "--cache-dir", cache, *paths]
+    _cli_run(args, capsys, tmp_path / "cold.json")
+    _, _, warm = _cli_run(args, capsys, tmp_path / "warm.json")
+    # PATA's own handle (the library path) counts the summary layers only.
+    summary = _analyze([(p, pathlib.Path(p).read_text()) for p in paths], cache, "ro")
+    assert warm["cache_misses"] == 0
+    assert warm["cache_hits"] == summary.stats.cache_hits + len(paths)
+
+
+def test_cli_counts_a_corrupt_module_object(tmp_path, capsys, caplog):
+    from repro.incremental.engine import CompiledModule
+
+    paths = _write_sources(tmp_path, _sources())
+    cache = str(tmp_path / "cache")
+    args = ["check", "--cache", "rw", "--cache-dir", cache, *paths]
+    _, cold_out, _ = _cli_run(args, capsys, tmp_path / "cold.json")
+    _flip_first(cache, lambda p: isinstance(p, CompiledModule))
+    with caplog.at_level(logging.WARNING, logger="repro.incremental"):
+        _, out, stats = _cli_run(args, capsys, tmp_path / "warm.json")
+    assert out == cold_out
+    assert stats["cache_corrupt"] == 1
+    assert stats["cache_misses"] >= 1
+    assert len([r for r in caplog.records if "corrupt" in r.message]) == 1
+
+
+def _damage_pack(path, damage):
+    blob = path.read_bytes()
+    records = pack_records(path)
+    index_end = len(blob) - sum(len(record) for _, record in records)
+    if damage == "bad-magic":
+        path.write_bytes(b"NOTAPACK" + blob[8:])
+    elif damage == "truncated-index":
+        path.write_bytes(blob[:index_end - 1])
+    elif damage == "cut-record":
+        path.write_bytes(blob[:len(blob) - len(records[-1][1]) // 2])
+    elif damage == "empty-pack":
+        path.write_bytes(b"")
+    else:  # a crashed commit: a half-written tempfile, never renamed
+        path.unlink()
+        path.with_suffix(".tmp").write_bytes(blob[:len(blob) // 2])
+
+
+@pytest.mark.parametrize(
+    "damage", ["bad-magic", "truncated-index", "cut-record", "empty-pack", "leftover-tmp"])
+def test_pack_damage_is_a_warned_miss_and_heals(tmp_path, capsys, caplog, damage):
+    """Damage to a whole pack reads as misses (warned, unless the pack
+    was never committed), the run's report matches cache-off, its commit
+    merges the damaged pack away, and the next run is warm and quiet."""
+    paths = _write_sources(tmp_path, _sources())
+    cache = tmp_path / "cache"
+    args = ["check", "--cache", "rw", "--cache-dir", str(cache), *paths]
+    _, reference, _ = _cli_run(["check", *paths], capsys, tmp_path / "off.json")
+    _cli_run(args, capsys, tmp_path / "cold.json")
+    victim = pack_paths(cache)[-1]  # the analysis-side commit
+    _damage_pack(victim, damage)
+    with caplog.at_level(logging.WARNING, logger="repro.incremental"):
+        _, out, stats = _cli_run(args, capsys, tmp_path / "damaged.json")
+    assert out == reference
+    assert stats["entries_reanalyzed"] > 0
+    warned = [r for r in caplog.records if "treating as a miss" in r.message]
+    assert bool(warned) == (damage != "leftover-tmp")
+    assert victim not in pack_paths(cache)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="repro.incremental"):
+        _, out, stats = _cli_run(args, capsys, tmp_path / "healed.json")
+    assert out == reference
+    assert stats["entries_reanalyzed"] == 0
+    assert stats["cache_corrupt"] == 0
+    assert not caplog.records
+
+
+def test_concurrent_rw_processes_share_a_cache_directory(tmp_path):
+    """Two ``check --cache rw`` processes on one directory at once, both
+    merging (the directory starts at the pack bound): each exits 0 or 1
+    with the cache-off report, and the next run is warm."""
+    cache = str(tmp_path / "cache")
+    for n in range(1, PACK_LIMIT // 2 + 1):
+        _analyze(_helper_variant(n), cache, "rw")
+    assert len(pack_paths(cache)) == PACK_LIMIT
+    paths = _write_sources(tmp_path, _helper_variant(PACK_LIMIT))
+    env = dict(os.environ)
+    src_dir = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = f"{src_dir}{os.pathsep}" + env.get("PYTHONPATH", "")
+
+    def check(*extra):
+        return [sys.executable, "-m", "repro", "check", *extra, *paths]
+
+    reference = subprocess.run(check(), capture_output=True, text=True, env=env, timeout=300)
+    assert reference.returncode in (0, 1), reference.stderr
+    rw = ("--cache", "rw", "--cache-dir", cache)
+    procs = [subprocess.Popen(check(*rw), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True, env=env) for _ in range(2)]
+    for proc in procs:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode in (0, 1), err
+        assert out == reference.stdout
+    stats_file = tmp_path / "warm.json"
+    warm = subprocess.run(check(*rw, "--stats-json", str(stats_file)),
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert warm.stdout == reference.stdout
+    assert json.loads(stats_file.read_text())["entries_reanalyzed"] == 0

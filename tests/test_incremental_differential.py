@@ -1,10 +1,10 @@
 """Warm-start differential suite (the incremental cache's soundness bar).
 
 For every checker spec, a corpus analyzed **cold** (empty cache),
-**warm** (fully populated cache), and **mixed** (half the cache objects
-deleted, so cached and freshly explored entries interleave) must produce
-byte-identical reports — and the deterministic stats totals must agree
-— at workers 1 and workers 4.  The mixed leg is the sharp edge: it
+**warm** (fully populated cache), and **mixed** (every other record
+dropped from each pack, so cached and freshly explored entries
+interleave) must produce byte-identical reports — and the deterministic
+stats totals must agree — at workers 1 and workers 4.  The mixed leg is the sharp edge: it
 exercises outcome rehydration, per-entry dedup reconciliation, and
 cross-entry race matching over a blend of cached and fresh SharedAccess
 tuples.
@@ -17,6 +17,7 @@ import pytest
 from repro import PATA, AnalysisConfig
 from repro.corpus import PROFILES_BY_NAME, generate
 from repro.incremental import compile_with_cache, open_store
+from repro.incremental.store import pack_paths, pack_records, write_pack
 from repro.lang import compile_program
 
 SPECS = ["default", "all", "npd,uva", "race", "taint,npd"]
@@ -53,12 +54,13 @@ def _text(result):
 
 
 def _delete_half(cache_dir):
-    import pathlib
-
-    objects = sorted(pathlib.Path(cache_dir).rglob("*.bin"))
-    assert objects, "differential mixed leg needs a populated cache"
-    for path in objects[::2]:
-        path.unlink()
+    """Drop every other record from every pack."""
+    packs = pack_paths(cache_dir)
+    assert packs, "differential mixed leg needs a populated cache"
+    for path in packs:
+        records = pack_records(path)
+        with open(path, "wb") as out:
+            write_pack(out, records[1::2], len(records) // 2)
 
 
 @pytest.mark.parametrize("workers", [1, 4])
