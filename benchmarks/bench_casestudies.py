@@ -1,9 +1,8 @@
-"""Case studies (Fig. 1, Fig. 3, Fig. 9, Fig. 12) as micro-benchmarks.
+"""Case studies (Fig. 1, Fig. 3, Fig. 9, Fig. 12).
 
-Each benchmark runs full PATA (compile → explore → validate) on a
+Each case runs full PATA (compile → explore → validate) once on a
 faithful mini-C replica of one published bug and asserts the expected
-verdict, timing the end-to-end pipeline on a realistic single-file
-input.
+verdict.
 """
 
 import pytest
@@ -130,10 +129,7 @@ CASES = [
 
 
 @pytest.mark.parametrize("name,source,kind,expected", CASES, ids=[c[0] for c in CASES])
-def test_case_study(benchmark, name, source, kind, expected):
-    def run():
-        return PATA().analyze_sources([(f"{name}.c", source)])
-
-    result = benchmark(run)
+def test_case_study(name, source, kind, expected):
+    result = PATA().analyze_sources([(f"{name}.c", source)])
     found = len(result.by_kind(kind))
     assert found == expected, f"{name}: expected {expected} {kind.short}, got {found}"

@@ -14,34 +14,29 @@ pattern coincidences.
 
 from conftest import save_result
 
-from repro import PATA
 from repro.evaluation import render_table
 from repro.interp import DynamicConfirmer
 from repro.typestate import BugKind
 
 
-def test_dynamic_confirmation_rate(benchmark, harness, results_dir):
-    def run():
-        rows = []
-        total_real = total_confirmed = 0
-        for profile in harness.profiles:
-            osrun = harness.run_pata(profile, all_checkers=True, kinds=tuple(BugKind))
-            corpus, program = osrun.corpus, osrun.program
-            real_reports = [
-                r for r in osrun.pata_result.reports
-                if any(g.covers(r.kind, r.sink_file, r.sink_line) for g in corpus.ground_truth)
-            ]
-            confirmer = DynamicConfirmer(program, max_runs=60)
-            confirmed = sum(1 for c in confirmer.confirm_all(real_reports) if c.confirmed)
-            rows.append([profile.name, len(real_reports), confirmed,
-                         f"{confirmed / max(1, len(real_reports)):.0%}"])
-            total_real += len(real_reports)
-            total_confirmed += confirmed
-        rows.append(["total", total_real, total_confirmed,
-                     f"{total_confirmed / max(1, total_real):.0%}"])
-        return rows, total_real, total_confirmed
-
-    rows, total_real, total_confirmed = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_dynamic_confirmation_rate(harness, results_dir):
+    rows = []
+    total_real = total_confirmed = 0
+    for profile in harness.profiles:
+        osrun = harness.run_pata(profile, all_checkers=True, kinds=tuple(BugKind))
+        corpus, program = osrun.corpus, osrun.program
+        real_reports = [
+            r for r in osrun.pata_result.reports
+            if any(g.covers(r.kind, r.sink_file, r.sink_line) for g in corpus.ground_truth)
+        ]
+        confirmer = DynamicConfirmer(program, max_runs=60)
+        confirmed = sum(1 for c in confirmer.confirm_all(real_reports) if c.confirmed)
+        rows.append([profile.name, len(real_reports), confirmed,
+                     f"{confirmed / max(1, len(real_reports)):.0%}"])
+        total_real += len(real_reports)
+        total_confirmed += confirmed
+    rows.append(["total", total_real, total_confirmed,
+                 f"{total_confirmed / max(1, total_real):.0%}"])
     text = render_table(
         ["OS", "Real reports", "Dynamically confirmed", "Rate"], rows,
         "Dynamic confirmation of PATA's real reports (cf. Table 5 'Confirmed bugs')",

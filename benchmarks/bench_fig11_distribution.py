@@ -10,8 +10,8 @@ from conftest import save_result
 from repro.evaluation import fig11_distribution
 
 
-def test_fig11_distribution(benchmark, harness, results_dir):
-    data, text = benchmark.pedantic(lambda: fig11_distribution(harness), rounds=1, iterations=1)
+def test_fig11_distribution(harness, results_dir):
+    data, text = fig11_distribution(harness)
     print("\n" + text)
     save_result(results_dir, "fig11", text)
 

@@ -10,8 +10,8 @@ from conftest import save_result
 from repro.evaluation import table4_os_info
 
 
-def test_table4_os_info(benchmark, harness, results_dir):
-    data, text = benchmark.pedantic(lambda: table4_os_info(harness), rounds=1, iterations=1)
+def test_table4_os_info(harness, results_dir):
+    data, text = table4_os_info(harness)
     print("\n" + text)
     save_result(results_dir, "table4", text)
     # Shape: Linux is by far the largest; relative order holds.

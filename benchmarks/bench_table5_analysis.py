@@ -16,8 +16,8 @@ from conftest import save_result
 from repro.evaluation import table5_analysis
 
 
-def test_table5_analysis(benchmark, harness, results_dir):
-    data, text = benchmark.pedantic(lambda: table5_analysis(harness), rounds=1, iterations=1)
+def test_table5_analysis(harness, results_dir):
+    data, text = table5_analysis(harness)
     print("\n" + text)
     save_result(results_dir, "table5", text)
 

@@ -11,8 +11,8 @@ from conftest import save_result
 from repro.evaluation import table6_sensitivity
 
 
-def test_table6_sensitivity(benchmark, harness, results_dir):
-    data, text = benchmark.pedantic(lambda: table6_sensitivity(harness), rounds=1, iterations=1)
+def test_table6_sensitivity(harness, results_dir):
+    data, text = table6_sensitivity(harness)
     print("\n" + text)
     save_result(results_dir, "table6", text)
 

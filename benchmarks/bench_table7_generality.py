@@ -15,8 +15,8 @@ from repro.evaluation import table7_generality
 from repro.typestate.checkers import divzero, locks, underflow
 
 
-def test_table7_generality(benchmark, harness, results_dir):
-    data, text = benchmark.pedantic(lambda: table7_generality(harness), rounds=1, iterations=1)
+def test_table7_generality(harness, results_dir):
+    data, text = table7_generality(harness)
     print("\n" + text)
     save_result(results_dir, "table7", text)
 

@@ -14,8 +14,8 @@ from conftest import save_result
 from repro.evaluation import table8_comparison, unique_real_bugs_vs_tools
 
 
-def test_table8_comparison(benchmark, harness, results_dir):
-    data, text = benchmark.pedantic(lambda: table8_comparison(harness), rounds=1, iterations=1)
+def test_table8_comparison(harness, results_dir):
+    data, text = table8_comparison(harness)
     print("\n" + text)
     save_result(results_dir, "table8", text)
 

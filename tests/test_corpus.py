@@ -2,7 +2,7 @@
 
 import random
 
-from repro import PATA
+from repro import PATA, AnalysisConfig
 from repro.corpus import (
     ALL_PROFILES,
     LINUX,
@@ -139,9 +139,13 @@ def test_all_bug_patterns_found_by_pata():
 
 def test_infeasible_baits_filtered_by_pata():
     """The designed-to-be-dropped baits must not survive validation; the
-    deliberately-unfixable ones (§5.2 loop/array FPs) must."""
+    deliberately-unfixable ones (§5.2 loop/array FPs) must.  Stage-2
+    validation is what drops them (Table 5's "dropped false bugs"): with
+    it off, the dischargeable baits are reported."""
     rng = random.Random(12)
     expected_fp = {"bait_loop_init", "bait_array_index_alias"}
+    unvalidated = PATA.with_all_checkers(config=AnalysisConfig(validate_paths=False))
+    dropped_false = unvalidated_reports = 0
     for fn in BAIT_PATTERNS:
         snippet = fn("88012", rng)
         src = COMMON_DECLS + "\n" + "\n".join(snippet.lines) + "\n"
@@ -150,6 +154,10 @@ def test_infeasible_baits_filtered_by_pata():
             assert result.reports, f"{fn.__name__} should stay a (designed) FP"
         else:
             assert not result.reports, f"{fn.__name__} leaked: {result.reports}"
+            dropped_false += result.stats.dropped_false_bugs
+            unvalidated_reports += len(unvalidated.analyze_sources([("b.c", src)]).reports)
+    assert unvalidated_reports > 0
+    assert dropped_false > 0
 
 
 def test_pata_recall_and_precision_on_small_corpus():

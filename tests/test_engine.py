@@ -149,6 +149,7 @@ def test_step_budget_respected():
 def test_callee_exit_merging_reduces_paths():
     # The callee has 2^4 paths but only two distinct externally visible
     # outcomes (returns 0 or 1); the caller continues at most a few times.
+    # prune=False: P1.5 would skip this event-free entry outright.
     source = """
 static int noisy(int a) {
     int r = 0;
@@ -164,8 +165,13 @@ int top(int a) {
     return x + y;
 }
 """
-    merged = analyze(source, config=AnalysisConfig(max_callee_exits_per_call=4))
-    assert merged.stats.explored_paths <= 40
+    merged = analyze(source, config=AnalysisConfig(max_callee_exits_per_call=4,
+                                                   prune=False))
+    unmerged = analyze(source, config=AnalysisConfig(max_callee_exits_per_call=4,
+                                                     prune=False,
+                                                     merge_callee_exits=False))
+    assert 1 <= merged.stats.explored_paths <= 40
+    assert unmerged.stats.explored_paths > 50 * merged.stats.explored_paths
 
 
 def test_recursion_unrolled_once():
@@ -205,8 +211,8 @@ int f(int n) {
     return s;
 }
 """
-    result = analyze(source)
-    assert result.stats.explored_paths <= 4
+    result = analyze(source, config=AnalysisConfig(prune=False))
+    assert 1 <= result.stats.explored_paths <= 4
 
 
 def test_entries_are_interface_and_callerless():

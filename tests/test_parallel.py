@@ -282,16 +282,20 @@ def _stats_fingerprint(stats):
 
 @pytest.mark.slow
 def test_workers_determinism_on_corpus():
-    corpus = generate(PROFILES_BY_NAME["zephyr"].scaled(0.6))
-    program = compile_program(corpus.compiled_sources())
-    sequential = PATA(config=AnalysisConfig(workers=1)).analyze(program)
-    parallel = PATA(config=AnalysisConfig(workers=4)).analyze(program)
-    assert parallel.stats.workers_used == 4
-    assert [r.render() for r in sequential.reports] == [r.render() for r in parallel.reports]
-    assert _stats_fingerprint(sequential.stats) == _stats_fingerprint(parallel.stats)
-    # Cross-entry repeats must collapse identically whether the dedup ran
-    # in one explorer or across shard merges.
-    assert sequential.stats.dropped_repeated_bugs == parallel.stats.dropped_repeated_bugs
+    # (profile, scale, checker spec or None for the defaults, workers)
+    for name, scale, spec, workers in [("zephyr", 0.6, None, 4),
+                                       ("linux", 0.2, "all", 2)]:
+        corpus = generate(PROFILES_BY_NAME[name].scaled(scale))
+        program = compile_program(corpus.compiled_sources())
+        sequential = PATA(config=AnalysisConfig(workers=1), checker_spec=spec).analyze(program)
+        parallel = PATA(config=AnalysisConfig(workers=workers), checker_spec=spec).analyze(program)
+        assert parallel.stats.workers_used == workers
+        assert parallel.stats.batches_dispatched >= workers
+        assert [r.render() for r in sequential.reports] == [r.render() for r in parallel.reports]
+        assert _stats_fingerprint(sequential.stats) == _stats_fingerprint(parallel.stats)
+        # Cross-entry repeats must collapse identically whether the dedup
+        # ran in one explorer or across shard merges.
+        assert sequential.stats.dropped_repeated_bugs == parallel.stats.dropped_repeated_bugs
 
 
 def test_workers_determinism_on_multi_entry_file():

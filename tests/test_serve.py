@@ -13,6 +13,7 @@ import pytest
 from repro import PATA, AnalysisConfig
 from repro.cli import check_output_text, main
 from repro.core.report import AnalysisStats
+from repro.corpus import PROFILES_BY_NAME, generate
 from repro.lang import compile_program
 from repro.serve import PataServer, ResidentStore, ServeClient, Session, WatchLoop
 from repro.serve.protocol import (
@@ -661,6 +662,45 @@ class TestByteIdentity:
                 assert response["exit_code"] == exit_code
         finally:
             drain(server)
+
+    def test_replay_and_cache_tier_match_cli_on_linux(self, tmp_path, capsys):
+        """The linux corpus (×0.2, spec ``all``): a cold request, its
+        replayed repeat, and a never-seen overlay answered from the
+        resident store each print exactly what ``check`` prints."""
+        corpus = generate(PROFILES_BY_NAME["linux"].scaled(0.2))
+        files = []
+        for name, text in corpus.compiled_sources():
+            path = tmp_path / name.replace("/", "__")
+            path.write_text(text)
+            files.append(str(path))
+        nonce = tmp_path / "nonce.c"
+        nonce_text = BUGGY.replace("int f", "int nonce")
+        cold_code = main(["check", "--all-checkers", *files])
+        expected = capsys.readouterr().out
+        nonce.write_text(nonce_text)
+        diff_code = main(["check", "--all-checkers", *files, str(nonce)])
+        expected_diff = capsys.readouterr().out
+        server = start_server(tmp_path, files, checker_spec="all")
+        try:
+            cold = submit(server, {"op": "check_module"})
+            warm = submit(server, {"op": "check_module"})
+            diff = submit(server, {"op": "check_diff",
+                                   "overlay": {str(nonce): nonce_text}})
+        finally:
+            drain(server)
+        for response in (cold, warm):
+            assert response["ok"]
+            assert response["output"] == expected
+            assert response["exit_code"] == cold_code
+        assert cold["serve"]["replayed"] is False
+        assert warm["serve"]["replayed"] is True
+        assert warm["serve"]["entries_reanalyzed"] == 0
+        assert diff["ok"] and diff["serve"]["replayed"] is False
+        # Only the overlay's entry is new; the rest resolves from RAM.
+        assert 0 < diff["serve"]["entries_reanalyzed"] < cold["serve"]["entries_reanalyzed"]
+        assert diff["output"] == expected_diff
+        assert expected_diff != expected  # the overlay's NPD is reported
+        assert diff["exit_code"] == diff_code
 
     def test_concurrent_clients_same_and_overlapping(self, tmp_path,
                                                      buggy_file, clean_file):
