@@ -25,7 +25,7 @@ import importlib
 import logging
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..ir import Function, Program
 from .coords import CoordIndex, StaleEntry, record_coords, rehydrate_records, renumber_program
@@ -352,38 +352,58 @@ def open_incremental(program: Program, config, checker_spec: Optional[str],
 # -- layer 0: frontend module cache ------------------------------------------
 
 
-def compile_with_cache(sources, store: Optional[CacheStore]) -> Program:
-    """Compile ``(filename, source)`` pairs, reusing cached modules for
-    unchanged files.  Every uid in the assembled program is renumbered
-    from the live process counters afterwards (cached modules carry a
-    dead process's uids; fresh ones are renumbered harmlessly).  The
-    caller owns the store's commit.
-
-    Each payload also carries the module's function fingerprints so a
-    warm :class:`TransitiveKeys` need not re-print unchanged functions.
-    They are computed (and pickled) *before* interface marking; marking
-    resolves registrations across modules, so per-module objects cannot
-    soundly cache it.  The marked few are re-printed after assembly."""
-    from ..cfg import mark_interface_functions
-    from ..ir.printer import canonical_function_print, canonical_module_environment
+def compile_module(filename: str, source: str) -> CompiledModule:
+    """Compile one file into its layer-0 payload.  The fingerprints are
+    printed *before* interface marking: marking resolves registrations
+    across modules, so per-module objects cannot soundly cache it
+    (:func:`assemble_program` re-prints the marked few)."""
     from ..lang import compile_source
     from .fingerprint import module_fingerprints
 
+    module = compile_source(source, filename)
+    return CompiledModule(module, module_fingerprints(module))
+
+
+def compile_with_cache(sources, store: Optional[CacheStore]) -> Program:
+    """Compile ``(filename, source)`` pairs, reusing cached modules for
+    unchanged files, and assemble them (:func:`assemble_program`).  The
+    caller owns the store's commit.
+
+    Each payload also carries the module's function fingerprints so a
+    warm :class:`TransitiveKeys` need not re-print unchanged functions."""
     row = LAYERS["module"]
-    program = Program()
-    fingerprints: Dict[str, str] = {}
+    compiled: List[CompiledModule] = []
     for filename, source in sources:
-        compiled = None
+        cached = None
         if store is not None:
             key = row.key(filename, _sha("src", source))
-            compiled = _fetch(store, row, key)
-        if compiled is None:
-            module = compile_source(source, filename)
-            compiled = CompiledModule(module, module_fingerprints(module))
+            cached = _fetch(store, row, key)
+        if cached is None:
+            cached = compile_module(filename, source)
             if store is not None:
-                store.put(key, compiled)
-        program.add_module(compiled.module)
-        fingerprints.update(compiled.fingerprints)
+                store.put(key, cached)
+        compiled.append(cached)
+    return assemble_program(compiled)
+
+
+def assemble_program(compiled: Iterable[CompiledModule]) -> Program:
+    """Link layer-0 payloads into one program, ready for analysis.
+
+    Every uid is renumbered from 1 (cached modules carry a dead
+    process's uids, reused ones the previous request's), registrations
+    are resolved across modules, and the functions that marking flips
+    to interfaces get their fingerprints re-printed.  A module may pass
+    through here again once its compile-time interface flags are
+    restored and its earlier programs unlinked
+    (:class:`repro.serve.store.ModuleTable` does both)."""
+    from ..cfg import mark_interface_functions
+    from ..ir.printer import canonical_function_print, canonical_module_environment
+
+    program = Program()
+    fingerprints: Dict[str, str] = {}
+    for item in compiled:
+        program.add_module(item.module)
+        fingerprints.update(item.fingerprints)
     renumber_program(program)
     mark_interface_functions(program)
     for module in program.modules:

@@ -464,7 +464,11 @@ def compute_flow_facts(
 # -- must-not-alias taint sharpening -------------------------------------------
 
 
-def taint_flow_possible(program: Program, functions: Iterable[Function]) -> bool:
+def taint_flow_possible(
+    program: Program,
+    functions: Iterable[Function],
+    defined: Optional[Dict[str, Function]] = None,
+) -> bool:
     """Whether any taint source in ``functions`` can flow to any taint
     sink, judged over the closure-local Steensgaard cells.
 
@@ -484,7 +488,7 @@ def taint_flow_possible(program: Program, functions: Iterable[Function]) -> bool
     from .steensgaard import DEREF, SteensgaardPointsTo
 
     functions = list(functions)
-    solver = SteensgaardPointsTo(program, functions=functions).solve()
+    solver = SteensgaardPointsTo(program, functions=functions, defined=defined).solve()
     find = solver._uf.find
     ids = solver._ids
 

@@ -190,10 +190,16 @@ class SteensgaardPointsTo:
     P1.5 sharpening solves per entry closure so the result is a pure
     function of the closure's contents — exactly what the mask cache
     keys on); the default is the whole program (the P1.7 global
-    partition).
+    partition).  ``defined`` is the program's name -> defined function
+    map, for a caller that solves many closures of one program.
     """
 
-    def __init__(self, program: Program, functions: Optional[Iterable[Function]] = None):
+    def __init__(
+        self,
+        program: Program,
+        functions: Optional[Iterable[Function]] = None,
+        defined: Optional[Dict[str, Function]] = None,
+    ):
         self.program = program
         self._functions: List[Function] = (
             list(functions) if functions is not None else list(program.functions())
@@ -207,9 +213,9 @@ class SteensgaardPointsTo:
         self._indirect_pool: Optional[List[Function]] = None
         #: name -> defined function, resolved once — call bindings hit
         #: this for every call site and a per-module scan is too slow
-        self._defined: Dict[str, Function] = {
-            func.name: func for func in program.functions()
-        }
+        self._defined: Dict[str, Function] = (
+            defined if defined is not None else defined_functions(program)
+        )
         self.solved = False
 
     # -- cell helpers -----------------------------------------------------------
@@ -701,13 +707,22 @@ def build_partition(program: Program) -> MayAliasPartition:
     return SteensgaardPointsTo(program).solve().partition()
 
 
-def shared_reaching_names(program: Program, functions: Iterable[Function]) -> FrozenSet[str]:
+def defined_functions(program: Program) -> Dict[str, Function]:
+    """Name -> defined function, the last definition winning."""
+    return {func.name: func for func in program.functions()}
+
+
+def shared_reaching_names(
+    program: Program,
+    functions: Iterable[Function],
+    defined: Optional[Dict[str, Function]] = None,
+) -> FrozenSet[str]:
     """Closure-local shared-state reachability for the P1.5 sharpening.
 
     Solved over exactly ``functions`` so the answer is a deterministic
     function of the closure contents — cached relevance masks keyed by
     the entry's transitive closure stay sound."""
-    solver = SteensgaardPointsTo(program, functions=functions).solve()
+    solver = SteensgaardPointsTo(program, functions=functions, defined=defined).solve()
     marked = solver._component_marks()
     return frozenset(
         name for name in solver._name_order

@@ -164,6 +164,19 @@ class RelevancePreAnalysis:
         self._closures[entry.name] = closure
         return closure
 
+    def _closure_functions(self, closure: FrozenSet[str]) -> List[Function]:
+        """The defined functions named in ``closure``.  The name index
+        is built once and shared with every closure solve."""
+        if self._function_index is None:
+            from ..pointsto.steensgaard import defined_functions
+
+            self._function_index = defined_functions(self.program)
+        return [
+            self._function_index[name]
+            for name in closure
+            if name in self._function_index
+        ]
+
     def _reaches_shared(self, entry: Function):
         """The per-entry shared-reaching predicate for mask queries, or
         None when sharpening is off (= every pointer counts).  Memoized
@@ -179,16 +192,8 @@ class RelevancePreAnalysis:
             if shared is None:
                 from ..pointsto.steensgaard import shared_reaching_names
 
-                if self._function_index is None:
-                    self._function_index = {
-                        func.name: func for func in self.program.functions()
-                    }
-                functions = [
-                    self._function_index[name]
-                    for name in closure
-                    if name in self._function_index
-                ]
-                shared = shared_reaching_names(self.program, functions)
+                functions = self._closure_functions(closure)
+                shared = shared_reaching_names(self.program, functions, self._function_index)
                 self._shared_by_closure[closure] = shared
             self._shared_by_entry[entry.name] = shared
         return shared.__contains__
@@ -205,16 +210,8 @@ class RelevancePreAnalysis:
             if possible is None:
                 from ..pointsto.flow_tier import taint_flow_possible
 
-                if self._function_index is None:
-                    self._function_index = {
-                        func.name: func for func in self.program.functions()
-                    }
-                functions = [
-                    self._function_index[name]
-                    for name in closure
-                    if name in self._function_index
-                ]
-                possible = taint_flow_possible(self.program, functions)
+                functions = self._closure_functions(closure)
+                possible = taint_flow_possible(self.program, functions, self._function_index)
                 self._taint_by_closure[closure] = possible
             self._taint_by_entry[entry.name] = possible
         return possible

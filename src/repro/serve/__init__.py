@@ -6,14 +6,17 @@ deserialization on every CLI invocation, even when the incremental
 engine makes the analysis itself nearly free.  This package keeps all
 of that resident:
 
+* :class:`~.store.ModuleTable` — the compiled modules, kept live, one
+  per filename, and reused in place while the file is unchanged;
 * :class:`~.store.ResidentStore` — an in-memory object store speaking
   the :class:`~repro.incremental.store.CacheStore` surface, so every
-  cache layer (compiled modules, P1 facts, relevance masks, the P1.7
-  partition, P1.8 flow facts, P2 outcomes, P2.6 summaries) stays in RAM
-  across requests;
+  other cache layer (P1 facts, relevance masks, the P1.7 partition,
+  P1.8 flow facts, P2 outcomes, P2.6 summaries) stays in RAM across
+  requests;
 * :class:`~.session.Session` — ``PATA.analyze`` refactored into a
-  reusable object owning one resident store: repeated ``analyze()``
-  calls are warm-cache runs with byte-identical reports;
+  reusable object owning one module table and one resident store:
+  repeated ``analyze()`` calls are warm-cache runs with byte-identical
+  reports;
 * :class:`~.daemon.PataServer` — a line-delimited-JSON socket daemon
   (unix socket or localhost TCP) with a FIFO request queue, request
   coalescing, per-request timeouts, and clean SIGTERM drain;

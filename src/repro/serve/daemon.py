@@ -27,7 +27,8 @@ cache entries) and answers them all from one run.
 Robustness contract:
 
 * a request that raises a user-level error (parse error, missing file)
-  gets an error response; the session is untouched;
+  gets an error response; the session is kept (if the error came after
+  its modules were linked, without its module table);
 * a request that raises anything else, or exceeds the per-request
   wall-clock timeout, gets an error response **and the session is
   replaced with a fresh one** — a half-mutated resident context must
@@ -368,10 +369,10 @@ class PataServer:
             self._respond_error(group, "timeout", timed_out=True)
             return
         except (ReproError, OSError, ValueError) as exc:
-            # User-level failure (bad source, missing file): the session
-            # never started mutating resident state for this program
-            # shape in any way that can poison later requests — compile
-            # errors happen before analysis, and the store only publishes
+            # User-level failure (bad source, missing file): nothing it
+            # left can poison later requests — compile errors happen
+            # before any module is linked, a failure after that drops
+            # the session's module table, and the store only publishes
             # on commit.  Report and move on.
             self.requests_failed += 1
             self._respond_error(group, f"{type(exc).__name__}: {exc}")
@@ -502,6 +503,7 @@ class PataServer:
             "session_replays_served": self.session.replays_served,
             "session_uptime_seconds": round(self.session.uptime_seconds(), 3),
             "resident_cache": occupancy,
+            "resident_modules": len(self.session.modules),
             "watch": self.watch,
             "watch_runs": self.watch_runs,
         }

@@ -23,8 +23,9 @@ the scheduler coalesces a later request into an earlier identical job —
 match on ``id``.
 
 Requests are capped at :data:`MAX_LINE_BYTES` to bound the memory a
-misbehaving client can pin; oversized or non-JSON lines get an error
-response (and, for unframeable garbage, a closed connection).
+misbehaving client can pin; oversized, non-JSON or too deeply nested
+lines get an error response (and, for unframeable garbage, a closed
+connection).
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ def decode(line: bytes) -> dict:
         obj = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"invalid JSON request: {exc}")
+    except RecursionError:
+        # Nesting deeper than the interpreter stack, far below the line cap.
+        raise ProtocolError("invalid JSON request: nested too deeply")
     if not isinstance(obj, dict):
         raise ProtocolError("request must be a JSON object")
     return obj

@@ -1,34 +1,37 @@
 """``PATA.analyze`` refactored into a reusable, cache-resident session.
 
-A :class:`Session` owns one :class:`~.store.ResidentStore` and runs any
-number of analyses against it.  The first request over a file set is a
-cold run that populates every cache layer — compiled modules (+
-fingerprints), P1 may-return facts, P1.5 relevance masks, the P1.7
-may-alias partition, P1.8 must-alias facts (layer f), per-entry P2
-outcomes, and P2.6 xtaint interface summaries (layer x).  Every later
-request over unchanged content is a fully-warm run: every layer
-resolves from RAM and only dirtied fingerprint closures are
-re-explored.  Reports are byte-identical to a one-shot
-``PATA().analyze`` over the same sources and config — residency is an
-optimization, never a precision or soundness trade.
+A :class:`Session` owns one :class:`~.store.ModuleTable` and one
+:class:`~.store.ResidentStore` and runs any number of analyses against
+them.  The table keeps layer 0 live: one compiled module per filename,
+reused in place while its source is unchanged, so a one-file diff
+compiles one file and unpickles no module.  The store holds every
+other layer as pickled blobs — P1 may-return facts, P1.5 relevance
+masks, the P1.7 may-alias partition, P1.8 must-alias facts (layer f),
+per-entry P2 outcomes, and P2.6 xtaint interface summaries (layer x).
+The first request over a file set is a cold run that populates both;
+every later request over unchanged content resolves every layer from
+RAM and re-explores only dirtied fingerprint closures.  Reports are
+byte-identical to a one-shot ``PATA().analyze`` over the same sources
+and config — residency is an optimization, never a precision or
+soundness trade.
 
-Residency has two tiers.  The *cache* tier above re-resolves the plan
-and replays per-entry outcomes out of the resident store.  On top of it
-sits the *replay memo*: a bounded, content-addressed map from the exact
-request fingerprint (ordered (filename, source-bytes) list — config and
-checkers are fixed per session) to the finished
+Residency has two tiers.  The *cache* tier above re-assembles the
+program and replays per-entry outcomes out of the resident store.  On
+top of it sits the *replay memo*: a bounded, content-addressed map from
+the exact request fingerprint (ordered (filename, source-bytes) list —
+config and checkers are fixed per session) to the finished
 :class:`~repro.core.AnalysisResult`.  An identical repeated request —
 the common daemon steady state: the same watch job, the same IDE query
-— skips even deserialization and report re-validation and returns the
-prior result, whose bytes were already proven equal to a one-shot run.
-Any changed byte misses the memo and takes the cache tier.
+— skips even assembly and report re-validation and returns the prior
+result, whose bytes were already proven equal to a one-shot run.  Any
+changed byte misses the memo and takes the cache tier.
 
 Two session-level stat adjustments make per-request numbers honest:
 the store's hit/miss counters are cumulative across the session's
 lifetime, so each request's stats are rewritten to the *delta* this
-request caused, and the serve counters (``requests_served``,
-``resident_cache_entries``, ``request_replayed``) are stamped on every
-result.
+request caused (layers a–x; the table counts no hits), and the serve
+counters (``requests_served``, ``resident_cache_entries``,
+``request_replayed``) are stamped on every result.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core import AnalysisConfig, AnalysisResult, PATA
 from ..heap import analysis_heap
-from .store import ResidentStore
+from .store import ModuleTable, ResidentStore
 
 Source = Tuple[str, str]
 
@@ -73,6 +76,7 @@ class Session:
         # fails at session construction, not on the first request.
         PATA(config=self.config, checker_spec=checker_spec)
         self.store = store if store is not None else ResidentStore()
+        self.modules = ModuleTable()
         self.requests_served = 0
         self.replays_served = 0
         self.created = time.monotonic()
@@ -105,17 +109,24 @@ class Session:
 
     def _analyze(self, key: str, sources: List[Source]) -> AnalysisResult:
         """A memo miss: the cache tier, then memoize the result."""
-        from ..incremental import compile_with_cache
+        from ..incremental.engine import assemble_program
 
         hits0, misses0, corrupt0 = (
             self.store.hits, self.store.misses, self.store.corrupt,
         )
-        program = compile_with_cache(sources, self.store)
-        self.store.commit()
+        compiled = self.modules.take(sources)
         pata = PATA(
             config=self.config, checker_spec=self.checker_spec, store=self.store
         )
-        result = pata.analyze(program)
+        try:
+            result = pata.analyze(assemble_program(compiled))
+        except BaseException:
+            # The analysis may have left any linked module half-mutated.
+            self.modules.clear()
+            raise
+        if self.config.optimize_ir:
+            # optimize_program rewrote the linked modules in place.
+            self.modules.clear()
         self.requests_served += 1
         stats = result.stats
         # Per-request deltas: PATA stamped the store's cumulative
@@ -198,10 +209,12 @@ class Session:
     # -- lifecycle ------------------------------------------------------------
 
     def reset(self) -> None:
-        """Swap in a fresh, empty resident store — the graceful
-        degradation path after a request timed out or crashed midway
-        (a half-mutated store must never serve the next request).
-        Results stay correct either way; only warmth is lost."""
+        """Swap in a fresh, empty module table and resident store — the
+        graceful degradation path after a request timed out or crashed
+        midway (half-mutated residency must never serve the next
+        request).  Results stay correct either way; only warmth is
+        lost."""
+        self.modules = ModuleTable()
         self.store = ResidentStore()
         self._memo.clear()
 

@@ -1,28 +1,43 @@
-"""The resident (in-memory) half of the incremental cache.
+"""The resident (in-memory) halves of the incremental cache.
 
-:class:`ResidentStore` speaks the same surface as
-:class:`repro.incremental.store.CacheStore` — ``get``/``put``/
-``contains``/``reject``/``commit``, the ``mode`` attribute, and the
-``hits``/``misses``/``corrupt`` counters — but keeps every object in
-RAM, so a long-lived session pays neither disk I/O nor cold-start
-deserialization of a cache directory.
+A resident session keeps its cache in two places:
 
-Objects are stored as pickled blobs, not live object graphs, on
-purpose: the disk store hands every ``get`` a *fresh* unpickled copy,
-and rehydration (:func:`repro.incremental.coords.rehydrate_records`)
-mutates that copy in place to point at the current program.  Returning
-live objects instead would let one request's in-place rehydration
-corrupt the resident copy the next request reads.  The pickle
-round-trip preserves the disk store's semantics exactly; only the
-filesystem (and its latency) is gone.
+* :class:`ModuleTable` holds layer 0, the compiled modules, *live*: one
+  :class:`~repro.incremental.engine.CompiledModule` per filename,
+  reused in place while the file's source is unchanged.  On a
+  linux-shaped tree of 85 files (2 vCPUs), unpickling every module for
+  every request cost 0.08 s of a 0.50 s traced one-file diff, and the
+  next request's full collection took 0.19 s, against 0.07 s without
+  those copies to free.
+* :class:`ResidentStore` holds layers a–x (facts, masks, partition,
+  flow facts, outcomes, xtaint summaries) as pickled blobs.  It speaks
+  the same surface as :class:`repro.incremental.store.CacheStore` —
+  ``get``/``put``/``contains``/``reject``/``commit``, the ``mode``
+  attribute, and the ``hits``/``misses``/``corrupt`` counters — but
+  keeps every object in RAM, so a long-lived session pays no disk I/O.
+
+The two layers differ in what an analysis does to them.  Rehydration
+(:func:`repro.incremental.coords.rehydrate_records`) mutates a fetched
+a–x payload in place to point at the current program, so every ``get``
+must hand out a *fresh* unpickled copy, as the disk store does;
+returning the live object would let one request's rehydration corrupt
+the copy the next request reads.  A module is mutated in exactly three
+ways, each re-established before reuse: uids and cross-module
+interface marks are rewritten by every assembly
+(:func:`repro.incremental.engine.assemble_program`), and the table
+restores each function's compile-time ``is_interface`` flag and drops
+the programs that linked the module before.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import pickle
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
+
+from ..incremental.engine import CompiledModule, compile_module
 
 log = logging.getLogger("repro.serve")
 
@@ -111,3 +126,67 @@ class ResidentStore:
                 "staged": len(self._staged),
                 "bytes": sum(len(b) for b in self._objects.values()),
             }
+
+
+class _Resident(NamedTuple):
+    """One table entry: the source digest, the live payload, and the
+    functions that were interfaces when the module was compiled."""
+
+    digest: bytes
+    compiled: CompiledModule
+    interfaces: FrozenSet[str]
+
+
+class ModuleTable:
+    """Layer 0 of a resident session: one live compiled module per
+    filename, replaced when the file's source changes.
+
+    Unlocked: a session serves one request at a time, the daemon's
+    scheduler answers ``status`` between requests, and a timed-out
+    request keeps running against its abandoned session's own table.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[str, _Resident] = {}
+
+    def take(self, sources: Iterable[Tuple[str, str]]) -> List[CompiledModule]:
+        """The compiled modules for one request's ``(filename, source)``
+        pairs, compiling only files whose source changed.  A filename
+        repeated within one request gets a fresh, untabled module for
+        each repeat, as a one-shot run compiles it twice: one module
+        object must not be linked twice into one program."""
+        for entry in self._entries.values():
+            # Unlink every earlier program, from the modules this
+            # request skips too, so none of them stays reachable.
+            entry.compiled.module._owners.clear()
+        taken = set()
+        compiled = []
+        for filename, source in sources:
+            if filename in taken:
+                compiled.append(compile_module(filename, source))
+                continue
+            taken.add(filename)
+            compiled.append(self._get(filename, source))
+        return compiled
+
+    def _get(self, filename: str, source: str) -> CompiledModule:
+        digest = hashlib.sha256(source.encode("utf-8", "surrogatepass")).digest()
+        entry = self._entries.get(filename)
+        if entry is not None and entry.digest == digest:
+            for func in entry.compiled.module.functions.values():
+                func.is_interface = func.name in entry.interfaces
+            return entry.compiled
+        compiled = compile_module(filename, source)
+        interfaces = frozenset(
+            func.name for func in compiled.module.functions.values()
+            if func.is_interface
+        )
+        self._entries[filename] = _Resident(digest, compiled, interfaces)
+        return compiled
+
+    def clear(self) -> None:
+        """Drop every module: the next request compiles from scratch."""
+        self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)

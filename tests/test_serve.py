@@ -3,22 +3,26 @@ protocol, the FIFO scheduler (coalescing, timeouts, degradation, drain),
 watch mode, and byte-identity between daemon responses and one-shot CLI
 runs across alias tiers and worker counts."""
 
+import gc
 import json
 import socket
 import threading
 import time
+import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import PATA, AnalysisConfig
 from repro.cli import check_output_text, main
 from repro.core.report import AnalysisStats
-from repro.corpus import PROFILES_BY_NAME, generate
+from repro.corpus import LINUX, PROFILES_BY_NAME, generate
 from repro.lang import compile_program
 from repro.serve import PataServer, ResidentStore, ServeClient, Session, WatchLoop
 from repro.serve.protocol import (
-    ProtocolError, decode, encode, job_key, validate_request,
+    OPS, ProtocolError, decode, encode, job_key, validate_request,
 )
+from repro.serve.store import ModuleTable
 
 BUGGY = """
 struct s { int v; };
@@ -89,12 +93,17 @@ def race_file(tmp_path):
     return path
 
 
+def one_shot(sources, checker_spec="default", **config):
+    """The result a fresh ``PATA`` produces over freshly compiled
+    sources."""
+    program = compile_program(list(sources))
+    return PATA(config=AnalysisConfig(**config), checker_spec=checker_spec).analyze(program)
+
+
 def one_shot_output(sources, checker_spec="default", **config):
     """The rendered report text a fresh ``PATA`` produces — what every
     resident-session run must match byte for byte."""
-    program = compile_program(list(sources))
-    result = PATA(config=AnalysisConfig(**config), checker_spec=checker_spec).analyze(program)
-    return check_output_text(result)
+    return check_output_text(one_shot(sources, checker_spec, **config))
 
 
 # -- session reuse soundness -------------------------------------------------
@@ -147,7 +156,7 @@ class TestSessionReuse:
         session.analyze([("buggy.c", BUGGY), ("clean.c", CLEAN)])
         subset = session.analyze([("buggy.c", BUGGY)])
         assert not subset.stats.request_replayed
-        assert subset.stats.cache_hits > 0  # buggy.c's module, at least
+        assert subset.stats.cache_hits > 0  # f's facts, at least
         assert session.replays_served == 0
 
     def test_edit_reanalyzes_only_dirtied_closure(self):
@@ -214,10 +223,127 @@ class TestSessionReuse:
         session = Session()
         session.analyze([("buggy.c", BUGGY)])
         assert len(session.store) > 0
+        assert len(session.modules) == 1
         session.reset()
         assert len(session.store) == 0
+        assert len(session.modules) == 0
         result = session.analyze([("buggy.c", BUGGY)])
         assert result.stats.entries_reanalyzed > 0  # cold again
+
+
+# -- the module table (layer 0, live) ---------------------------------------
+
+# ``seq_hook`` is defined and called in one file that no step edits; a
+# second file registers it as an interface, which makes it an entry.
+SEQ_HELPER = """
+int seq_hook(int n) {
+    if (n > 3)
+        return n - 3;
+    return 0;
+}
+
+int seq_caller(int n) {
+    return seq_hook(n) + 1;
+}
+"""
+
+SEQ_OPS = """
+int seq_hook(int n);
+struct seq_ops { int (*hook)(int n); };
+"""
+
+SEQ_REGISTERED = SEQ_OPS + "static struct seq_ops seq_reg = { .hook = seq_hook };\n"
+SEQ_UNREGISTERED = SEQ_OPS + "static struct seq_ops seq_reg;\n"
+
+
+def leak(name: str) -> str:
+    """One more entry function, whose only bug is a leak."""
+    return (f"\nint {name}(int n) {{ int *p = malloc(8); "
+            f"if (n > 2) return -1; free(p); return 0; }}\n")
+
+
+def tabled_modules(session):
+    return {name: entry.compiled.module
+            for name, entry in session.modules._entries.items()}
+
+
+class TestModuleTable:
+    def test_edit_revert_and_registration_sequence_matches_one_shot(self):
+        """Every step of an edit/revert/registration sequence reports
+        and counts entries exactly as a one-shot run does.  Step 5 drops
+        the registration while ``seq_hook``'s module is reused: it must
+        stop being an entry."""
+        base = generate(LINUX.scaled(0.1)).compiled_sources()
+        base.append(("seq/helper.c", SEQ_HELPER))
+        (a, a_text), (b, b_text), rest = base[0], base[1], base[2:]
+        edit_b = [(a, a_text), (b, b_text + leak("seq_edit_b"))] + rest
+        steps = [
+            [(a, a_text + leak("seq_edit_a")), (b, b_text)] + rest,  # 1. edit A
+            base,                                                    # 2. revert A
+            base + [("seq/reg.c", SEQ_REGISTERED)],                  # 3. register
+            edit_b + [("seq/reg.c", SEQ_REGISTERED)],                # 4. edit B
+            edit_b + [("seq/reg.c", SEQ_UNREGISTERED)],              # 5. unregister
+            base,                                                    # 6. revert all
+        ]
+        session = Session()
+        entries = []
+        for number, sources in enumerate(steps, 1):
+            result = session.analyze(sources)
+            expected = one_shot(sources)
+            assert check_output_text(result) == check_output_text(expected), number
+            assert result.stats.entry_functions == expected.stats.entry_functions, number
+            entries.append(expected.stats.entry_functions)
+        n = entries[1]
+        assert entries == [n + 1, n, n + 1, n + 2, n + 1, n]
+        assert len(session.modules) == len(base) + 1
+
+    def test_no_earlier_program_stays_reachable(self):
+        session = Session()
+        session.analyze([("buggy.c", BUGGY), ("clean.c", CLEAN)])
+        earlier = weakref.ref(tabled_modules(session)["buggy.c"]._owners[0])
+        session.analyze([("buggy.c", BUGGY), ("clean.c", CLEAN + leak("extra"))])
+        session.analyze([("buggy.c", BUGGY)])  # clean.c's module sits out
+        modules = tabled_modules(session)
+        assert len(modules["buggy.c"]._owners) == 1  # the latest program
+        assert modules["clean.c"]._owners == []
+        gc.collect()
+        assert earlier() is None
+
+    def test_table_holds_one_module_per_file(self):
+        session = Session()
+        for i in range(4):
+            session.analyze([("buggy.c", BUGGY),
+                             ("clean.c", CLEAN.replace("a + 1", f"a + {i}"))])
+        assert len(session.modules) == 2
+
+    def test_repeated_filename_links_distinct_modules(self):
+        """A one-shot run compiles a repeated file twice; linking one
+        module object twice into a program reports differently."""
+        table = ModuleTable()
+        first, again = table.take([("race.c", HEAP_RACE), ("race.c", HEAP_RACE)])
+        assert first.module is not again.module
+        assert len(table) == 1
+
+    def test_optimize_ir_diffs_match_one_shot(self):
+        session = Session(config=AnalysisConfig(optimize_ir=True), checker_spec="all")
+        for i in range(2):
+            sources = [("buggy.c", BUGGY), ("race.c", HEAP_RACE),
+                       ("clean.c", CLEAN.replace("a + 1", f"a + {i}"))]
+            assert check_output_text(session.analyze(sources)) == \
+                one_shot_output(sources, checker_spec="all", optimize_ir=True)
+            assert len(session.modules) == 0  # rewritten modules are not reused
+
+    def test_failed_analysis_drops_the_table(self, monkeypatch):
+        session = Session()
+        session.analyze([("buggy.c", BUGGY)])
+
+        def explode(self, program, entries=None):
+            raise ValueError("analysis failed midway")
+
+        monkeypatch.setattr(PATA, "analyze", explode)
+        with pytest.raises(ValueError):
+            session.analyze([("buggy.c", BUGGY), ("clean.c", CLEAN)])
+        assert len(session.modules) == 0
 
 
 # -- resident store ----------------------------------------------------------
@@ -297,6 +423,32 @@ class TestProtocol:
             validate_request({"op": "check_diff"})
         with pytest.raises(ProtocolError, match="source text"):
             validate_request({"op": "check_diff", "overlay": {"a.c": 3}})
+
+    def test_deeply_nested_line_is_a_protocol_error(self):
+        with pytest.raises(ProtocolError, match="nested too deeply"):
+            decode(b"[" * 100000 + b"]" * 100000)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=200),
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+            | st.sampled_from(OPS),
+            lambda children: st.lists(children, max_size=4) | st.dictionaries(
+                st.sampled_from(["op", "files", "overlay", "id"]) | st.text(max_size=4),
+                children, max_size=4),
+            max_leaves=20,
+        ).map(lambda value: json.dumps(value).encode()),
+        st.tuples(st.integers(1, 5000), st.sampled_from([b"[", b'{"op":'])).map(
+            lambda depth_open: depth_open[1] * depth_open[0]
+            + (b"]" if depth_open[1] == b"[" else b"}") * depth_open[0]),
+    ))
+    def test_any_line_yields_an_op_or_a_protocol_error(self, line):
+        try:
+            op = validate_request(decode(line))
+        except ProtocolError:
+            return
+        assert op in OPS
 
     def test_job_key_coalesces_identical_work(self):
         assert job_key("check_module", ["a.c"], None) == \
@@ -444,6 +596,7 @@ class TestDaemon:
             assert status["queue_depth"] == 0
             assert status["resident_cache"]["objects"] > 0
             assert status["resident_cache"]["bytes"] > 0
+            assert status["resident_modules"] == 1
             assert status["uptime_seconds"] >= 0.0
             assert status["watch"] is False
         finally:
@@ -498,6 +651,23 @@ class TestDaemon:
             sock.sendall(encode({"op": "frobnicate", "id": 9}))
             error = decode(rfile.readline())
             assert not error["ok"] and "unknown op" in error["error"]
+        finally:
+            rfile.close()
+            sock.close()
+            drain(server)
+
+    def test_deeply_nested_line_keeps_the_connection(self, tmp_path, buggy_file):
+        server = start_server(tmp_path, [buggy_file])
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.connect(server.socket_path)
+        rfile = sock.makefile("rb")
+        try:
+            sock.sendall(b"[" * 100000 + b"]" * 100000 + b"\n")
+            error = decode(rfile.readline())
+            assert not error["ok"] and "nested too deeply" in error["error"]
+            sock.sendall(encode({"op": "status", "id": 1}))
+            status = decode(rfile.readline())
+            assert status["ok"] and status["op"] == "status" and status["id"] == 1
         finally:
             rfile.close()
             sock.close()
