@@ -104,6 +104,7 @@ class PathAliasAnalysis:
         path.  ``observer(inst, graph)`` is invoked after each instruction
         when provided (this is the TypestateTrack hook of Fig. 6)."""
         from ..core.analyzer import PathExplorer  # local import: layering
+        from ..core.config import AnalysisConfig
 
         results: List[PathAliasResult] = []
 
@@ -115,11 +116,14 @@ class PathAliasAnalysis:
             ]
             results.append(PathAliasResult(len(results), sets))
 
+        config = AnalysisConfig(
+            max_paths_per_entry=self.max_paths,
+            max_call_depth=self.max_call_depth,
+            max_steps_per_entry=self.max_steps_per_path,
+        )
         explorer = PathExplorer(
             self.program,
-            max_paths=self.max_paths,
-            max_call_depth=self.max_call_depth,
-            max_steps_per_path=self.max_steps_per_path,
+            config,
             instruction_observer=observer,
             path_end_observer=on_path_end,
         )

@@ -21,7 +21,6 @@ import sys
 from typing import List, Optional
 
 from . import PATA, AnalysisConfig, __version__
-from .core.config import DISPATCH_FACTOR
 from .errors import LexError, ParseError, SemaError
 from .heap import analysis_heap
 
@@ -90,12 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--workers", type=int, default=1, metavar="N",
                        help="worker processes for entry analysis "
                             "(1 = sequential, 0 = one per CPU)")
-    check.add_argument("--batch-size", type=int, default=0, metavar="N",
-                       help="entries per dispatched work batch (0 = auto-size "
-                            f"for ~{DISPATCH_FACTOR} batches per worker)")
-    check.add_argument("--start-method", choices=["fork", "spawn"], default=None,
-                       help="worker start method (default: fork where available; "
-                            "spawn forces the portable rebuild-once path)")
     check.add_argument("--no-prune", action="store_true",
                        help="disable the checker-relevance pre-analysis "
                             "(P1.5) entry/path pruning")
@@ -284,8 +277,6 @@ def cmd_check(args) -> int:
     config = AnalysisConfig(validate_paths=not args.no_validate, workers=args.workers,
                             prune=not args.no_prune,
                             alias_tier=args.alias_tier,
-                            parallel_batch_size=args.batch_size,
-                            parallel_start_method=args.start_method,
                             taint_borders=args.taint_borders,
                             cache_dir=args.cache_dir, cache_mode=args.cache)
     if args.max_paths is not None:
@@ -298,31 +289,36 @@ def cmd_check(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    store = None
     try:
         with analysis_heap():
             if config.cache_active():
-                # Layer-0 frontend cache: unchanged files skip the parser and
-                # lowering entirely.  One store handle serves the whole run:
-                # the modules are committed here (parent process, before
-                # analysis), and PATA reads the summary layers through the
-                # same handle and performs the second, analysis-side commit.
                 from .incremental import compile_with_cache, open_store
 
+                # One store handle serves the whole run.  When the
+                # directory cannot be opened, open_store has warned and
+                # the run goes on with the cache off.
                 store = open_store(config.cache_dir, config.cache_mode)
+                if store is None:
+                    config.cache_mode = "off"
+            if store is not None:
+                # Layer-0 frontend cache: unchanged files skip the parser
+                # and lowering entirely.  The modules are committed here
+                # (parent process, before analysis), and PATA reads the
+                # summary layers through the same handle and performs the
+                # second, analysis-side commit.
                 program = compile_with_cache(sources, store)
-                if store is not None:
-                    store.commit()
-                    pata = PATA(config=config, checker_spec=spec, store=store)
-                try:
-                    result = pata.analyze(program)
-                finally:
-                    if store is not None:
-                        store.close()
+                store.commit()
+                pata = PATA(config=config, checker_spec=spec, store=store)
+                result = pata.analyze(program)
             else:
                 result = pata.analyze_sources(sources)
     except _SOURCE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if store is not None:
+            store.close()
 
     confirmations = {}
     if args.confirm and result.reports:
@@ -343,29 +339,17 @@ def cmd_check(args) -> int:
             pathlib.Path(args.stats_json).write_text(stats_text + "\n")
 
     if args.json:
+        bugs = []
+        for report in result.reports:
+            bug = report.to_dict()
+            confirmation = confirmations.get(id(report))
+            if confirmation is not None:
+                bug["confirmed"] = confirmation.confirmed
+                bug["witness"] = confirmation.witness
+            bugs.append(bug)
         payload = {
             "version": __version__,
-            "bugs": [
-                {
-                    "kind": r.kind.short,
-                    "checker": r.checker,
-                    "file": r.sink_file,
-                    "line": r.sink_line,
-                    "source_file": r.source_file,
-                    "source_line": r.source_line,
-                    "message": r.message,
-                    "entry_function": r.entry_function,
-                    **(
-                        {
-                            "confirmed": confirmations[id(r)].confirmed,
-                            "witness": confirmations[id(r)].witness,
-                        }
-                        if id(r) in confirmations
-                        else {}
-                    ),
-                }
-                for r in result.reports
-            ],
+            "bugs": bugs,
             "stats": {
                 "paths": result.stats.explored_paths,
                 "entries": result.stats.entry_functions,

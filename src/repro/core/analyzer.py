@@ -118,11 +118,10 @@ class PathExplorer:
     explored through one instance — a bug sighted from a second entry is
     a repeat (§4 P3), counted in ``repeated_bugs`` rather than reported
     twice.  Everything else is per-entry and is reset or cleared by
-    :meth:`explore`.  Consequently a parallel driver must give each
-    batch a *fresh* explorer in per-entry-dedup mode and re-apply the
-    dedup in entry order itself (see :mod:`repro.core.parallel`); reusing
-    one accumulating explorer for two batches would silently drop bugs
-    that the sequential run reports.
+    :meth:`explore`.  PATA walks entries through
+    :func:`repro.core.parallel.explore_entries`, which clears the
+    seen-key sets before each entry, so every entry's outcome stands
+    alone, and re-applies the dedup in entry order when it merges them.
     """
 
     def __init__(
@@ -136,19 +135,9 @@ class PathExplorer:
         relevance=None,
         partition=None,
         flow_facts=None,
-        # Back-compat conveniences used by PathAliasAnalysis:
-        max_paths: Optional[int] = None,
-        max_call_depth: Optional[int] = None,
-        max_steps_per_path: Optional[int] = None,
     ):
         self.program = program
         self.config = config or AnalysisConfig()
-        if max_paths is not None:
-            self.config.max_paths_per_entry = max_paths
-        if max_call_depth is not None:
-            self.config.max_call_depth = max_call_depth
-        if max_steps_per_path is not None:
-            self.config.max_steps_per_entry = max_steps_per_path
         self.manager = TypestateManager(checkers or [])
         self.instruction_observer = instruction_observer
         self.path_end_observer = path_end_observer

@@ -16,10 +16,6 @@ from typing import Optional
 #: the precision-tier ladder, in rung order
 _ALIAS_TIERS = {"off": 0, "steens": 1, "flow": 2}
 
-#: with auto batch sizing, the number of batches each worker pulls over
-#: a parallel run; higher = finer-grained stealing, more queue round trips
-DISPATCH_FACTOR = 4
-
 
 @dataclass
 class AnalysisConfig:
@@ -75,17 +71,6 @@ class AnalysisConfig:
     #: one thread per entry, §4): 1 = in-process sequential, 0 = one per
     #: CPU (os.cpu_count()), N > 1 = exactly N processes
     workers: int = 1
-    #: entries per dispatched work batch (0 = auto: size the batches so
-    #: each worker pulls ~``DISPATCH_FACTOR`` of them, which balances
-    #: queue-round-trip amortization against work stealing).
-    #: Batches are the streaming executor's unit of dispatch *and* of
-    #: result pickling, so this also bounds peak result-message size
-    parallel_batch_size: int = 0
-    #: multiprocessing start method for worker processes: None = fork
-    #: where the platform has it (workers inherit the program zero-copy),
-    #: else spawn (workers unpickle the program once at initialization);
-    #: "spawn" forces the portable path — useful for differential testing
-    parallel_start_method: Optional[str] = None
     #: border-source inference (P2.6): treat the parameters of interface
     #: functions no extern caller ever invokes as tainted — the firmware
     #: border-binary heuristic.  Off by default; only the ``xtaint``
@@ -96,9 +81,9 @@ class AnalysisConfig:
     #: :mod:`repro.incremental`; results are byte-identical with the
     #: cache on, off, or partially populated.
     cache_dir: Optional[str] = None
-    #: "off" (ignore cache_dir), "ro" (read, never write — what worker
-    #: processes use), or "rw" (read, and commit new summaries at the
-    #: end of the run; the parent process is the single writer)
+    #: "off" (ignore cache_dir), "ro" (read, never write), or "rw"
+    #: (read, and commit new summaries at the end of the run; the parent
+    #: process is the single writer)
     cache_mode: str = "off"
 
     def __post_init__(self) -> None:
@@ -121,19 +106,6 @@ class AnalysisConfig:
         if self.workers == 0:
             return os.cpu_count() or 1
         return max(1, self.workers)
-
-    def resolved_batch_size(self, entry_count: int, workers: int) -> int:
-        """The effective entries-per-batch for a parallel run.
-
-        ``0`` auto-sizes: enough batches that each worker pulls about
-        ``DISPATCH_FACTOR`` of them, so one slow batch steals at most
-        ``1/DISPATCH_FACTOR`` of a worker's fair share of wall-clock,
-        while a tiny entry list still dispatches one entry per batch
-        (maximum stealing) rather than one fat shard per worker.
-        """
-        if self.parallel_batch_size > 0:
-            return self.parallel_batch_size
-        return max(1, -(-entry_count // (max(1, workers) * DISPATCH_FACTOR)))
 
     def for_pata_na(self) -> "AnalysisConfig":
         """The ablation of Table 6: no alias relationships in typestate

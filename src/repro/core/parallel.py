@@ -5,34 +5,32 @@ streams the entry list through persistent worker *processes* (CPython
 threads would serialize on the GIL for this CPU-bound walk).  The
 protocol:
 
-* each worker initializes **once** — inheriting the parent's
-  :class:`~repro.ir.Program`, :class:`~repro.core.collector.
-  InformationCollector`, and P1.5 relevance handle zero-copy via fork
-  where the platform allows it, or unpickling one program copy (seeded
-  with the parent's collector facts and precomputed dead-block masks)
-  under spawn — and then pulls small entry *batches* from the pool's
-  shared call queue until it drains.  Work-stealing by construction: a
-  pathological entry delays only the batch it sits in, never a whole
-  per-worker shard;
+* the parent builds one :class:`World` — the program, the config, the
+  live checker objects, the indirect-call resolver, the P1.5 relevance
+  handle, the P1.7 partition and the P1.8 flow facts — and forks the
+  pool; each worker's initializer adopts that world from inherited
+  memory, so nothing is pickled on the way in and nothing is rebuilt.
+  Workers then pull small entry *batches* from the pool's shared call
+  queue until it drains.  Work-stealing by construction: a pathological
+  entry delays only the batch it sits in, never a whole per-worker
+  shard;
 * the parent sorts entries by instruction count, largest first, so the
   expensive entries dispatch while every worker is still busy and the
   cheap tail levels the finish;
 * each batch returns a small ``(entry name, EntryOutcome)`` chunk —
   bounding peak pickle size to one batch, never a whole shard — and the
   parent folds chunks into its outcome map as they complete;
-* live checker objects never cross the process boundary: workers rebuild
-  their checker set from a *spec name* (see
-  :func:`repro.typestate.checkers.checkers_from_spec`) at initialization;
 * the final merge (:func:`merge_outcomes`) visits entries in
   ``entry_list`` order regardless of completion order, deduplicating
   with the same ``dedup_key`` logic the sequential explorer applies
-  in-process — instruction uids survive both fork and pickling, so
-  cross-worker duplicates collapse exactly as they do today.
+  in-process — instruction uids survive the fork and the result
+  pickles, so cross-worker duplicates collapse exactly as they do
+  in-process.
 
 Determinism: every field of the merged result except wall-clock timings
 is identical to the sequential run's, byte for byte.  Any failure to
-parallelize (unpicklable program, pool setup failure, worker crash) logs
-a one-line warning, cancels every not-yet-started batch
+parallelize (no fork on this platform, pool setup failure, worker
+crash) logs a one-line warning, cancels every not-yet-started batch
 (``cancel_futures`` — surviving workers must not burn CPU the
 sequential fallback is about to need), and the caller falls back to the
 in-process path — never a crash.
@@ -42,22 +40,23 @@ from __future__ import annotations
 
 import logging
 import os
-import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .. import heap
 from ..ir import Function, Program
 from ..races.shared import SharedAccess
-from ..typestate import PossibleBug
-from ..typestate.checkers import checkers_from_spec, configure_checkers
+from ..typestate import Checker, PossibleBug
 from .analyzer import PathExplorer
-from .collector import InformationCollector
 from .config import AnalysisConfig
 from .report import AnalysisStats, EntryStats
 
 log = logging.getLogger("repro.parallel")
+
+#: the number of batches each worker pulls over a parallel run; higher =
+#: finer-grained stealing, more queue round trips
+DISPATCH_FACTOR = 4
 
 #: test-only crash injection: a worker raises when a batch contains this
 #: entry name (see tests/test_parallel.py's cancel-on-failure regression)
@@ -65,13 +64,6 @@ _CRASH_ENV = "REPRO_PARALLEL_TEST_CRASH_ENTRY"
 #: test-only observability: workers touch one file per completed batch
 #: under this directory, so tests can count how many batches actually ran
 _TOUCH_ENV = "REPRO_PARALLEL_TEST_TOUCH_DIR"
-
-
-def _fork_available() -> bool:
-    """Whether workers can inherit the parent's memory (Linux/BSD fork)."""
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
 
 
 @dataclass
@@ -105,29 +97,50 @@ class ParallelRun:
     batches: int = 0
 
 
+@dataclass
+class World:
+    """Everything P2 explores against, built once by the parent.  The
+    in-process path and every forked worker build their explorers from
+    it (:meth:`explorer`); construction is cheap, the expensive state
+    lives here."""
+
+    program: Program
+    config: AnalysisConfig
+    checkers: List[Checker]
+    indirect_resolver: Optional[Callable] = None
+    relevance: Optional[object] = None
+    partition: Optional[object] = None
+    flow_facts: Optional[object] = None
+
+    def explorer(self) -> PathExplorer:
+        """A fresh explorer over this world."""
+        return PathExplorer(
+            self.program,
+            self.config,
+            self.checkers,
+            indirect_resolver=self.indirect_resolver,
+            relevance=self.relevance,
+            partition=self.partition,
+            flow_facts=self.flow_facts,
+        )
+
+
 def explore_entries(
-    explorer: PathExplorer,
-    entries: Sequence[Function],
-    per_entry_dedup: bool = False,
+    explorer: PathExplorer, entries: Sequence[Function]
 ) -> List[EntryOutcome]:
     """Walk ``entries`` in order through ``explorer``, slicing the shared
     ``possible_bugs`` list per entry.  Used by both the in-process path
     and the worker processes, so their per-entry records agree exactly.
 
-    ``per_entry_dedup`` resets the explorer's cross-entry seen-key sets
-    before each entry, making every outcome's bug/access lists a function
-    of that entry *alone* — required whenever outcomes may be cached or
-    produced by different workers (a cumulative list would silently omit
-    bugs first sighted under an entry that happened to run earlier in the
-    same process).  The merged result is identical either way:
+    The explorer's cross-entry seen-key sets are reset before each
+    entry, so every outcome's bug/access lists are a function of that
+    entry *alone* — whichever worker, batch or cache produced it.
     :func:`merge_outcomes` re-applies first-sighting-in-entry-order
-    dedup, and every drop it performs there is counted in the same
-    ``dropped_repeated_bugs`` total the cumulative mode produces."""
+    dedup and counts every drop it performs there as a repeat."""
     outcomes: List[EntryOutcome] = []
     for entry in entries:
-        if per_entry_dedup:
-            explorer.seen_bug_keys.clear()
-            explorer.seen_access_keys.clear()
+        explorer.seen_bug_keys.clear()
+        explorer.seen_access_keys.clear()
         before = len(explorer.possible_bugs)
         accesses_before = len(explorer.shared_accesses)
         aware_before = explorer.store.aware_updates
@@ -156,22 +169,14 @@ def explore_entries(
     return outcomes
 
 
-# ---------------------------------------------------------------------------
-# Worker side: initialize-once world, then stream batches
-# ---------------------------------------------------------------------------
-
-
 class PrecomputedRelevance:
     """A read-only stand-in for
-    :class:`~repro.presolve.prune.RelevancePreAnalysis` built from
-    dead-block uid sets (and per-entry armed checker names) computed
-    earlier: by the parent for spawned workers, or read from the
+    :class:`~repro.presolve.prune.RelevancePreAnalysis` built from the
+    dead-block uid sets (and per-entry armed checker names) of the
     incremental cache's layer-(b) masks.  Same ``dead_blocks``/
     ``armed_names`` surface the explorer consumes, none of the
-    summary-index build cost.  Block uids are assigned at IR
-    construction and survive both fork and pickling, so the sets index
-    a worker's program copy exactly.  The cache path only builds one
-    when *every* entry it will be asked about has a cached mask."""
+    summary-index build cost.  The cache path only builds one when
+    *every* entry it will be asked about has a cached mask."""
 
     supported = True
 
@@ -190,92 +195,28 @@ class PrecomputedRelevance:
         return self._armed.get(entry.name)
 
 
-@dataclass
-class _WorkerInit:
-    """Everything one worker needs to build its world, exactly once.
+# ---------------------------------------------------------------------------
+# Worker side: adopt the inherited world, then stream batches
+# ---------------------------------------------------------------------------
 
-    Fork mode passes the live objects (``program``/``collector``/
-    ``relevance``) — initargs reach forked children through inherited
-    memory, never the pickle machinery.  Spawn mode passes the program
-    as bytes pickled *once in the parent* (so an unpicklable program
-    fails fast, before any process starts) plus the parent collector's
-    may-return facts and precomputed dead-block masks, sparing every
-    spawned worker the P1 fixpoint re-derivation and the entire P1.5
-    summary-index build."""
-
-    config: AnalysisConfig
-    checker_spec: str
-    program: Optional[Program] = None
-    collector: Optional[InformationCollector] = None
-    relevance: Optional[object] = None
-    program_bytes: Optional[bytes] = None
-    cached_facts: Optional[Dict[str, Tuple[bool, bool]]] = None
-    dead_masks: Optional[Dict[str, FrozenSet[int]]] = None
-    armed_masks: Optional[Dict[str, Optional[FrozenSet[str]]]] = None
-    #: P1.7 may-alias partition.  One field serves both modes: fork
-    #: inherits the live object zero-copy, spawn pickles it with the
-    #: initargs (MayAliasPartition defines ``__reduce__``); either way
-    #: workers never re-run the unification pass.
-    partition: Optional[object] = None
-    #: P1.8 must-alias facts, shipped the same way (MustAliasFacts also
-    #: defines ``__reduce__``; its memo tables rebuild lazily per worker)
-    flow_facts: Optional[object] = None
+#: the parent's world, adopted by :func:`_init_worker` when the process
+#: starts and read by every batch that process executes
+_WORLD: Optional[World] = None
 
 
-@dataclass
-class _WorkerWorld:
-    """The per-process state every batch reuses."""
-
-    program: Program
-    config: AnalysisConfig
-    checkers: list
-    collector: InformationCollector
-    relevance: Optional[object]
-    partition: Optional[object] = None
-    flow_facts: Optional[object] = None
-
-
-#: built by :func:`_init_worker` when the process starts, read by every
-#: batch that process executes
-_WORLD: Optional[_WorkerWorld] = None
-
-
-def _init_worker(init: _WorkerInit) -> None:
+def _init_worker(world: World) -> None:
     """Pool initializer: runs once per worker process, before any batch.
     A worker does nothing but analysis, so it keeps the analysis heap
     policy for its whole life."""
     global _WORLD
     heap.adopt()
-    if init.program is not None:
-        program = init.program
-        collector = init.collector
-        relevance = init.relevance
-    else:
-        program = pickle.loads(init.program_bytes)
-        collector = InformationCollector(program, cached_facts=init.cached_facts)
-        relevance = (
-            PrecomputedRelevance(init.dead_masks, init.armed_masks)
-            if init.dead_masks is not None
-            else None
-        )
-    checkers = configure_checkers(
-        checkers_from_spec(init.checker_spec, collector), init.config
-    )
-    _WORLD = _WorkerWorld(
-        program, init.config, checkers, collector, relevance, init.partition,
-        init.flow_facts,
-    )
+    _WORLD = world
 
 
 def _run_batch(entry_names: List[str]) -> List[Tuple[str, EntryOutcome]]:
-    """Worker-process batch body: explore one small batch of entries
-    against the initialize-once world and return its outcome chunk.
-
-    Each batch gets a **fresh** :class:`PathExplorer` (construction is
-    cheap; the expensive state — program, collector facts, relevance —
-    lives in the world) running with per-entry dedup, so every returned
-    outcome is a function of its entry alone, independent of which
-    worker pulled which batch in which order."""
+    """Worker-process batch body: explore one small batch of entries on
+    a fresh explorer over the inherited world and return its outcome
+    chunk, one per-entry-pure outcome per name, in batch order."""
     world = _WORLD
     assert world is not None, "worker batch before initializer ran"
     crash = os.environ.get(_CRASH_ENV)
@@ -287,20 +228,7 @@ def _run_batch(entry_names: List[str]) -> List[Tuple[str, EntryOutcome]]:
         if func is None:  # pragma: no cover - names come from this program
             raise KeyError(f"entry function {name!r} not found in worker program")
         entries.append(func)
-    explorer = PathExplorer(
-        world.program,
-        world.config,
-        world.checkers,
-        indirect_resolver=(
-            world.collector.indirect_targets
-            if world.config.resolve_function_pointers
-            else None
-        ),
-        relevance=world.relevance,
-        partition=world.partition,
-        flow_facts=world.flow_facts,
-    )
-    outcomes = explore_entries(explorer, entries, per_entry_dedup=True)
+    outcomes = explore_entries(world.explorer(), entries)
     touch_dir = os.environ.get(_TOUCH_ENV)
     if touch_dir:
         with open(os.path.join(touch_dir, f"batch-{os.getpid()}-{entry_names[0]}"), "w"):
@@ -321,29 +249,30 @@ def _entry_cost(func: Function) -> int:
     return func.instruction_count()
 
 
+def batch_size(entry_count: int, workers: int) -> int:
+    """Entries per batch: enough batches that each worker pulls about
+    ``DISPATCH_FACTOR`` of them, so one slow batch steals at most
+    ``1/DISPATCH_FACTOR`` of a worker's fair share of wall-clock, while
+    a tiny entry list still dispatches one entry per batch (maximum
+    stealing) rather than one fat shard per worker."""
+    return max(1, -(-entry_count // (max(1, workers) * DISPATCH_FACTOR)))
+
+
 def _make_batches(
-    entry_list: Sequence[Function], batch_size: int
+    entry_list: Sequence[Function], size: int
 ) -> List[List[str]]:
     """Size-sorted (largest first, ties in entry-list order — the sort is
-    stable) name batches of at most ``batch_size`` entries each."""
+    stable) name batches of at most ``size`` entries each."""
     ordered = sorted(entry_list, key=lambda func: -_entry_cost(func))
     return [
-        [func.name for func in ordered[start : start + batch_size]]
-        for start in range(0, len(ordered), batch_size)
+        [func.name for func in ordered[start : start + size]]
+        for start in range(0, len(ordered), size)
     ]
 
 
-def run_parallel(
-    program: Program,
-    config: AnalysisConfig,
-    checker_spec: str,
-    entry_list: Sequence[Function],
-    collector: Optional[InformationCollector] = None,
-    relevance: Optional[object] = None,
-    partition: Optional[object] = None,
-    flow_facts: Optional[object] = None,
-) -> Optional[ParallelRun]:
-    """Stream ``entry_list`` through a pool of persistent workers.
+def run_parallel(world: World, entry_list: Sequence[Function]) -> Optional[ParallelRun]:
+    """Stream ``entry_list`` through a pool of forked workers that
+    inherit ``world``.
 
     Returns a :class:`ParallelRun` with one outcome per entry, or
     ``None`` when parallel execution is unavailable or fails mid-run
@@ -352,71 +281,19 @@ def run_parallel(
     not-yet-started batch is cancelled before falling back, so the pool
     does not race the sequential re-run for CPU.
     """
-    workers = min(config.resolved_workers(), len(entry_list))
-    use_fork = _fork_available() and config.parallel_start_method != "spawn"
-    if use_fork:
-        init = _WorkerInit(
-            config=config,
-            checker_spec=checker_spec,
-            program=program,
-            collector=collector or InformationCollector(program),
-            relevance=relevance,
-            partition=partition,
-            flow_facts=flow_facts,
-        )
-    else:
-        # Spawned workers must receive the program by value; an
-        # unpicklable program cannot be analyzed in parallel.  (Worker
-        # crashes — e.g. unpicklable *results* — surface from
-        # future.result() below and take the same fallback.)
-        try:
-            program_bytes = pickle.dumps(program)
-        except Exception as exc:
-            log.warning(
-                "parallel analysis disabled: program does not pickle (%s); "
-                "falling back to sequential", exc,
-            )
-            return None
-        cached_facts = None
-        if collector is not None:
-            cached_facts = {
-                name: (info.may_return_negative, info.may_return_zero)
-                for name, info in collector.functions.items()
-            }
-        dead_masks = None
-        armed_masks = None
-        if config.prune and relevance is not None:
-            dead_masks = {
-                func.name: frozenset(relevance.dead_blocks(func))
-                for func in entry_list
-            }
-            armed_of = getattr(relevance, "armed_names", None)
-            if armed_of is not None:
-                armed_masks = {func.name: armed_of(func) for func in entry_list}
-        init = _WorkerInit(
-            config=config,
-            checker_spec=checker_spec,
-            program_bytes=program_bytes,
-            cached_facts=cached_facts,
-            dead_masks=dead_masks,
-            armed_masks=armed_masks,
-            partition=partition,
-            flow_facts=flow_facts,
-        )
-    batch_size = config.resolved_batch_size(len(entry_list), workers)
-    batches = _make_batches(entry_list, batch_size)
+    workers = min(world.config.resolved_workers(), len(entry_list))
+    batches = _make_batches(entry_list, batch_size(len(entry_list), workers))
     outcomes: Dict[str, EntryOutcome] = {}
     # Imported here: a run with one worker never starts a pool.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
     try:
-        mp_context = multiprocessing.get_context("fork" if use_fork else "spawn")
         with ProcessPoolExecutor(
             max_workers=workers,
-            mp_context=mp_context,
+            mp_context=multiprocessing.get_context("fork"),
             initializer=_init_worker,
-            initargs=(init,),
+            initargs=(world,),
         ) as pool:
             futures = [pool.submit(_run_batch, batch) for batch in batches]
             try:
@@ -432,7 +309,7 @@ def run_parallel(
     except Exception as exc:
         log.warning("parallel analysis failed (%s); falling back to sequential", exc)
         return None
-    if len(outcomes) != len(entry_list):  # pragma: no cover - defensive
+    if len(outcomes) != len(entry_list):
         log.warning(
             "parallel analysis returned %d/%d outcomes; falling back to sequential",
             len(outcomes), len(entry_list),
@@ -456,14 +333,13 @@ def merge_outcomes(
     ``entry_list`` order regardless of which process (or completion
     order) produced them.
 
-    Dedup bookkeeping mirrors the sequential explorer exactly: a bug's
-    (or access's) first sighting in global entry order is kept; every
-    later sighting — whether already dropped where the outcome was
+    Dedup bookkeeping mirrors one explorer walking every entry in order:
+    a bug's (or access's) first sighting in global entry order is kept;
+    every later sighting — whether already dropped where the outcome was
     produced (counted in that outcome's ``repeated_bugs`` delta) or
-    dropped here — is a repeat.  Cross-process access dedup matters
-    because each worker's explorer only saw its own batches: two workers
-    can both record e.g. an access inside a helper inlined from entries
-    they explored independently.
+    dropped here — is a repeat.  Cross-entry access dedup matters
+    because each outcome only saw its own entry: two entries can both
+    record e.g. an access inside a helper they both inline.
     """
     merged: List[PossibleBug] = []
     merged_accesses: List[SharedAccess] = []
@@ -501,4 +377,3 @@ def merge_outcomes(
     stats.typestates_unaware = unaware
     stats.dropped_repeated_bugs = repeated
     return merged, merged_accesses
-

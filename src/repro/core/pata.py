@@ -15,24 +15,36 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..ir import Function, Program
 from ..lang import compile_program
 from ..typestate import Checker, checkers_from_spec, configure_checkers
-from .analyzer import PathExplorer
 from .collector import InformationCollector
 from .config import AnalysisConfig
 from .filter import BugFilter
 from .parallel import (
     PrecomputedRelevance,
+    World,
     explore_entries,
     merge_outcomes,
     run_parallel,
 )
 from .report import AnalysisResult, AnalysisStats, EntryStats
 
-log = logging.getLogger("repro.parallel")
+log = logging.getLogger("repro.pata")
+
+
+def _duplicate_definitions(program: Program) -> Dict[str, List[str]]:
+    """Function name -> the files defining it, for every name defined in
+    more than one module.  Calls, P1.5 summaries, P2 outcomes and every
+    cache layer resolve functions by name alone, so each such name
+    stands for one of its definitions only."""
+    files: Dict[str, List[str]] = {}
+    for module in program.modules:
+        for func in module.defined_functions():
+            files.setdefault(func.name, []).append(module.name)
+    return {name: where for name, where in files.items() if len(where) > 1}
 
 
 class PATA:
@@ -43,8 +55,8 @@ class PATA:
     ``checker_spec`` string (any form accepted by
     :func:`repro.typestate.checkers.checkers_from_spec`, e.g.
     ``"npd,ml,taint"``), or any custom :class:`~repro.typestate.Checker`
-    list.  Spec strings are preferred for parallel runs — workers rebuild
-    checkers from the spec, while live objects force sequential analysis.
+    list.  Only spec strings key the incremental cache; live objects run
+    with the cache off.
     """
 
     def __init__(
@@ -60,7 +72,7 @@ class PATA:
         self._checkers = checkers
         if checker_spec is not None:
             # Validate eagerly so a bad spec fails at construction, not
-            # deep inside a worker process.
+            # midway through an analysis.
             checkers_from_spec(checker_spec)
         self._spec = checker_spec
         #: a pre-opened cache store (e.g. a resident session's in-memory
@@ -94,10 +106,19 @@ class PATA:
         # Incremental cache (opt-in): fingerprint the program and open the
         # summary store before P1, so cached collector facts can seed it.
         # `incr` stays None when caching is off or cannot apply (live
-        # checker objects) — every later cache branch collapses to
-        # today's behaviour then.
+        # checker objects, a function name defined in two files) — every
+        # later cache branch collapses to today's behaviour then.
+        duplicates = _duplicate_definitions(program)
+        if duplicates:
+            log.warning(
+                "function names defined in more than one file: %s; each name "
+                "resolves to one definition and the incremental cache is off "
+                "for this run",
+                "; ".join(f"{name} ({', '.join(where)})"
+                          for name, where in duplicates.items()),
+            )
         incr = None
-        if self.config.cache_active() or self._store is not None:
+        if (self.config.cache_active() or self._store is not None) and not duplicates:
             from ..incremental import open_incremental
 
             incr = open_incremental(
@@ -118,16 +139,16 @@ class PATA:
         entry_list = entries if entries is not None else collector.entry_functions()
         stats.entry_functions = len(entry_list)
         stats.time_collect_seconds = time.monotonic() - phase_started
+        checkers = self._resolve_checkers(collector)
 
         # P1.5: checker-relevance pre-analysis.  Entry pruning happens
         # here, *before* dispatch, so skipped entries never reach a
         # worker; block pruning happens inside each explorer through the
-        # `relevance` handle (workers inherit the parent's via fork, or
-        # receive its precomputed dead-block masks under spawn — see
-        # parallel.py).  With a warm cache the partition comes from
-        # cached relevance masks and per-entry outcomes instead, and the
-        # pre-analysis is only built when some dirty entry lacks a
-        # cached mask.
+        # `relevance` handle (forked workers inherit it with the rest of
+        # the P2 world — see parallel.py).  With a warm cache the
+        # partition comes from cached relevance masks and per-entry
+        # outcomes instead, and the pre-analysis is only built when some
+        # dirty entry lacks a cached mask.
         phase_started = time.monotonic()
         relevance = None
         analyzed_list = list(entry_list)
@@ -147,7 +168,7 @@ class PATA:
 
             relevance = RelevancePreAnalysis(
                 program,
-                self._resolve_checkers(collector),
+                checkers,
                 ScanContext(
                     may_return_negative=collector.may_return_negative,
                     may_return_zero=collector.may_return_zero,
@@ -210,47 +231,35 @@ class PATA:
             stats.strong_updates = flow_facts.strong_updates
             stats.time_flow_seconds = time.monotonic() - phase_started
 
-        # P2: explore every entry — streamed in size-sorted batches
-        # through persistent worker processes when configured (the
-        # paper's thread-per-entry, §4), in-process otherwise.  Both
-        # paths produce per-entry outcomes merged by the same
-        # deterministic entry-order fold, so reports and stats are
-        # identical either way (timings aside).
+        # P2: explore every entry against one world — the program, the
+        # config, the checkers, the resolver and the P1.5/P1.7/P1.8
+        # products — streamed in size-sorted batches through forked
+        # workers that inherit it when configured (the paper's
+        # thread-per-entry, §4), in-process otherwise.  Both paths
+        # produce per-entry outcomes merged by the same deterministic
+        # entry-order fold, so reports and stats are identical either way
+        # (timings aside).
         phase_started = time.monotonic()
+        world = World(
+            program,
+            self.config,
+            checkers,
+            indirect_resolver=(
+                collector.indirect_targets if self.config.resolve_function_pointers else None
+            ),
+            relevance=relevance,
+            partition=partition,
+            flow_facts=flow_facts,
+        )
         outcome_by_name = None
         if self.config.resolved_workers() > 1 and len(analyzed_list) > 1:
-            spec = self._checker_spec()
-            if spec is None:
-                log.warning(
-                    "parallel analysis disabled: custom checker objects cannot "
-                    "be rebuilt in workers; falling back to sequential"
-                )
-            else:
-                run = run_parallel(
-                    program, self.config, spec, analyzed_list, collector,
-                    relevance=relevance, partition=partition,
-                    flow_facts=flow_facts,
-                )
-                if run is not None:
-                    outcome_by_name = run.outcomes
-                    stats.workers_used = run.workers
-                    stats.batches_dispatched = run.batches
+            run = run_parallel(world, analyzed_list)
+            if run is not None:
+                outcome_by_name = run.outcomes
+                stats.workers_used = run.workers
+                stats.batches_dispatched = run.batches
         if outcome_by_name is None:
-            checkers = self._resolve_checkers(collector)
-            explorer = PathExplorer(
-                program,
-                self.config,
-                checkers,
-                indirect_resolver=(
-                    collector.indirect_targets if self.config.resolve_function_pointers else None
-                ),
-                relevance=relevance,
-                partition=partition,
-                flow_facts=flow_facts,
-            )
-            outcomes = explore_entries(
-                explorer, analyzed_list, per_entry_dedup=incr is not None
-            )
+            outcomes = explore_entries(world.explorer(), analyzed_list)
             outcome_by_name = {
                 func.name: outcome for func, outcome in zip(analyzed_list, outcomes)
             }
@@ -369,10 +378,9 @@ class PATA:
         return self.analyze(compile_program(sources))
 
     def _checker_spec(self) -> Optional[str]:
-        """The spec string workers rebuild this PATA's checker set from,
-        or ``None`` when the caller supplied live checker objects (those
-        are not shipped across the process boundary; see
-        :func:`repro.typestate.checkers.checkers_from_spec`)."""
+        """The spec string this PATA's checker set is built from (it also
+        keys the incremental cache), or ``None`` when the caller supplied
+        live checker objects."""
         if self._checkers is not None:
             return None
         if self._spec is not None:

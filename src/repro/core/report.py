@@ -44,6 +44,20 @@ class BugReport:
     def location(self) -> str:
         return f"{self.sink_file}:{self.sink_line}"
 
+    def to_dict(self) -> dict:
+        """The JSON shape of this report, as ``check --json`` prints it
+        and the daemon answers it."""
+        return {
+            "kind": self.kind.short,
+            "checker": self.checker,
+            "file": self.sink_file,
+            "line": self.sink_line,
+            "source_file": self.source_file,
+            "source_line": self.source_line,
+            "message": self.message,
+            "entry_function": self.entry_function,
+        }
+
     def render(self) -> str:
         lines = [
             f"{self.kind.value.upper()} [{self.checker}] at {self.sink_file}:{self.sink_line}",

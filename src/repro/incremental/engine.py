@@ -14,9 +14,8 @@ caching and the checker set is spec-addressable), it:
 * after the dirty entries are explored, stages the per-function and
   per-entry layers and flushes everything with the store's single
   :meth:`~.store.CacheStore.commit` — the parent process is the only
-  store client: worker processes never open it (the parent ships them
-  its collector facts and relevance masks directly, see
-  :mod:`repro.core.parallel`).
+  store client: worker processes never open it (they inherit the
+  parent's explorer world, see :mod:`repro.core.parallel`).
 """
 
 from __future__ import annotations

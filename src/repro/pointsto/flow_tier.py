@@ -17,7 +17,7 @@ SVF), it derives *must* facts —
   disarm checkers whose trigger can provably never reach a sink.
 
 Everything is folded into one picklable :class:`MustAliasFacts` object
-that ships to fork/spawn workers next to the partition and is cached as
+that forked workers inherit next to the partition and that is cached as
 an incremental layer keyed on the module closure.  Consumers only ever
 *skip predictable work* with these facts, so reports stay byte-identical
 across the whole ``off``/``steens``/``flow`` ladder.

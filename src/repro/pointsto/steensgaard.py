@@ -113,10 +113,9 @@ class UnionFind:
 
 
 class MayAliasPartition:
-    """The solved partition: plain picklable data, shipped to workers
-    (fork: zero-copy via inherited memory; spawn: initargs pickle) and
-    cached as an incremental layer keyed by the module-closure
-    fingerprint.
+    """The solved partition: plain picklable data, inherited by forked
+    workers and cached as an incremental layer keyed by the
+    module-closure fingerprint.
 
     ``cell_ids`` assigns each variable name a dense, deterministic cell
     id (first-seen order over a canonical program walk), so equal

@@ -416,19 +416,7 @@ class PataServer:
             "op": request.op,
             "bugs": len(result.reports),
             "exit_code": 1 if result.reports else 0,
-            "reports": [
-                {
-                    "kind": r.kind.short,
-                    "checker": r.checker,
-                    "file": r.sink_file,
-                    "line": r.sink_line,
-                    "source_file": r.source_file,
-                    "source_line": r.source_line,
-                    "message": r.message,
-                    "entry_function": r.entry_function,
-                }
-                for r in result.reports
-            ],
+            "reports": [report.to_dict() for report in result.reports],
             "output": check_output_text(result),
             "stats": stats,
             "serve": {

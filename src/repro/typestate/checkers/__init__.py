@@ -90,13 +90,13 @@ def _make_xtaint_checker(collector):
 
 
 def configure_checkers(checkers: List[Checker], config) -> List[Checker]:
-    """Apply run-configuration knobs to freshly built checkers — called
-    by the sequential driver and by each parallel worker's initializer,
-    so both sides arm identically.  Currently one knob: border-source
-    inference (``config.taint_borders``), which also widens the armed
-    trigger mask — a border entry carries taint *at path start* with no
-    trigger event in its region, so any sink-bearing region must stay
-    armed for entry pruning to remain report-preserving."""
+    """Apply run-configuration knobs to freshly built checkers, once per
+    analysis (forked workers inherit the configured objects).  Currently
+    one knob: border-source inference (``config.taint_borders``), which
+    also widens the armed trigger mask — a border entry carries taint
+    *at path start* with no trigger event in its region, so any
+    sink-bearing region must stay armed for entry pruning to remain
+    report-preserving."""
     borders = bool(getattr(config, "taint_borders", False))
     for checker in checkers:
         if hasattr(checker, "taint_borders"):
@@ -130,7 +130,7 @@ _CHECKER_FACTORIES = {
 #: every individually addressable checker name, in canonical order
 CHECKER_NAMES = tuple(_CHECKER_FACTORIES)
 
-#: named shorthands for common sets (kept for CLI/worker back-compat).
+#: named shorthands for common sets (kept for CLI back-compat).
 #: ``race``, ``taint`` and ``xtaint`` stay opt-in: they are not part of
 #: the paper's historical six, and their matching phases (P2.5 / P2.6)
 #: have cost even on code without the respective bug class.
@@ -168,15 +168,12 @@ def _expand_spec(spec: str) -> List[str]:
 
 
 def checkers_from_spec(spec: str, collector=None) -> List[Checker]:
-    """Reconstruct a checker set from a spec string.
+    """Build a checker set from a spec string.
 
     A spec is a comma-separated list of checker names and/or aliases —
     ``"default"``, ``"all"``, ``"npd,ml,taint"``, ``"default,taint"`` —
-    deduplicated in first-occurrence order.  Worker processes of the
-    parallel driver rebuild their checkers from this *string* — live
-    checker objects are never pickled across the process boundary,
-    because some close over per-program collector facts that each worker
-    derives from its own unpickled :class:`~repro.ir.Program` copy.
+    deduplicated in first-occurrence order.  The spec string, not the
+    objects, is what keys the incremental cache.
 
     ``collector`` (an :class:`~repro.core.InformationCollector`) supplies
     the may-return facts the underflow/div-zero checkers need; sets that

@@ -50,15 +50,12 @@ class PossibleBug:
         """Bugs with the same problematic instruction pair are repeats
         (§4, P3).
 
-        Instruction uids are assigned at construction and survive
-        pickling, so a bug found in a worker process (whose ``Program``
-        is an unpickled copy of the parent's) carries the *same* dedup
-        key as the parent would compute — the parallel driver's
-        entry-order merge collapses cross-worker duplicates exactly like the
-        in-process ``seen_bug_keys`` set does.  A
-        :class:`TypestateManager`'s checkers are never shipped to
-        workers; they are rebuilt there from a spec name
-        (:func:`repro.typestate.checkers.checkers_from_spec`).
+        Instruction uids are assigned at construction and survive the
+        fork and the result pickles, so a bug found in a worker process
+        carries the *same* dedup key as the parent would compute — the
+        entry-order merge of worker outcomes collapses cross-worker
+        duplicates exactly like the in-process ``seen_bug_keys`` set
+        does.
         """
         return (self.checker, self.source.uid, self.sink.uid)
 

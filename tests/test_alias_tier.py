@@ -10,7 +10,7 @@ break it:
 
 * the full tier ladder ``off`` × ``steens`` × ``flow``;
 * every checker-spec string (each checker consumes different events);
-* workers 1 and 4 (partition + flow facts ship by fork or pickle);
+* workers 1 and 4 (forked workers inherit partition and flow facts);
 * cold and warm incremental cache (both are cached layers, and cached
   entry results must not leak tier-dependent state);
 * the linux corpus profile, the shape the benchmark workloads run.

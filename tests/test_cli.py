@@ -1,6 +1,7 @@
 """CLI tests (argument handling, exit codes, output formats)."""
 
 import json
+import logging
 
 import pytest
 
@@ -101,6 +102,74 @@ def test_check_workers_matches_sequential(buggy_file, clean_file, capsys):
     assert code == code2 == 1
     assert sequential["bugs"] == parallel["bugs"]
     assert parallel["stats"]["workers"] == 2
+
+
+def test_unopenable_cache_dir_warns_once_and_runs_cache_off(tmp_path, buggy_file,
+                                                           capsys, caplog):
+    not_a_dir = tmp_path / "FILE"
+    not_a_dir.write_text("")
+    main(["check", str(buggy_file)])
+    cache_off = capsys.readouterr().out
+    with caplog.at_level(logging.WARNING):
+        code = main(["check", "--cache", "rw", "--cache-dir", str(not_a_dir),
+                     str(buggy_file)])
+    assert code == 1
+    assert capsys.readouterr().out == cache_off
+    opens = [r for r in caplog.records if "cannot open" in r.getMessage()]
+    assert len(opens) == 1
+
+
+# Two files, each with its own ``static f`` helper called from its entry.
+STATIC_F_NPD = """
+struct s { int v; };
+static int f(struct s *p) {
+    if (!p) {
+        return p->v;
+    }
+    return 0;
+}
+int eb(struct s *p) { return f(p); }
+"""
+
+STATIC_F_LEAK = """
+static int f(int n) {
+    int *p = malloc(8);
+    if (n > 1) return -1;
+    free(p);
+    return 0;
+}
+int ec(int n) { return f(n); }
+"""
+
+
+def test_duplicate_function_name_warning_names_the_files(tmp_path, capsys, caplog):
+    b = tmp_path / "b.c"
+    b.write_text(STATIC_F_NPD)
+    c = tmp_path / "c.c"
+    c.write_text(STATIC_F_LEAK)
+    with caplog.at_level(logging.WARNING):
+        main(["check", str(b), str(c)])
+    warnings = [r.getMessage() for r in caplog.records
+                if "more than one file" in r.getMessage()]
+    assert len(warnings) == 1
+    assert f"f ({b}, {c})" in warnings[0]
+
+
+def test_same_file_twice_with_cache_matches_cache_off(tmp_path, monkeypatch, capsys,
+                                                      caplog):
+    """``a.c ./a.c`` defines every function twice.  Every cache layer
+    keys by function name, so the run skips the cache: cold and warm
+    runs print what the cache-off run prints instead of crashing."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.c").write_text(BUGGY)
+    files = ["a.c", "./a.c"]
+    cache_off_code = main(["check", *files])
+    cache_off = capsys.readouterr().out
+    for _ in range(2):  # cold, then warm
+        code = main(["check", "--cache", "rw", "--cache-dir", "c", *files])
+        assert code == cache_off_code
+        assert capsys.readouterr().out == cache_off
+    assert any("f (a.c, a.c)" in r.getMessage() for r in caplog.records)
 
 
 def test_check_json_stats_per_entry(buggy_file, clean_file, capsys):

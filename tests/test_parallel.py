@@ -193,35 +193,26 @@ def test_entry_order_does_not_change_results():
 # ---------------------------------------------------------------------------
 
 
-def test_worker_init_and_batch_spawn_payload():
-    """The spawn-style worker world (program by bytes, facts seeded, no
-    live objects) explores a batch and returns per-entry-pure outcomes
-    in batch order."""
-    import pickle
-
+def test_worker_world_and_batch():
+    """A worker adopts the parent's world as is, and its batch body
+    explores a batch and returns per-entry-pure outcomes in batch order,
+    equal to the in-process path's."""
     import repro.core.parallel as parallel_mod
-    from repro.core.parallel import _WorkerInit, _init_worker, _run_batch
+    from repro.core.parallel import World, _init_worker, _run_batch
 
     program = compile_program([("budget.c", BUDGET_SOURCE)])
-    collector = InformationCollector(program)
-    facts = {
-        name: (info.may_return_negative, info.may_return_zero)
-        for name, info in collector.functions.items()
-    }
-    init = _WorkerInit(
-        config=AnalysisConfig(),
-        checker_spec="default",
-        program_bytes=pickle.dumps(program),
-        cached_facts=facts,
-        dead_masks={},
-    )
+    world = World(program, AnalysisConfig(), default_checkers())
     try:
-        _init_worker(init)
+        _init_worker(world)
+        assert parallel_mod._WORLD is world
         chunk = _run_batch(["heavy", "light"])
     finally:
         parallel_mod._WORLD = None
     assert [name for name, _ in chunk] == ["heavy", "light"]
     assert [outcome.stats.name for _, outcome in chunk] == ["heavy", "light"]
+    entries = [program.lookup("heavy"), program.lookup("light")]
+    in_process = explore_entries(world.explorer(), entries)
+    assert [o.stats.paths for _, o in chunk] == [o.stats.paths for o in in_process]
 
 
 def test_batches_are_size_sorted_largest_first():
@@ -253,13 +244,13 @@ int mid(int b) {
     assert _make_batches(ordered, 2) == [["big", "mid"], ["tiny"]]
 
 
-def test_resolved_batch_size_auto_and_explicit():
-    config = AnalysisConfig()
+def test_batch_size_auto():
+    from repro.core.parallel import batch_size
+
     # 100 entries, 4 workers, DISPATCH_FACTOR 4 -> ~16 batches of 7
-    assert config.resolved_batch_size(100, 4) == 7
+    assert batch_size(100, 4) == 7
     # tiny entry lists degrade to one entry per batch, never 0
-    assert config.resolved_batch_size(3, 4) == 1
-    assert AnalysisConfig(parallel_batch_size=12).resolved_batch_size(100, 4) == 12
+    assert batch_size(3, 4) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -322,35 +313,55 @@ def test_workers_zero_resolves_to_cpu_count():
 # Fallbacks: never crash, one-line warning, sequential result
 # ---------------------------------------------------------------------------
 
+#: three analyzed entries (two NPDs and a leak) and one the pruning skips
+MULTI_SOURCE = """
+struct s { int v; };
+int f1(struct s *p) { if (!p) { return p->v; } return 0; }
+int f2(struct s *q) { if (!q) { return q->v; } return 1; }
+int f3(int n) { int *p = malloc(8); if (n > 1) return -1; free(p); return 0; }
+int f4(int b) { return b + 2; }
+"""
 
-def test_unpicklable_program_falls_back_to_sequential(monkeypatch, caplog):
-    """Spawn-only platforms ship the program by value; a program that
-    does not pickle must degrade to the sequential path with a warning."""
-    import repro.core.parallel as parallel_mod
 
-    def broken_dumps(obj, *a, **kw):
-        raise TypeError("cannot pickle this program")
+def test_platform_without_fork_falls_back_to_sequential(monkeypatch, caplog):
+    """Where the platform has no fork start method, ``get_context``
+    raises inside the pool set-up: the run warns once and goes
+    sequential, with the sequential reports."""
+    import multiprocessing
 
-    monkeypatch.setattr(parallel_mod, "_fork_available", lambda: False)
-    monkeypatch.setattr(parallel_mod.pickle, "dumps", broken_dumps)
-    program = compile_program([("multi.c", "int f(int a) { return a; }\nint g(int b) { return b; }")])
+    program = compile_program([("multi.c", MULTI_SOURCE)])
+    sequential = PATA(config=AnalysisConfig(workers=1)).analyze(program)
+
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
     with caplog.at_level(logging.WARNING, logger="repro.parallel"):
-        result = PATA(config=AnalysisConfig(workers=2, prune=False)).analyze(program)
+        result = PATA(config=AnalysisConfig(workers=2)).analyze(program)
     assert result.stats.workers_used == 1
-    assert any("falling back to sequential" in r.message for r in caplog.records)
+    warnings = [r for r in caplog.records if "falling back to sequential" in r.message]
+    assert len(warnings) == 1
+    assert "cannot find context" in warnings[0].message
+    assert [r.render() for r in sequential.reports] == [r.render() for r in result.reports]
 
 
-def test_worker_failure_falls_back_to_sequential(caplog):
-    """A worker that raises (here: bogus checker spec, which breaks the
-    pool initializer) must not crash the parent — run_parallel returns
-    None and the caller goes sequential."""
-    from repro.core.parallel import run_parallel
+def test_worker_failure_falls_back_to_sequential(monkeypatch, caplog):
+    """A worker that raises (here: in the pool initializer, which breaks
+    the pool) must not crash the parent — run_parallel returns None and
+    the caller goes sequential."""
+    from repro import heap
+    from repro.core.parallel import World, run_parallel
 
+    def broken_adopt():
+        raise RuntimeError("injected initializer failure")
+
+    # Forked workers inherit the patched module attribute.
+    monkeypatch.setattr(heap, "adopt", broken_adopt)
     program = compile_program([("multi.c", "int f(int a) { return a; }\nint g(int b) { return b; }")])
-    collector = InformationCollector(program)
-    entries = collector.entry_functions()
+    entries = InformationCollector(program).entry_functions()
+    world = World(program, AnalysisConfig(workers=2), default_checkers())
     with caplog.at_level(logging.WARNING, logger="repro.parallel"):
-        outcome = run_parallel(program, AnalysisConfig(workers=2), "bogus-spec", entries, collector)
+        outcome = run_parallel(world, entries)
     assert outcome is None
     assert any("parallel analysis failed" in r.message for r in caplog.records)
 
@@ -370,7 +381,8 @@ def test_mid_run_crash_cancels_queued_batches(tmp_path, monkeypatch, caplog):
     explore), so the parent's cancel latency under a loaded machine
     spans at most a batch or two instead of many near-empty ones.
     """
-    from repro.core.parallel import _CRASH_ENV, _TOUCH_ENV, run_parallel
+    import repro.core.parallel as parallel_mod
+    from repro.core.parallel import _CRASH_ENV, _TOUCH_ENV, World, run_parallel
 
     pieces = []
     for index in range(24):
@@ -396,9 +408,11 @@ def test_mid_run_crash_cancels_queued_batches(tmp_path, monkeypatch, caplog):
     touch_dir.mkdir()
     monkeypatch.setenv(_CRASH_ENV, "crashy")
     monkeypatch.setenv(_TOUCH_ENV, str(touch_dir))
-    config = AnalysisConfig(workers=2, parallel_batch_size=1, prune=False)
+    # One entry per batch: 25 entries over 2 workers x 13 batches each.
+    monkeypatch.setattr(parallel_mod, "DISPATCH_FACTOR", 13)
+    world = World(program, AnalysisConfig(workers=2, prune=False), default_checkers())
     with caplog.at_level(logging.WARNING, logger="repro.parallel"):
-        outcome = run_parallel(program, config, "default", entries, collector)
+        outcome = run_parallel(world, entries)
     assert outcome is None
     assert any("injected test crash" in r.message for r in caplog.records)
     completed = len(list(touch_dir.iterdir()))
@@ -426,17 +440,28 @@ int f3(int a) { int *r = 0; if (a) { return *r; } return 2; }
     assert [r.render() for r in sequential.reports] == [r.render() for r in crashed.reports]
 
 
-def test_custom_checker_objects_fall_back_to_sequential(caplog):
-    from repro.typestate import NullDereferenceChecker
+def test_custom_checker_objects_run_in_workers(caplog):
+    """Forked workers inherit live checker objects, so a custom checker
+    list runs on the pool and matches the in-process run byte for
+    byte."""
+    from repro.typestate import MemoryLeakChecker, NullDereferenceChecker
 
-    program = compile_program([("multi.c", "int f(int a) { return a; }\nint g(int b) { return b; }")])
-    with caplog.at_level(logging.WARNING, logger="repro.parallel"):
-        result = PATA(
-            checkers=[NullDereferenceChecker()],
-            config=AnalysisConfig(workers=2, prune=False),
+    program = compile_program([("multi.c", MULTI_SOURCE)])
+
+    def run(workers):
+        return PATA(
+            checkers=[NullDereferenceChecker(), MemoryLeakChecker()],
+            config=AnalysisConfig(workers=workers),
         ).analyze(program)
-    assert result.stats.workers_used == 1
-    assert any("custom checker" in r.message for r in caplog.records)
+
+    sequential = run(1)
+    with caplog.at_level(logging.WARNING):
+        parallel = run(2)
+    assert not caplog.records
+    assert parallel.stats.workers_used == 2
+    assert sequential.reports
+    assert [r.render() for r in sequential.reports] == [r.render() for r in parallel.reports]
+    assert _stats_fingerprint(sequential.stats) == _stats_fingerprint(parallel.stats)
 
 
 def test_single_entry_program_stays_sequential():
@@ -471,17 +496,23 @@ int e2(struct s *p) { return helper(p); }
     for entry in entries:
         explorer = PathExplorer(program, AnalysisConfig(), default_checkers())
         (outcomes[entry.name],) = explore_entries(explorer, [entry])
+    # explore_entries resets the dedup per entry, so one explorer walking
+    # both entries yields the same per-entry outcomes.
+    walked = explore_entries(
+        PathExplorer(program, AnalysisConfig(), default_checkers()), entries
+    )
+    assert [[b.dedup_key for b in o.bugs] for o in walked] == [
+        [b.dedup_key for b in outcomes[e.name].bugs] for e in entries
+    ]
     stats = AnalysisStats()
     merged, _ = merge_outcomes(entries, outcomes, stats)
 
     # The merge keeps the first (entry-order) copy and books the other as
-    # a repeat — exactly what one shared explorer would have done.
-    explorer = PathExplorer(program, AnalysisConfig(), default_checkers())
-    seq = explore_entries(explorer, entries)
-    seq_stats = AnalysisStats()
-    seq_merged, _ = merge_outcomes(
-        entries, {e.name: o for e, o in zip(entries, seq)}, seq_stats
-    )
-    assert [str(b) for b in merged] == [str(b) for b in seq_merged]
-    assert stats.dropped_repeated_bugs == seq_stats.dropped_repeated_bugs
+    # a repeat — exactly what one shared explorer walking both entries
+    # does.
+    shared = PathExplorer(program, AnalysisConfig(), default_checkers())
+    for entry in entries:
+        shared.explore(entry)
+    assert [str(b) for b in merged] == [str(b) for b in shared.possible_bugs]
+    assert stats.dropped_repeated_bugs == shared.repeated_bugs
     assert stats.dropped_repeated_bugs == 1

@@ -219,6 +219,19 @@ class TestSessionReuse:
              (str(clean_file), clean_file.read_text())])
         assert check_output_text(overlay_result) == disk
 
+    def test_same_file_under_two_names_matches_one_shot(self):
+        """A root spelled one way and an overlay spelled another link the
+        same functions twice.  Every cache layer keys by function name,
+        so the session analyzes such a request with the cache off: it
+        answers like the one-shot run, raises nothing and keeps its
+        module table."""
+        session = Session()
+        session.analyze([("/src/buggy.c", BUGGY)])
+        sources = [("/src/buggy.c", BUGGY), ("buggy.c", BUGGY)]
+        result = session.analyze(sources)
+        assert check_output_text(result) == one_shot_output(sources)
+        assert len(session.modules) == 2
+
     def test_reset_drops_residency(self):
         session = Session()
         session.analyze([("buggy.c", BUGGY)])
@@ -832,6 +845,24 @@ class TestByteIdentity:
                 assert response["exit_code"] == exit_code
         finally:
             drain(server)
+
+    def test_check_json_bugs_equal_daemon_reports(self, tmp_path, buggy_file,
+                                                  clean_file, race_file, capsys):
+        files = [buggy_file, clean_file, race_file]
+        main(["check", "--json", "--checkers", "all,race", *map(str, files)])
+        bugs = json.loads(capsys.readouterr().out)["bugs"]
+        server = start_server(tmp_path, files, checker_spec="all,race")
+        try:
+            response = submit(server, {"op": "check_module"})
+        finally:
+            drain(server)
+        assert len(bugs) >= 2
+        assert response["reports"] == bugs
+        # The daemon's protocol sorts keys; --json keeps the report order.
+        assert [list(bug) for bug in bugs] == [
+            ["kind", "checker", "file", "line", "source_file", "source_line",
+             "message", "entry_function"]
+        ] * len(bugs)
 
     def test_replay_and_cache_tier_match_cli_on_linux(self, tmp_path, capsys):
         """The linux corpus (×0.2, spec ``all``): a cold request, its

@@ -3,9 +3,10 @@
 ``workers=1`` and ``workers=4`` must produce byte-identical reports for
 every form :func:`~repro.typestate.checkers.checkers_from_spec` accepts —
 single names, aliases, and comma lists including the taint checker.
-Workers rebuild their checker sets from the spec string, so any
-instance-level state the rebuild gets wrong (e.g. the taint checker's
-spec-dependent trigger mask) shows up here as a report mismatch.
+Forked workers inherit the checker objects the parent built from the
+spec string, so any instance-level state that does not survive the fork
+or differs per spec (e.g. the taint checker's spec-dependent trigger
+mask) shows up here as a report mismatch.
 """
 
 import pytest

@@ -3,7 +3,7 @@
 The firmlab corpus is the acceptance harness: every injected
 cross-module flow must be found with zero bait hits, and the reports
 must be byte-identical across the alias-tier ladder, worker counts,
-start methods, and cold/warm summary caches — P2.6 adds a post-merge
+and cold/warm summary caches — P2.6 adds a post-merge
 phase, so any ordering leak in summaries or matching shows up here as
 a render mismatch.
 """
@@ -160,7 +160,7 @@ def test_taint_naive_cross_tier_contrast(firm_corpus, firm_program):
 
 
 # ---------------------------------------------------------------------------
-# Determinism: tier ladder × workers × start method × cache temperature
+# Determinism: tier ladder × workers × cache temperature
 # ---------------------------------------------------------------------------
 
 
@@ -178,16 +178,6 @@ def test_reports_identical_across_tiers_and_workers(
     ).analyze(firm_program)
     assert parallel.stats.workers_used > 1
     assert _render(parallel) == baseline
-
-
-@pytest.mark.slow
-def test_reports_identical_under_spawn(firm_program, firm_result):
-    spawned = PATA(
-        checker_spec="xtaint",
-        config=AnalysisConfig(workers=2, parallel_start_method="spawn"),
-    ).analyze(firm_program)
-    assert spawned.stats.workers_used == 2
-    assert _render(spawned) == _render(firm_result)
 
 
 def test_reports_identical_cold_vs_warm_summary_cache(
