@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print a per-entry-function stats table")
     check.add_argument("--stats-json", metavar="FILE", default=None,
                        help="write the full stats counters (plus per-entry rows) "
-                            "as JSON to FILE ('-' = stdout)")
+                            "as JSON to FILE ('-' = stdout, except with --json)")
     check.add_argument("--cache-dir", metavar="PATH", default=None,
                        help="incremental-cache directory (created on first "
                             "--cache rw run); reports are byte-identical with "
@@ -260,6 +260,10 @@ def cmd_check(args) -> int:
         return 2
     if args.all_checkers and args.checkers:
         print("error: --all-checkers and --checkers are mutually exclusive", file=sys.stderr)
+        return 2
+    if args.json and args.stats_json == "-":
+        print("error: --json and --stats-json - would both write to stdout; "
+              "give --stats-json a FILE", file=sys.stderr)
         return 2
     sources = []
     for name in args.files:

@@ -187,19 +187,15 @@ class PATA:
         # and its proven singletons; the explorer, the trace translators,
         # and (through `sharpen_shared` above) the relevance masks all
         # consume it, each provably report-preserving — `--alias-tier
-        # off` reproduces today's behaviour byte for byte.  The partition
-        # is cached per module closure, so warm runs skip the pass.
+        # off` reproduces today's behaviour byte for byte.  Every run
+        # builds it: it depends on every function, so no cache key
+        # could survive an edit.
         partition = None
         if self.config.alias_tier_level() >= 1 and self.config.alias_aware:
             phase_started = time.monotonic()
-            if incr is not None:
-                partition = incr.load("partition")
-            if partition is None:
-                from ..pointsto.steensgaard import build_partition
+            from ..pointsto.steensgaard import build_partition
 
-                partition = build_partition(program)
-                if incr is not None:
-                    incr.stage("partition", partition)
+            partition = build_partition(program)
             stats.singletons_proven = len(partition.singletons)
             stats.alias_cells = partition.cell_count
             stats.time_unify_seconds = time.monotonic() - phase_started
@@ -207,26 +203,21 @@ class PATA:
         # P1.8: flow-sensitive must-alias facts.  On top of the P1.7
         # partition (whose cells bucket the value-flow graph's store→load
         # matching), the flow tier derives must-point-to singletons and
-        # strong-update-killed definitions, folded into one picklable
-        # MustAliasFacts object.  The explorer resolves a per-entry skip
-        # set from it (closure occurrences minus disqualifications — a
-        # strict superset of the whole-program singletons), the trace
+        # strong-update-killed definitions, folded into one MustAliasFacts
+        # object.  The explorer resolves a per-entry skip set from it
+        # (closure occurrences minus disqualifications — a strict
+        # superset of the whole-program singletons), the trace
         # translators reuse that set per bug entry, and the presolve's
-        # taint sharpening above rides the same tier gate.  Cached per
-        # module closure like the partition.
+        # taint sharpening above rides the same tier gate.  Built every
+        # run, like the partition.
         flow_facts = None
         if partition is not None and self.config.alias_tier_level() >= 2:
             phase_started = time.monotonic()
-            if incr is not None:
-                flow_facts = incr.load("flowfacts")
-            if flow_facts is None:
-                from ..pointsto.flow_tier import compute_flow_facts
+            from ..pointsto.flow_tier import compute_flow_facts
 
-                flow_facts = compute_flow_facts(
-                    program, partition, self.config.resolve_function_pointers
-                )
-                if incr is not None:
-                    incr.stage("flowfacts", flow_facts)
+            flow_facts = compute_flow_facts(
+                program, partition, self.config.resolve_function_pointers
+            )
             stats.must_singletons = flow_facts.must_singletons
             stats.strong_updates = flow_facts.strong_updates
             stats.time_flow_seconds = time.monotonic() - phase_started
@@ -311,23 +302,15 @@ class PATA:
         stats.time_match_seconds = time.monotonic() - phase_started
         # P2.6: cross-module taint matching.  Flows only exist when the
         # xtaint checker is registered.  Per-module interface summaries
-        # condense the merged flows (replayed from their cache layer on
-        # warm runs — keyed on the module closure, so any edit misses);
-        # the fixpoint matcher stitches export-in-module-A to
-        # sink-in-module-B, and every pair re-discharges in P3 with both
-        # path conditions conjoined.
+        # condense the merged flows (cached entries' flows included, so
+        # a warm run condenses the same list); the fixpoint matcher
+        # stitches export-in-module-A to sink-in-module-B, and every
+        # pair re-discharges in P3 with both path conditions conjoined.
         phase_started = time.monotonic()
         if taint_flows:
-            from ..xtaint import all_flows, build_summaries, match_cross_module
+            from ..xtaint import build_summaries, match_cross_module
 
-            summaries = incr.load("xsummary") if incr is not None else None
-            if summaries is not None:
-                stats.summaries_cached = len(summaries)
-                taint_flows = all_flows(summaries)
-            else:
-                summaries = build_summaries(taint_flows, partition=partition)
-                if incr is not None:
-                    incr.stage("xsummary", summaries)
+            summaries = build_summaries(taint_flows, partition=partition)
             xtaint_bugs = match_cross_module(summaries)
             stats.taint_flows_recorded = len(taint_flows)
             stats.xtaint_pairs_matched = len(xtaint_bugs)

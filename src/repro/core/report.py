@@ -136,14 +136,15 @@ class AnalysisStats:
     #: P1.7 tiered alias analysis (zero with ``--alias-tier off``):
     #: SSA values proven singleton — never aliased, so tracked without
     #: per-path graph nodes — the partition's may-alias cell count, and
-    #: the unification pass's wall clock (cache hits make it ~0)
+    #: the unification pass's wall clock (every run pays it, cache or
+    #: not)
     singletons_proven: int = 0
     alias_cells: int = 0
     time_unify_seconds: float = 0.0
     #: P1.8 flow-sensitive tier (zero below ``--alias-tier flow``):
     #: names proven must-singleton at every reachable point of some
     #: function, strong-update kills applied over the value-flow graph,
-    #: and the flow pass's wall clock (cache hits make it ~0)
+    #: and the flow pass's wall clock (every run pays it, cache or not)
     must_singletons: int = 0
     strong_updates: int = 0
     time_flow_seconds: float = 0.0
@@ -158,11 +159,9 @@ class AnalysisStats:
     race_pairs_matched: int = 0
     #: P2.6 cross-module taint (zero unless the ``xtaint`` checker is in
     #: the spec): distinct export/import/relay half-flows recorded,
-    #: cross-module pairs sent to stage 2, module summaries replayed
-    #: from the cache layer (0 on a cold run), and the phase wall clock
+    #: cross-module pairs sent to stage 2, and the phase wall clock
     taint_flows_recorded: int = 0
     xtaint_pairs_matched: int = 0
-    summaries_cached: int = 0
     time_xmatch_seconds: float = 0.0
     #: incremental cache (zero unless ``--cache`` is active): object
     #: store hits/misses across all layers, objects (or whole packs)

@@ -16,9 +16,9 @@ The subsystem splits into four modules:
   :func:`compile_with_cache` is the frontend (layer-0) cache.
 
 Cache layers (one row each in :data:`.engine.LAYERS`): compiled
-modules, P1 collector facts, P1.5 relevance masks, per-entry P2
-outcomes, the P1.7 partition, P1.8 must-alias facts, and P2.6 module
-summaries.
+modules, P1 collector facts, P1.5 relevance masks and per-entry P2
+outcomes.  Whole-program products (the P1.7 partition, P1.8 must-alias
+facts, P2.6 module summaries) are rebuilt every run.
 Corruption, version skew, and stale coordinates all degrade to warned
 misses — a cache can make a run faster, never wrong.
 """

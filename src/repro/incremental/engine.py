@@ -76,14 +76,6 @@ def _outcome_records(outcome):
     return outcome.bugs, outcome.accesses
 
 
-def _summary_records(summaries):
-    from ..xtaint import all_flows
-
-    # Flows are rehydrated in place, so the summaries referencing them
-    # heal too.
-    return (), all_flows(summaries)
-
-
 @lru_cache(maxsize=None)
 def _resolve(path: str) -> type:
     module, _, name = path.partition(":")
@@ -96,16 +88,11 @@ class Layer:
 
     #: key tag, also the layer's name in :data:`LAYERS`
     tag: str
-    #: what one object covers: ``"source"`` (one file's text),
-    #: ``"function"`` / ``"entry"`` (one function's transitive key), or
-    #: ``"closure"`` (every transitive key — any edit anywhere misses)
-    scope: str
-    #: context fingerprints folded into the key on top of the scope's
+    #: context fingerprints folded into the key on top of the object's
+    #: own parts
     folds: Tuple[str, ...]
     #: ``"module:Class"`` of the payload, imported on first use
     payload: str
-    #: for dict payloads, ``"module:Class"`` of every value
-    items: Optional[str] = None
     #: ``(bugs, accesses)`` of a payload that carries outcome coordinates
     records: Optional[Callable] = None
 
@@ -113,27 +100,22 @@ class Layer:
         return CacheStore.object_key(self.tag, *parts)
 
     def accepts(self, value) -> bool:
-        if not isinstance(value, _resolve(self.payload)):
-            return False
-        return self.items is None or all(
-            isinstance(item, _resolve(self.items)) for item in value.values()
-        )
+        return isinstance(value, _resolve(self.payload))
 
 
-#: Every cache layer.  Each key also folds the engine and cache-format
-#: versions (see :meth:`~.store.CacheStore.object_key`).
+#: Every cache layer.  A module is keyed by its filename and source
+#: digest, every other object by one function's name and transitive
+#: key; each key also folds the engine and cache-format versions (see
+#: :meth:`~.store.CacheStore.object_key`).  No layer holds a product
+#: of the whole program (the P1.7 partition, the P1.8 flow facts, the
+#: P2.6 module summaries): its key would fold every function, so any
+#: edit anywhere would miss it.  Each run rebuilds those.
 LAYERS: Dict[str, Layer] = {row.tag: row for row in (
-    Layer("module", "source", (), "repro.incremental.engine:CompiledModule"),
-    Layer("facts", "function", (), "repro.incremental.engine:ReturnFacts"),
-    Layer("mask", "entry", ("spec_fp", "presolve_fp"),
-          "repro.incremental.engine:RelevanceMask"),
-    Layer("outcome", "entry", ("spec_fp", "engine_fp"),
-          "repro.core.parallel:EntryOutcome", records=_outcome_records),
-    Layer("partition", "closure", (), "repro.pointsto.steensgaard:MayAliasPartition"),
-    Layer("flowfacts", "closure", ("resolve_fp",),
-          "repro.pointsto.flow_tier:MustAliasFacts"),
-    Layer("xsummary", "closure", ("spec_fp", "engine_fp"), "builtins:dict",
-          items="repro.xtaint.summary:ModuleSummary", records=_summary_records),
+    Layer("module", (), "repro.incremental.engine:CompiledModule"),
+    Layer("facts", (), "repro.incremental.engine:ReturnFacts"),
+    Layer("mask", ("spec_fp", "presolve_fp"), "repro.incremental.engine:RelevanceMask"),
+    Layer("outcome", ("spec_fp", "engine_fp"), "repro.core.parallel:EntryOutcome",
+          records=_outcome_records),
 )}
 
 
@@ -205,31 +187,21 @@ class IncrementalContext:
         self.spec_fp = spec_fingerprint(checker_spec)
         self.engine_fp = engine_config_fingerprint(config)
         self.presolve_fp = presolve_config_fingerprint(config)
-        #: indirect-call resolution changes the flow facts' embedded
-        #: callgraph and disqualification rules
-        self.resolve_fp = repr(config.resolve_function_pointers)
         self.index = CoordIndex(program)
-        #: sorted "name=transitive-key" pairs — the closure-scope stamp
-        self._closure_pairs = sorted(
-            f"{name}={self.keys.key(name)}" for name in self.keys.fingerprints
-        )
 
     # -- the generic layer path -----------------------------------------------
 
-    def _key(self, row: Layer, name: Optional[str]) -> str:
+    def _key(self, row: Layer, name: str) -> str:
         folds = [getattr(self, fp) for fp in row.folds]
-        if row.scope == "closure":
-            return row.key(*folds, *self._closure_pairs)
         return row.key(*folds, name, self.keys.key(name))
 
-    def load(self, layer: str, name: Optional[str] = None):
-        """Layer ``layer``'s payload for ``name`` (closure layers take
-        none), rehydrated onto the current program, or ``None`` on a
-        miss."""
+    def load(self, layer: str, name: str):
+        """Layer ``layer``'s payload for ``name``, rehydrated onto the
+        current program, or ``None`` on a miss."""
         row = LAYERS[layer]
         return _fetch(self.store, row, self._key(row, name), self.index)
 
-    def stage(self, layer: str, value, name: Optional[str] = None) -> None:
+    def stage(self, layer: str, value, name: str) -> None:
         """Stage ``value`` for the next commit (``put`` skips keys staged
         or on disk, so warm runs write nothing)."""
         if self.store.mode != "rw":

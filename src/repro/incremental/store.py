@@ -64,8 +64,9 @@ log = logging.getLogger("repro.incremental")
 #: masks; 4: P2.6 xtaint module-summary layer + TaintFlow records in
 #: cached outcomes' access lists; 5: typed payloads from the engine's
 #: layer table, no facts or plan bundles; 6: one pack file per commit
-#: instead of one file per object)
-CACHE_FORMAT = 6
+#: instead of one file per object; 7: no partition, flow-facts or
+#: module-summary layers)
+CACHE_FORMAT = 7
 #: most packs a commit may leave behind; past it the commit merges
 PACK_LIMIT = 8
 PACK_DIR = "packs"

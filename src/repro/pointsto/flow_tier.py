@@ -16,11 +16,10 @@ SVF), it derives *must* facts —
   cells can never alias — the presolve sharpening consumes this to
   disarm checkers whose trigger can provably never reach a sink.
 
-Everything is folded into one picklable :class:`MustAliasFacts` object
-that forked workers inherit next to the partition and that is cached as
-an incremental layer keyed on the module closure.  Consumers only ever
-*skip predictable work* with these facts, so reports stay byte-identical
-across the whole ``off``/``steens``/``flow`` ladder.
+Everything is folded into one :class:`MustAliasFacts` object that each
+run builds and forked workers inherit next to the partition.  Consumers
+only ever *skip predictable work* with these facts, so reports stay
+byte-identical across the whole ``off``/``steens``/``flow`` ladder.
 
 The skip sets are computed from an exact per-occurrence walk: the alias
 graph has no node-merge operation — every mutation moves one named
@@ -96,7 +95,7 @@ class _PartitionBase:
 
 
 class MustAliasFacts:
-    """Picklable P1.8 output: per-function occurrence/disqualification
+    """The P1.8 output: per-function occurrence/disqualification
     sets, the embedded callgraph needed to resolve entry closures without
     a presolve (warm cache runs never build one), and the flow-pass
     accounting (must singletons, strong updates, killed definitions in
@@ -145,7 +144,7 @@ class MustAliasFacts:
         self.must_singletons = must_singletons
         self.strong_updates = strong_updates
         #: (function, pointer, ordinal) — uid-free, stable across module
-        #: renumbering, so cached facts compare equal to fresh ones
+        #: renumbering, so two solves of one program compare equal
         self.killed_defs = killed_defs
         self._closure_memo: Dict[str, FrozenSet[str]] = {}
         self._skip_memo: Dict[FrozenSet[str], FrozenSet[str]] = {}
@@ -202,7 +201,7 @@ class MustAliasFacts:
     # -- identity ---------------------------------------------------------------
 
     def stamp(self) -> str:
-        """Content hash — diagnostics and cache-layer integrity."""
+        """Content hash, for diagnostics and for comparing two solves."""
         h = hashlib.sha256()
         for func in sorted(self.occurs):
             h.update(func.encode() + b"{")
@@ -220,14 +219,6 @@ class MustAliasFacts:
         for kill in self.killed_defs:
             h.update(repr(kill).encode())
         return h.hexdigest()
-
-    def __reduce__(self):
-        return (
-            MustAliasFacts,
-            (self.occurs, self.disq, self.callees, self.indirect, self.pool,
-             self.resolve_fp, self.base_singletons, self.must_singletons,
-             self.strong_updates, self.killed_defs),
-        )
 
 
 # -- the exact-occurrence walk --------------------------------------------------

@@ -113,9 +113,8 @@ class UnionFind:
 
 
 class MayAliasPartition:
-    """The solved partition: plain picklable data, inherited by forked
-    workers and cached as an incremental layer keyed by the
-    module-closure fingerprint.
+    """The solved partition: plain data, built once per run in the
+    parent and inherited by forked workers.
 
     ``cell_ids`` assigns each variable name a dense, deterministic cell
     id (first-seen order over a canonical program walk), so equal
@@ -161,8 +160,8 @@ class MayAliasPartition:
         return name in self.singletons
 
     def stamp(self) -> str:
-        """Content hash of the partition — surfaced in diagnostics and
-        usable as a cache-layer integrity check."""
+        """Content hash of the partition, for diagnostics and for
+        comparing two solves."""
         h = hashlib.sha256()
         for name in sorted(self.cell_ids):
             h.update(f"{name}={self.cell_ids[name]};".encode())
@@ -173,13 +172,6 @@ class MayAliasPartition:
         for name in sorted(self.shared_reaching):
             h.update(name.encode() + b";")
         return h.hexdigest()
-
-    def __reduce__(self):
-        return (
-            MayAliasPartition,
-            (self.cell_ids, self.singletons, self.singletons_by_function,
-             self.cell_count, self.shared_reaching),
-        )
 
 
 class SteensgaardPointsTo:
@@ -614,7 +606,7 @@ class SteensgaardPointsTo:
         return marked
 
     def partition(self) -> MayAliasPartition:
-        """Finalize into the picklable :class:`MayAliasPartition`."""
+        """Finalize into a :class:`MayAliasPartition`."""
         if not self.solved:
             self.solve()
         marked = self._component_marks()

@@ -10,9 +10,8 @@ of that resident:
   per filename, and reused in place while the file is unchanged;
 * :class:`~.store.ResidentStore` — an in-memory object store speaking
   the :class:`~repro.incremental.store.CacheStore` surface, so every
-  other cache layer (P1 facts, relevance masks, the P1.7 partition,
-  P1.8 flow facts, P2 outcomes, P2.6 summaries) stays in RAM across
-  requests;
+  other cache layer (P1 facts, relevance masks, P2 outcomes) stays in
+  RAM across requests;
 * :class:`~.session.Session` — ``PATA.analyze`` refactored into a
   reusable object owning one module table and one resident store:
   repeated ``analyze()`` calls are warm-cache runs with byte-identical

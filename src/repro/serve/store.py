@@ -9,8 +9,8 @@ A resident session keeps its cache in two places:
   every request cost 0.08 s of a 0.50 s traced one-file diff, and the
   next request's full collection took 0.19 s, against 0.07 s without
   those copies to free.
-* :class:`ResidentStore` holds layers a–x (facts, masks, partition,
-  flow facts, outcomes, xtaint summaries) as pickled blobs.  It speaks
+* :class:`ResidentStore` holds layers a–c (P1 facts, P1.5 masks, P2
+  outcomes) as pickled blobs, a few KB per edited entry.  It speaks
   the same surface as :class:`repro.incremental.store.CacheStore` —
   ``get``/``put``/``contains``/``reject``/``commit``, the ``mode``
   attribute, and the ``hits``/``misses``/``corrupt`` counters — but
@@ -18,7 +18,7 @@ A resident session keeps its cache in two places:
 
 The two layers differ in what an analysis does to them.  Rehydration
 (:func:`repro.incremental.coords.rehydrate_records`) mutates a fetched
-a–x payload in place to point at the current program, so every ``get``
+outcome in place to point at the current program, so every ``get``
 must hand out a *fresh* unpickled copy, as the disk store does;
 returning the live object would let one request's rehydration corrupt
 the copy the next request reads.  A module is mutated in exactly three

@@ -1,13 +1,13 @@
-"""Per-module interface summaries — the pickled unit of phase P2.6.
+"""Per-module interface summaries — the unit of phase P2.6.
 
 A :class:`ModuleSummary` condenses everything one module (one source
 file, one firmware image) contributes to cross-module taint: the shared
 keys its entries *export* taint into, the keys whose values reach its
 *sinks* (imports), and the keys it *relays* into other keys.  The
-summary is plain picklable data built from the merged per-entry flow
-records, so it caches as an incremental layer keyed on the module
-closure and replays across processes (the instructions inside rehydrate
-through :mod:`repro.incremental.coords` like any other outcome).
+summary is plain data built from the merged per-entry flow records
+every run; the records themselves cache per entry inside each
+``EntryOutcome``, so a warm run condenses the same flows a cold one
+does.
 
 When the Steensgaard partition is available (``--alias-tier`` above
 ``off``) each summary also counts how many of its exported roots the
@@ -82,14 +82,3 @@ def build_summaries(
                 1 for root in roots if _root_confirmed(root, partition))
         summaries[module] = summary
     return summaries
-
-
-def all_flows(summaries: Dict[str, ModuleSummary]) -> List[TaintFlow]:
-    """Flatten summaries back to a flow list (cache replay path)."""
-    flows: List[TaintFlow] = []
-    for module in sorted(summaries):
-        summary = summaries[module]
-        flows.extend(summary.exports)
-        flows.extend(summary.imports)
-        flows.extend(summary.relays)
-    return flows

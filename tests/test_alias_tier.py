@@ -109,8 +109,8 @@ def test_tier_ladder_byte_identical_across_workers(mixed_program, tier, workers)
 
 @pytest.mark.parametrize("tier", ["steens", "flow"])
 def test_tier_reports_identical_parallel_vs_sequential(mixed_program, tier):
-    """Partition and flow facts ride to workers fork- or pickle-shipped;
-    either way the parallel run must match the sequential one."""
+    """Forked workers inherit the partition and flow facts; the
+    parallel run must match the sequential one."""
     sequential = _run(mixed_program, tier=tier, workers=1)
     parallel = _run(mixed_program, tier=tier, workers=4)
     assert parallel.stats.workers_used > 1
@@ -161,9 +161,8 @@ def test_tier_ladder_byte_identical_cold_and_warm(tmp_path):
         assert _render(warm[tier]) == baseline
         # Warm runs replayed from the cache rather than re-exploring.
         assert any(row.cached for row in warm[tier].stats.per_entry)
-    # The warm flow run replays its facts from the cache layer: the P1.8
-    # phase is a hit, so its wall clock collapses while the engagement
-    # figures survive (they ride inside the pickled facts).
+    # The warm flow run rebuilds its facts (no cache layer holds them),
+    # so the engagement figures equal the cold run's.
     assert warm["flow"].stats.must_singletons == cold["flow"].stats.must_singletons
     assert warm["flow"].stats.strong_updates == cold["flow"].stats.strong_updates
 

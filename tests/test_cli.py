@@ -180,6 +180,36 @@ def test_check_json_stats_per_entry(buggy_file, clean_file, capsys):
     assert entries == {"f", "g"}
 
 
+def test_check_json_with_stats_json_stdout_is_a_usage_error(buggy_file, capsys):
+    """Both documents on stdout would not parse as one: rejected before
+    any analysis, with nothing on stdout."""
+    code = main(["check", "--json", "--stats-json", "-", str(buggy_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--stats-json" in captured.err
+
+
+def test_check_json_with_stats_json_file(tmp_path, buggy_file, capsys):
+    stats_path = tmp_path / "stats.json"
+    code = main(["check", "--json", "--stats-json", str(stats_path), str(buggy_file)])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    stats = json.loads(stats_path.read_text())
+    assert payload["bugs"][0]["kind"] == "NPD"
+    assert stats["entry_functions"] == payload["stats"]["entries"] == 1
+
+
+def test_check_stats_json_stdout_with_plain_output(buggy_file, capsys):
+    code = main(["check", "--stats-json", "-", str(buggy_file)])
+    out = capsys.readouterr().out
+    assert code == 1
+    start = out.index("{")
+    stats, end = json.JSONDecoder().raw_decode(out, start)
+    assert stats["entry_functions"] == 1
+    assert "NULL-POINTER DEREFERENCE" in out[end:]
+
+
 def test_corpus_stats(capsys):
     code = main(["corpus", "--os", "tencentos", "--scale", "0.3", "--stats"])
     out = capsys.readouterr().out

@@ -13,13 +13,10 @@ Three layers of evidence:
 * **Andersen-coarsening cross-check** — on every corpus profile, the
   strong-update states must refine (never leave) the Andersen sets, so
   every Andersen must-not-alias verdict survives at every program point;
-* **unit pins** — kill coordinates are deterministic, facts pickle
-  without dragging memos along, skip sets are strict supersets of the
-  P1.7 singleton fast path, and the taint reachability oracle answers
-  the hand-built positive/negative cases.
+* **unit pins** — kill coordinates are deterministic, skip sets are
+  strict supersets of the P1.7 singleton fast path, and the taint
+  reachability oracle answers the hand-built positive/negative cases.
 """
-
-import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -356,18 +353,6 @@ def test_skip_names_superset_of_base_singletons():
     assert "entry_b.b" in facts.skip_names_for_entry("entry_b")
     # entry_a's pointer flows into a call binding: never skippable
     assert "entry_a.p" not in facts.skip_names_for_entry("entry_a")
-
-
-def test_facts_pickle_round_trip():
-    _, _, facts = _facts_fixture()
-    facts.skip_names_for_entry("entry_a")  # populate memos
-    clone = pickle.loads(pickle.dumps(facts))
-    assert clone.stamp() == facts.stamp()
-    assert clone._skip_memo == {}  # memos rebuild empty, not shipped
-    assert clone.skip_names_for_entry("entry_a") == facts.skip_names_for_entry("entry_a")
-    assert clone.closure_of("entry_b") == facts.closure_of("entry_b")
-    assert clone.must_singletons == facts.must_singletons
-    assert clone.killed_defs == facts.killed_defs
 
 
 def test_globals_never_in_skip_sets():

@@ -45,6 +45,7 @@ from repro.incremental.store import (
     DIGEST_BYTES,
     PACK_DIR,
     PACK_LIMIT,
+    PACK_SUFFIX,
     checksummed,
     pack_paths,
     pack_records,
@@ -227,28 +228,43 @@ def test_store_version_skew_warns_and_misses(tmp_path, caplog):
     assert any("written by engine" in r.message for r in caplog.records)
 
 
+def _pre_bump_key(*parts):
+    """An object key as the previous cache format derived it."""
+    import hashlib
+
+    from repro import __version__
+
+    h = hashlib.sha256()
+    for part in (f"format={CACHE_FORMAT - 1}", f"engine={__version__}", *parts):
+        h.update(part.encode())
+        h.update(b"\x00")
+    return h.digest()
+
+
 def test_store_pre_bump_format_heals_on_commit(tmp_path, caplog):
     """Regression for the CACHE_FORMAT bumps (1 -> 2: partition layer;
     2 -> 3: P1.8 flow-facts layer + taint-sharpened relevance masks;
     3 -> 4: P2.6 xtaint summary layer + TaintFlow records in cached
     outcomes; 4 -> 5: typed layer-table payloads, bundles dropped;
-    5 -> 6: one pack file per commit): a directory stamped with the
+    5 -> 6: one pack file per commit; 6 -> 7: partition, flow-facts and
+    module-summary layers dropped): a directory stamped with the
     pre-bump format must read as all-misses, stay usable, and be
     re-stamped with the current format by the next commit — no manual
     cache wipe needed."""
-    assert CACHE_FORMAT == 6  # update the pre-bump fixture when bumping again
-    # A pre-bump cache in the legacy one-file-per-object layout: old
-    # header stamp plus an object under a key only the old derivation
-    # could have produced.
-    stale_dir = tmp_path / "objects" / "ab"
-    stale_dir.mkdir(parents=True)
-    (stale_dir / ("ab" * 32 + ".bin")).write_bytes(b"pre-bump payload")
+    assert CACHE_FORMAT == 7  # update the pre-bump fixture when bumping again
+    # A format-6 cache: its header stamp plus a pack holding a partition
+    # object under the key only the format-6 derivation could produce.
+    stale = _pre_bump_key("partition", "a=1")
+    (tmp_path / PACK_DIR).mkdir()
+    with open(tmp_path / PACK_DIR / f"{1:020d}-stale{PACK_SUFFIX}", "wb") as out:
+        write_pack(out, [(stale, checksummed(stale, pickle.dumps("pre-bump")))], 1)
     (tmp_path / "meta.json").write_text(
         json.dumps({"format": CACHE_FORMAT - 1, "engine": "0.9.0"}))
 
     with caplog.at_level(logging.WARNING, logger="repro.incremental"):
         store = CacheStore(str(tmp_path), "rw")
     assert any("written by engine" in r.message for r in caplog.records)
+    assert store.get(stale.hex()) == "pre-bump"  # the pack itself is sound
 
     # Current-format keys miss (the format participates in key
     # derivation, so pre-bump objects are unreachable, never misread)...
@@ -266,19 +282,21 @@ def test_store_pre_bump_format_heals_on_commit(tmp_path, caplog):
     assert again.get(key) == {"healed": True}
 
 
-def test_engine_heals_pre_bump_cache_directory(tmp_path):
-    """End to end: analyzing over a pre-bump cache directory (the legacy
-    one-file-per-object layout) matches the uncached run byte for byte,
+def test_engine_heals_pre_bump_cache_directory(tmp_path, monkeypatch):
+    """End to end: analyzing over a format-6 cache directory, populated
+    by a full run, matches the uncached run byte for byte with no hit,
     re-stamps the header, and leaves a warm cache behind."""
+    import repro.incremental.store as store_module
+
     baseline = _analyze(_sources())
-    stale_dir = tmp_path / "objects" / "de"
-    stale_dir.mkdir(parents=True)
-    (stale_dir / ("de" + "ad" * 31 + ".bin")).write_bytes(b"pre-bump payload")
-    (tmp_path / "meta.json").write_text(
-        json.dumps({"format": CACHE_FORMAT - 1, "engine": "0.9.0"}))
+    with monkeypatch.context() as patch:
+        patch.setattr(store_module, "CACHE_FORMAT", CACHE_FORMAT - 1)
+        _analyze(_sources(), cache_dir=str(tmp_path), cache_mode="rw")
+    assert json.loads((tmp_path / "meta.json").read_text())["format"] == CACHE_FORMAT - 1
 
     healed = _analyze(_sources(), cache_dir=str(tmp_path), cache_mode="rw")
     assert _report_text(healed) == _report_text(baseline)
+    assert healed.stats.cache_hits == 0
     assert json.loads((tmp_path / "meta.json").read_text())["format"] == CACHE_FORMAT
 
     warm = _analyze(_sources(), cache_dir=str(tmp_path), cache_mode="rw")
@@ -448,87 +466,88 @@ def test_layer_shape_surprise_degrades_to_rebuild(tmp_path, tag):
 
 
 # ---------------------------------------------------------------------------
-# Layer f: the P1.8 must-alias-facts cache (the CACHE_FORMAT 2 -> 3 layer)
+# Whole-program products (P1.7 partition, P1.8 flow facts, P2.6 module
+# summaries) are rebuilt every run, never cached
 # ---------------------------------------------------------------------------
 
 
-def test_flow_facts_layer_hits_on_warm_run(tmp_path, monkeypatch):
-    """A warm run at the flow tier replays the facts from the cache: the
-    P1.8 pass never executes, yet the engagement figures survive (they
-    ride inside the pickled :class:`MustAliasFacts`)."""
-    cache_dir = str(tmp_path)
-    cold = _analyze(_sources(), cache_dir=cache_dir, cache_mode="rw")
-    assert cold.stats.must_singletons > 0
-
-    import repro.pointsto.flow_tier as flow_tier
-
-    def explode(*args, **kwargs):
-        raise AssertionError("flow facts recomputed on a warm run")
-
-    monkeypatch.setattr(flow_tier, "compute_flow_facts", explode)
-    warm = _analyze(_sources(), cache_dir=cache_dir, cache_mode="rw")
-    assert _report_text(warm) == _report_text(cold)
-    assert warm.stats.must_singletons == cold.stats.must_singletons
-    assert warm.stats.strong_updates == cold.stats.strong_updates
-
-
-def test_flow_facts_invalidated_by_module_edit(tmp_path, monkeypatch):
-    """The facts are keyed on the module closure: editing any module
-    misses the layer and recomputes — never replays stale facts."""
+def test_flow_facts_invalidated_by_module_edit(tmp_path):
+    """An edited tree over a warm cache reports what a cache-off run of
+    the edited tree reports: nothing whole-program replays."""
     cache_dir = str(tmp_path)
     _analyze(_sources(HELPER_V1), cache_dir=cache_dir, cache_mode="rw")
-
-    import repro.pointsto.flow_tier as flow_tier
-
-    calls = []
-    real = flow_tier.compute_flow_facts
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(flow_tier, "compute_flow_facts", counting)
     edited = _analyze(_sources(HELPER_V2), cache_dir=cache_dir, cache_mode="rw")
-    assert calls  # the edit forced a fresh flow pass
     baseline = _analyze(_sources(HELPER_V2))
     assert _report_text(edited) == _report_text(baseline)
+    assert edited.stats.must_singletons == baseline.stats.must_singletons
 
 
-def test_flow_facts_key_distinguishes_fp_resolution(tmp_path, monkeypatch):
-    """``resolve_function_pointers`` changes closure shapes inside the
-    facts, so it participates in the layer key: flipping it never
-    replays the other mode's facts."""
+def test_flow_facts_key_distinguishes_fp_resolution(tmp_path):
+    """Flipping ``resolve_function_pointers`` over one cache directory
+    reports what a cache-off run in the new mode reports."""
     cache_dir = str(tmp_path)
     _analyze(_sources(), cache_dir=cache_dir, cache_mode="rw")
-
-    import repro.pointsto.flow_tier as flow_tier
-
-    calls = []
-    real = flow_tier.compute_flow_facts
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(flow_tier, "compute_flow_facts", counting)
     resolved = _analyze(_sources(), cache_dir=cache_dir, cache_mode="rw",
                         resolve_function_pointers=True)
-    assert calls  # different key -> fresh facts
     baseline = _analyze(_sources(), resolve_function_pointers=True)
     assert _report_text(resolved) == _report_text(baseline)
 
 
-def test_steens_tier_stages_no_flow_facts(tmp_path):
-    """Below the flow tier the layer must not exist: a steens-tier run
-    commits no :class:`MustAliasFacts` object."""
+@pytest.mark.parametrize("spec", ["default", "default,xtaint"])
+def test_no_run_commits_a_whole_program_payload(tmp_path, spec):
+    """At every alias tier, cold and warm, no run commits a partition,
+    flow facts or module summaries: each would fold every function into
+    its key, so an edit anywhere would strand it."""
     from repro.pointsto.flow_tier import MustAliasFacts
+    from repro.pointsto.steensgaard import MayAliasPartition
+    from repro.xtaint import ModuleSummary
 
-    cache_dir = str(tmp_path)
-    _analyze(_sources(), cache_dir=cache_dir, cache_mode="rw", alias_tier="steens")
-    records = [record for path in pack_paths(cache_dir) for _, record in pack_records(path)]
-    assert records
-    for record in records:
-        assert not isinstance(_payload(record), MustAliasFacts)
+    forbidden = (MayAliasPartition, MustAliasFacts, ModuleSummary)
+    sources = _sources() + [("w.c", XT_WRITER), ("r.c", XT_READER)]
+    for tier in ("off", "steens", "flow"):
+        cache_dir = str(tmp_path / tier)
+        for _ in range(2):
+            result = _analyze(sources, cache_dir=cache_dir, cache_mode="rw",
+                              spec=spec, alias_tier=tier)
+        if "xtaint" in spec:
+            assert result.stats.taint_flows_recorded > 0  # P2.6 engaged
+        records = [record for path in pack_paths(cache_dir)
+                   for _, record in pack_records(path)]
+        assert records
+        for record in records:
+            payload = _payload(record)
+            if isinstance(payload, Located):
+                payload = payload.value
+            values = payload.values() if isinstance(payload, dict) else (payload,)
+            assert not any(isinstance(value, forbidden) for value in values), tier
+
+
+def test_cli_one_file_edit_adds_kilobytes_to_the_cache(tmp_path, capsys):
+    """A ``--cache rw`` one-file edit of a small linux tree writes the
+    edited module and its new entry's facts, mask and outcome: tens of
+    KB, not a fresh copy of anything whole-program."""
+    corpus = generate(PROFILES_BY_NAME["linux"].scaled(0.2))
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    paths = _write_sources(tree, [(name.replace("/", "__"), text)
+                                  for name, text in corpus.compiled_sources()])
+    cache = tmp_path / "cache"
+    args = ["check", "--all-checkers", "--cache", "rw", "--cache-dir", str(cache), *paths]
+
+    def cache_bytes():
+        return sum(f.stat().st_size for f in cache.rglob("*") if f.is_file())
+
+    cli_main(args)
+    capsys.readouterr()
+    populated = cache_bytes()
+    with open(paths[0], "a") as handle:
+        handle.write("\nint grow_leak(int n) { int *p = malloc(8); "
+                     "if (n > 2) return -1; free(p); return 0; }\n")
+    code = cli_main(args)
+    warm = capsys.readouterr().out
+    assert cache_bytes() - populated <= 64 * 1024
+    assert cli_main(["check", "--all-checkers", *paths]) == code
+    assert warm == capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

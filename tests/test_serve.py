@@ -407,6 +407,24 @@ class TestResidentStore:
         assert occ["staged"] == 0
         assert occ["bytes"] > 0
 
+    def test_one_file_diffs_grow_the_store_by_kilobytes(self):
+        """Five one-file diffs, each adding a leak to another file of a
+        small linux tree: the store grows by the new entries' facts,
+        masks and outcomes only — no whole-program object per diff —
+        and every diff prints what a one-shot run prints."""
+        sources = generate(LINUX.scaled(0.2)).compiled_sources()
+        session = Session(checker_spec="all")
+        session.analyze(sources)
+        before = session.store.occupancy()["bytes"]
+        for number in range(5):
+            name, text = sources[number]
+            sources[number] = (name, text + leak(f"grow_{number}"))
+            result = session.analyze(sources)
+            assert check_output_text(result) == one_shot_output(sources, "all"), number
+            after = session.store.occupancy()["bytes"]
+            assert after - before <= 16 * 1024, (number, after - before)
+            before = after
+
 
 # -- protocol ----------------------------------------------------------------
 
@@ -732,8 +750,10 @@ class TestDaemon:
             stuck = server.session
 
             def stall(paths, overlay=None):
+                # The daemon discards whatever the abandoned thread
+                # returns, so it returns without analyzing: an analysis
+                # here would compete with the recovery request below.
                 release.wait(30)
-                return Session().analyze_paths(paths, overlay)
 
             stuck.analyze_paths = stall
             response = submit(server, {"op": "check_module"})
@@ -743,6 +763,8 @@ class TestDaemon:
             assert server.requests_timed_out == 1
             assert server.sessions_reset == 1
             assert server.session is not stuck
+            # The fresh session's cold run is not what this test times.
+            server.request_timeout = 30
             recovered = submit(server, {"op": "check_module"})
             assert recovered["ok"] and recovered["exit_code"] == 1
         finally:

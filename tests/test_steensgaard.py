@@ -14,8 +14,6 @@ Three layers, mirroring the module's structure:
   theorem — unification over-merges by design.)
 """
 
-import pickle
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +21,6 @@ from repro.corpus import ALL_PROFILES, generate
 from repro.lang import compile_program
 from repro.pointsto import (
     AndersenPointsTo,
-    MayAliasPartition,
     SteensgaardPointsTo,
     UnionFind,
     build_partition,
@@ -300,21 +297,6 @@ def test_partition_stamp_tracks_content():
     a = build_partition(compile_program([("t.c", "void f(void) { int a = 1; }")]))
     b = build_partition(compile_program([("t.c", "void f(void) { int a = 1; int *p = &a; }")]))
     assert a.stamp() != b.stamp()
-
-
-def test_partition_pickle_roundtrip():
-    program, _ = _solved(
-        "int g;\nvoid f(void) { char *p = malloc(8); char *q = p; int a = 1; }"
-    )
-    part = build_partition(program)
-    clone = pickle.loads(pickle.dumps(part))
-    assert isinstance(clone, MayAliasPartition)
-    assert clone.cell_ids == part.cell_ids
-    assert clone.singletons == part.singletons
-    assert clone.singletons_by_function == part.singletons_by_function
-    assert clone.cell_count == part.cell_count
-    assert clone.shared_reaching == part.shared_reaching
-    assert clone.may_alias("f.p", "f.q")
 
 
 # -- coarsening contract vs Andersen -----------------------------------------
