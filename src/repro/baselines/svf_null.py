@@ -15,12 +15,11 @@ Table 8 fall out:
 
 Shares the points-to memory budget (OOM on the Linux-profile corpus).
 
-Since P1.8 the flow-sensitive pass itself lives in the engine
-(:class:`repro.pointsto.flow_sensitive.FlowSensitivePointsTo`) and this
-baseline consumes it in its default *legacy* mode — ``strong_updates``
-off — which is byte-for-byte the dataflow this module used to own.  The
-engine's strong-update mode is opt-in and never taken here, so baseline
-findings are pinned regardless of ``--alias-tier``.
+The flow-sensitive points-to pass is
+:class:`repro.pointsto.flow_sensitive.FlowSensitivePointsTo`: top-level
+strong updates, weak memory.  This baseline is its only client and the
+PATA engine never runs it, so baseline findings are pinned regardless
+of ``--alias-tier``.
 """
 
 from __future__ import annotations

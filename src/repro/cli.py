@@ -18,7 +18,7 @@ import argparse
 import json
 import pathlib
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from . import PATA, AnalysisConfig, __version__
 from .errors import LexError, ParseError, SemaError
@@ -40,6 +40,43 @@ _EVAL_TARGETS = {
     "table8": "table8_comparison",
     "fig11": "fig11_distribution",
 }
+
+
+class _UsageError(Exception):
+    """A bad input or option: :func:`main` prints the message as one
+    ``error:`` line and exits 2."""
+
+
+def _read_sources(names: Sequence[str]) -> List[Tuple[str, str]]:
+    """``(path, text)`` for each named source file, in order.  Any file
+    that cannot be read as text raises :class:`_UsageError` naming it."""
+    sources = []
+    for name in names:
+        path = pathlib.Path(name)
+        try:
+            text = path.read_text()
+        except FileNotFoundError:
+            raise _UsageError(f"no such file: {name}") from None
+        except IsADirectoryError:
+            raise _UsageError(f"{name} is a directory, not a source file") from None
+        except UnicodeDecodeError as exc:
+            raise _UsageError(
+                f"{name} is not {exc.encoding} text ({exc.reason} at byte {exc.start})"
+            ) from None
+        except OSError as exc:
+            raise _UsageError(f"cannot read {name}: {exc.strerror}") from None
+        sources.append((str(path), text))
+    return sources
+
+
+def _check_counts(workers: int, max_paths: Optional[int] = None) -> None:
+    """Reject a ``--workers`` below 0 and a ``--max-paths`` below 1."""
+    if workers < 0:
+        raise _UsageError(
+            f"--workers must be 0 (one per CPU) or a positive count, got {workers}"
+        )
+    if max_paths is not None and max_paths < 1:
+        raise _UsageError(f"--max-paths must be at least 1, got {max_paths}")
 
 
 class _ProfileNames:
@@ -97,9 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="alias precision tier: off (per-path graphs only), "
                             "steens (P1.7 whole-program Steensgaard pre-pass "
                             "and its singleton fast paths), flow (additionally "
-                            "the P1.8 flow-sensitive pass with strong updates); "
-                            "reports are byte-identical across tiers "
-                            "(default: flow)")
+                            "the P1.8 per-entry skip sets); reports are "
+                            "byte-identical across tiers (default: flow)")
     check.add_argument("--taint-borders", action="store_true",
                        help="xtaint border-source inference: treat interface "
                             "parameters of registered functions with no extern "
@@ -265,13 +301,8 @@ def cmd_check(args) -> int:
         print("error: --json and --stats-json - would both write to stdout; "
               "give --stats-json a FILE", file=sys.stderr)
         return 2
-    sources = []
-    for name in args.files:
-        path = pathlib.Path(name)
-        if not path.exists():
-            print(f"error: no such file: {name}", file=sys.stderr)
-            return 2
-        sources.append((str(path), path.read_text()))
+    _check_counts(args.workers, args.max_paths)
+    sources = _read_sources(args.files)
     if args.cache != "off" and not args.cache_dir:
         print("error: --cache ro/rw requires --cache-dir PATH", file=sys.stderr)
         return 2
@@ -340,7 +371,12 @@ def cmd_check(args) -> int:
         if args.stats_json == "-":
             print(stats_text)
         else:
-            pathlib.Path(args.stats_json).write_text(stats_text + "\n")
+            try:
+                pathlib.Path(args.stats_json).write_text(stats_text + "\n")
+            except OSError as exc:
+                raise _UsageError(
+                    f"cannot write --stats-json {args.stats_json}: {exc.strerror}"
+                ) from None
 
     if args.json:
         bugs = []
@@ -415,10 +451,8 @@ def cmd_serve(args) -> int:
 
     from .serve import PataServer
 
-    for name in args.files:
-        if not pathlib.Path(name).exists():
-            print(f"error: no such file: {name}", file=sys.stderr)
-            return 2
+    _check_counts(args.workers, args.max_paths)
+    _read_sources(args.files)
     if args.all_checkers and args.checkers:
         print("error: --all-checkers and --checkers are mutually exclusive",
               file=sys.stderr)
@@ -465,14 +499,7 @@ def cmd_submit(args) -> int:
         if not args.files:
             print("error: check_diff requires at least one file", file=sys.stderr)
             return 2
-        overlay = {}
-        for name in args.files:
-            path = pathlib.Path(name)
-            if not path.exists():
-                print(f"error: no such file: {name}", file=sys.stderr)
-                return 2
-            overlay[str(path)] = path.read_text()
-        payload["overlay"] = overlay
+        payload["overlay"] = dict(_read_sources(args.files))
     try:
         with ServeClient(socket_path=args.socket, host=args.host,
                          port=args.port, timeout=args.timeout) as client:
@@ -496,13 +523,9 @@ def cmd_lint(args) -> int:
     from .lang.sema import check_source
 
     total = 0
-    for name in args.files:
-        path = pathlib.Path(name)
-        if not path.exists():
-            print(f"error: no such file: {name}", file=sys.stderr)
-            return 2
+    for path, text in _read_sources(args.files):
         try:
-            diagnostics = check_source(path.read_text(), str(path))
+            diagnostics = check_source(text, path)
         except _SOURCE_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -552,6 +575,7 @@ def cmd_eval(args) -> int:
     """``eval``: regenerate paper tables/figures (or a markdown report)."""
     from . import evaluation
 
+    _check_counts(args.workers)
     harness = evaluation.EvaluationHarness(scale=args.scale,
                                            config=AnalysisConfig(workers=args.workers))
     if args.markdown is not None and args.target == "all":
@@ -615,6 +639,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Output piped into `head`/a closed pager: exit quietly, as
         # well-behaved CLI tools do.

@@ -53,10 +53,10 @@ class AnalysisConfig:
     #: three sound consumers: the per-path singleton fast path, trace
     #: translation over partition cells, and shared-access sharpening of
     #: the relevance masks), or ``"flow"`` (additionally the P1.8
-    #: flow-sensitive pass with strong updates: per-entry-closure skip
-    #: sets, strong-update symbol resolution in trace translation, and
-    #: taint-source sharpening).  Reports are byte-identical across all
-    #: tiers; only speed changes.
+    #: occurrence walk: per-entry-closure skip sets for the per-path
+    #: graph and for trace translation, each a superset of the P1.7
+    #: singletons).  Reports are byte-identical across all tiers; only
+    #: speed changes.
     alias_tier: str = "flow"
     #: run the checker-relevance pre-analysis (P1.5) and its two sound
     #: pruning layers: skip entry functions whose transitive region holds

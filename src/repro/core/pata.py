@@ -175,7 +175,6 @@ class PATA:
                 ),
                 resolve_function_pointers=self.config.resolve_function_pointers,
                 sharpen_shared=self.config.alias_tier_level() >= 1,
-                sharpen_taint=self.config.alias_tier_level() >= 2,
             )
             analyzed_list, live_skipped = relevance.partition_entries(analyzed_list)
             skipped_names.extend(live_skipped)
@@ -200,16 +199,13 @@ class PATA:
             stats.alias_cells = partition.cell_count
             stats.time_unify_seconds = time.monotonic() - phase_started
 
-        # P1.8: flow-sensitive must-alias facts.  On top of the P1.7
-        # partition (whose cells bucket the value-flow graph's store→load
-        # matching), the flow tier derives must-point-to singletons and
-        # strong-update-killed definitions, folded into one MustAliasFacts
-        # object.  The explorer resolves a per-entry skip set from it
-        # (closure occurrences minus disqualifications — a strict
-        # superset of the whole-program singletons), the trace
-        # translators reuse that set per bug entry, and the presolve's
-        # taint sharpening above rides the same tier gate.  Built every
-        # run, like the partition.
+        # P1.8: per-entry skip sets.  One walk records, per function,
+        # the names its instructions mention and the names they put
+        # through a state-dependent alias-graph operation; the explorer
+        # resolves a per-entry skip set from it (closure occurrences
+        # minus disqualifications, plus the P1.7 singletons that occur)
+        # and the trace translators reuse that set per bug entry.  Built
+        # every run, like the partition.
         flow_facts = None
         if partition is not None and self.config.alias_tier_level() >= 2:
             phase_started = time.monotonic()
@@ -218,8 +214,6 @@ class PATA:
             flow_facts = compute_flow_facts(
                 program, partition, self.config.resolve_function_pointers
             )
-            stats.must_singletons = flow_facts.must_singletons
-            stats.strong_updates = flow_facts.strong_updates
             stats.time_flow_seconds = time.monotonic() - phase_started
 
         # P2: explore every entry against one world — the program, the

@@ -141,12 +141,8 @@ class AnalysisStats:
     singletons_proven: int = 0
     alias_cells: int = 0
     time_unify_seconds: float = 0.0
-    #: P1.8 flow-sensitive tier (zero below ``--alias-tier flow``):
-    #: names proven must-singleton at every reachable point of some
-    #: function, strong-update kills applied over the value-flow graph,
-    #: and the flow pass's wall clock (every run pays it, cache or not)
-    must_singletons: int = 0
-    strong_updates: int = 0
+    #: P1.8 per-entry skip sets (zero below ``--alias-tier flow``): the
+    #: occurrence walk's wall clock (every run pays it, cache or not)
     time_flow_seconds: float = 0.0
     #: worker processes that performed P2 (1 = in-process sequential)
     workers_used: int = 1

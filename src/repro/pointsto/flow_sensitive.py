@@ -4,48 +4,19 @@ A classical sparse flow-sensitive analysis is approximated here by a
 per-block forward dataflow over each function: the points-to base
 provides the global may-point-to universe; the dataflow strengthens
 top-level variables with *kill* information (a strong update at ``p = q``
-replaces p's set in that block's out-state).  Joins union — that is the
+replaces p's set in that block's out-state), while memory stays weak —
+loads read the flow-insensitive universe.  Joins union — that is the
 "intersection/union at joint points" imprecision the paper contrasts
-path-based aliasing against (§2.2, C1).
-
-Two modes share this class:
-
-* the default (``strong_updates=False``) is the historical behavior the
-  ``svf_null`` baseline is pinned to: top-level strengthening only,
-  memory always weak;
-* ``strong_updates=True`` is the P1.8 engine tier: the dataflow also
-  tracks an abstract heap per block and performs *strong updates*
-  through pointers whose points-to set is a must singleton naming a
-  unique location — an ``("g", name)`` address-of object or an
-  entry-block ``alloca``, both one concrete cell per frame; malloc-site
-  and loop-allocated objects summarize many cells, are never tracked in
-  the abstract heap, and only ever update weakly.  Loads through
-  must-singleton pointers to tracked cells resolve to the strongly
-  updated definition instead of the flow-insensitive universe, and every
-  killed definition is recorded in process-independent
-  ``(function, pointer, ordinal)`` coordinates.
+path-based aliasing against (§2.2, C1).  The ``svf_null`` baseline is
+its one client.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Set, Tuple
 
 from ..cfg import predecessors, reverse_postorder
-from ..ir import (
-    AddrOf,
-    Alloc,
-    Call,
-    CallIndirect,
-    Function,
-    Gep,
-    Load,
-    Malloc,
-    MemSet,
-    Move,
-    Program,
-    Store,
-    Var,
-)
+from ..ir import AddrOf, Alloc, Function, Gep, Load, Malloc, Move, Var
 from .andersen import AndersenPointsTo, Obj
 
 _EMPTY: FrozenSet[Obj] = frozenset()
@@ -58,25 +29,13 @@ class FlowSensitivePointsTo:
     ``solve()`` — :class:`AndersenPointsTo` or any conservative stand-in.
     """
 
-    def __init__(self, base: AndersenPointsTo, strong_updates: bool = False):
+    def __init__(self, base: AndersenPointsTo):
         if not base.solved:
             base.solve()
         self.base = base
-        self.strong_updates = strong_updates
         #: (function name, block uid, var name) -> frozenset of objects
         self._block_out: Dict[Tuple[str, int, str], FrozenSet[Obj]] = {}
-        #: strong-update mode: (function name, block uid) -> abstract heap
-        self._heap_out: Dict[Tuple[str, int], Dict[Obj, FrozenSet[Obj]]] = {}
         self._analyzed: Set[str] = set()
-        #: strong updates performed (deterministic: counted on one final
-        #: in-order pass over the converged states, not during fixpoint)
-        self.strong_updates_applied = 0
-        #: killed definitions in process-independent coordinates:
-        #: (function name, pointer name, per-function kill ordinal)
-        self.killed_defs: List[Tuple[str, str, int]] = []
-        #: per-function names whose tracked points-to set is a singleton
-        #: at every block where the dataflow pins it down
-        self._must_singletons: Dict[str, FrozenSet[str]] = {}
 
     # -- driver -----------------------------------------------------------------
 
@@ -86,88 +45,29 @@ class FlowSensitivePointsTo:
         self._analyzed.add(func.name)
         order = reverse_postorder(func)
         preds = predecessors(func)
-        strong = self.strong_updates
-        addr_taken = self._address_taken(func) if strong else frozenset()
-        once = self._once_cells(func) if strong else frozenset()
         states: Dict[int, Dict[str, FrozenSet[Obj]]] = {}
-        heaps: Dict[int, Dict[Obj, FrozenSet[Obj]]] = {}
         for _ in range(8):  # small fixpoint bound; CFGs are reducible
             changed = False
             for block in order:
                 in_state: Dict[str, FrozenSet[Obj]] = {}
-                in_heap: Dict[Obj, FrozenSet[Obj]] = {}
                 for pred in preds[block]:
                     for name, objs in states.get(pred.uid, {}).items():
                         in_state[name] = in_state.get(name, _EMPTY) | objs
-                    if strong:
-                        for obj, objs in heaps.get(pred.uid, {}).items():
-                            in_heap[obj] = in_heap.get(obj, _EMPTY) | objs
                 out_state = dict(in_state)
-                out_heap = dict(in_heap) if strong else None
                 for inst in block.instructions:
-                    self._transfer(inst, out_state, out_heap, addr_taken, once)
+                    self._transfer(inst, out_state)
                 if states.get(block.uid) != out_state:
                     states[block.uid] = out_state
-                    changed = True
-                if strong and heaps.get(block.uid) != out_heap:
-                    heaps[block.uid] = out_heap
                     changed = True
             if not changed:
                 break
         for block_uid, state in states.items():
             for name, objs in state.items():
                 self._block_out[(func.name, block_uid, name)] = objs
-        if strong:
-            for block_uid, heap in heaps.items():
-                self._heap_out[(func.name, block_uid)] = heap
-            self._record_kills(func, order, preds, states, heaps, addr_taken, once)
-            self._record_must_singletons(func, states)
-
-    @staticmethod
-    def _address_taken(func: Function) -> FrozenSet[str]:
-        """Names whose address escapes into memory within ``func`` — a
-        call may write them, so their tracked sets die at call sites
-        (globals always count: any callee can store to them)."""
-        names: Set[str] = set()
-        for block in func.blocks:
-            for inst in block.instructions:
-                if isinstance(inst, AddrOf):
-                    names.add(inst.var.name)
-        return frozenset(names)
-
-    @staticmethod
-    def _once_cells(func: Function) -> FrozenSet[Obj]:
-        """Abstract objects of entry-block allocas: the entry block
-        executes exactly once per frame, so each such object names one
-        concrete cell and is eligible for strong updates — unlike loop
-        allocas and malloc sites, which summarize many cells."""
-        if not func.blocks:
-            return frozenset()
-        return frozenset(
-            ("o", inst.uid)
-            for inst in func.blocks[0].instructions
-            if isinstance(inst, Alloc)
-        )
-
-    @staticmethod
-    def _tracked(obj: Obj, once: FrozenSet[Obj]) -> bool:
-        """Whether the abstract heap may hold an exact fact for ``obj``
-        — only single-concrete-cell objects qualify; everything else is
-        a summary whose heap entry could miss uninitialized reads."""
-        return obj[0] == "g" or obj in once
 
     # -- transfer ---------------------------------------------------------------
 
-    def _transfer(
-        self,
-        inst,
-        state: Dict[str, FrozenSet[Obj]],
-        heap: Optional[Dict[Obj, FrozenSet[Obj]]],
-        addr_taken: FrozenSet[str],
-        once: FrozenSet[Obj] = frozenset(),
-        kills: Optional[List[str]] = None,
-    ) -> None:
-        strong = heap is not None
+    def _transfer(self, inst, state: Dict[str, FrozenSet[Obj]]) -> None:
         if isinstance(inst, (Malloc, Alloc)):
             state[inst.dst.name] = frozenset({("o", inst.uid)})
         elif isinstance(inst, AddrOf):
@@ -175,115 +75,15 @@ class FlowSensitivePointsTo:
         elif isinstance(inst, Move):
             if isinstance(inst.src, Var):
                 state[inst.dst.name] = state.get(inst.src.name, self.base.points_to(inst.src.name))
-            elif strong:
-                # Constant (incl. NULL) assignment: the pointer provably
-                # refers to no tracked object.  The legacy mode leaves
-                # the stale set in place — pinned baseline behavior.
-                state[inst.dst.name] = _EMPTY
         elif isinstance(inst, Gep):
             base = state.get(inst.base.name, self.base.points_to(inst.base.name))
             state[inst.dst.name] = frozenset(("f", o, inst.field) for o in base)
         elif isinstance(inst, Load):
-            if strong:
-                ptr = state.get(inst.ptr.name, self.base.points_to(inst.ptr.name))
-                if len(ptr) == 1:
-                    (obj,) = ptr
-                    resolved = heap.get(obj) if self._tracked(obj, once) else None
-                    if resolved is not None:
-                        # The load sees exactly the strong-update-proven
-                        # definition of the one cell the pointer names.
-                        state[inst.dst.name] = resolved
-                        return
             # Memory reads fall back to the flow-insensitive universe.
             state[inst.dst.name] = self.base.points_to(inst.dst.name)
-        elif isinstance(inst, Store):
-            if strong:
-                ptr = state.get(inst.ptr.name, self.base.points_to(inst.ptr.name))
-                value = (
-                    state.get(inst.src.name, self.base.points_to(inst.src.name))
-                    if isinstance(inst.src, Var)
-                    else _EMPTY
-                )
-                if len(ptr) == 1 and self._tracked(next(iter(ptr)), once):
-                    # Must singleton naming one concrete cell: strong
-                    # update — the old definition is dead on this path.
-                    (obj,) = ptr
-                    if kills is not None and obj in heap:
-                        kills.append(inst.ptr.name)
-                    heap[obj] = value
-                else:
-                    # Weak: only tracked cells keep heap entries — a
-                    # summary cell's entry would under-approximate (it
-                    # can never include "uninitialized").
-                    for obj in ptr:
-                        if self._tracked(obj, once):
-                            heap[obj] = heap.get(obj, _EMPTY) | value
-            # weak update of memory: base universe already covers it
-        elif strong:
-            if isinstance(inst, (Call, CallIndirect)):
-                # The callee may write any escaped cell: drop every heap
-                # fact and the tracked sets of address-taken / global
-                # top-level names (their value may have been re-pointed).
-                heap.clear()
-                for name in list(state):
-                    if name in addr_taken or name.startswith("@"):
-                        del state[name]
-                if inst.dst is not None:
-                    state.pop(inst.dst.name, None)
-            elif isinstance(inst, MemSet):
-                ptr = state.get(inst.ptr.name, self.base.points_to(inst.ptr.name))
-                for obj in ptr:
-                    heap.pop(obj, None)
-            else:
-                # Any other defining instruction invalidates its
-                # destination (BinOp/UnOp/DeclLocal results are not
-                # pointers we track, but a stale set would be unsound).
-                dst = getattr(inst, "dst", None) or getattr(inst, "var", None)
-                if isinstance(dst, Var):
-                    state.pop(dst.name, None)
-
-    # -- post-fixpoint accounting ----------------------------------------------
-
-    def _record_kills(self, func, order, preds, states, heaps, addr_taken, once) -> None:
-        """One deterministic in-order replay over the converged states,
-        recording each strong-update kill as (function, pointer, ordinal)
-        — stable across processes and module renumbering."""
-        ordinal = 0
-        for block in order:
-            in_state: Dict[str, FrozenSet[Obj]] = {}
-            in_heap: Dict[Obj, FrozenSet[Obj]] = {}
-            for pred in preds[block]:
-                for name, objs in states.get(pred.uid, {}).items():
-                    in_state[name] = in_state.get(name, _EMPTY) | objs
-                for obj, objs in heaps.get(pred.uid, {}).items():
-                    in_heap[obj] = in_heap.get(obj, _EMPTY) | objs
-            kills: List[str] = []
-            for inst in block.instructions:
-                self._transfer(inst, in_state, in_heap, addr_taken, once, kills=kills)
-            for ptr_name in kills:
-                self.killed_defs.append((func.name, ptr_name, ordinal))
-                ordinal += 1
-        self.strong_updates_applied += ordinal
-
-    def _record_must_singletons(self, func, states) -> None:
-        singleton: Set[str] = set()
-        plural: Set[str] = set()
-        for state in states.values():
-            for name, objs in state.items():
-                if len(objs) == 1:
-                    singleton.add(name)
-                else:
-                    plural.add(name)
-        self._must_singletons[func.name] = frozenset(singleton - plural)
+        # Stores update memory weakly: the base universe already covers them.
 
     # -- queries ----------------------------------------------------------------
-
-    def must_singleton_names(self, func: Function) -> FrozenSet[str]:
-        """Names whose points-to set is a must singleton at every block
-        of ``func`` where the dataflow pins it down (strong-update mode
-        only; empty otherwise)."""
-        self.analyze_function(func)
-        return self._must_singletons.get(func.name, frozenset())
 
     def points_to_at(self, func: Function, block_uid: int, var_name: str) -> FrozenSet[Obj]:
         self.analyze_function(func)

@@ -121,20 +121,17 @@ class MayAliasPartition:
     programs always produce byte-equal partitions.
     """
 
-    __slots__ = ("cell_ids", "singletons", "singletons_by_function",
-                 "cell_count", "shared_reaching")
+    __slots__ = ("cell_ids", "singletons", "cell_count", "shared_reaching")
 
     def __init__(
         self,
         cell_ids: Dict[str, int],
         singletons: FrozenSet[str],
-        singletons_by_function: Dict[str, Tuple[str, ...]],
         cell_count: int,
         shared_reaching: FrozenSet[str],
     ):
         self.cell_ids = cell_ids
         self.singletons = singletons
-        self.singletons_by_function = singletons_by_function
         self.cell_count = cell_count
         #: names whose cell can reach (through any chain of field/deref
         #: edges, in either direction) a shared root — a global or a heap
@@ -143,9 +140,6 @@ class MayAliasPartition:
         self.shared_reaching = shared_reaching
 
     # -- queries ---------------------------------------------------------------
-
-    def cell_of(self, name: str) -> Optional[int]:
-        return self.cell_ids.get(name)
 
     def may_alias(self, a: str, b: str) -> bool:
         """Over-approximate "may ever alias": same cell, ever.  Names the
@@ -613,7 +607,6 @@ class SteensgaardPointsTo:
         dense: Dict[int, int] = {}
         cell_ids: Dict[str, int] = {}
         singletons: Set[str] = set()
-        by_function: Dict[str, List[str]] = {}
         shared_names: List[str] = []
         find = self._uf.find
         ids = self._ids
@@ -649,14 +642,12 @@ class SteensgaardPointsTo:
             cell_ids[name] = cell
             if root in singleton_roots:
                 singletons.add(name)
-                by_function.setdefault(_function_of(name), []).append(name)
             if root in marked:
                 shared_names.append(name)
         shared = frozenset(shared_names)
         return MayAliasPartition(
             cell_ids=cell_ids,
             singletons=frozenset(singletons),
-            singletons_by_function={fn: tuple(names) for fn, names in by_function.items()},
             cell_count=len(dense),
             shared_reaching=shared,
         )
@@ -682,15 +673,6 @@ _GEN_DISPATCH = {
     DeclLocal: SteensgaardPointsTo._gen_decl_local,
     Free: SteensgaardPointsTo._gen_free,
 }
-
-
-def _function_of(name: str) -> str:
-    """Owning function of a program-unique variable name (``func.v``,
-    ``%func.tN``, ``@g`` — globals group under ``"@"``)."""
-    if name.startswith("@"):
-        return "@"
-    base = name[1:] if name.startswith("%") else name
-    return base.split(".", 1)[0]
 
 
 def build_partition(program: Program) -> MayAliasPartition:

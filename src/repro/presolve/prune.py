@@ -25,6 +25,12 @@ A checker that does not declare its event kinds (``trigger_events`` or
 ``sink_events`` left empty, e.g. a user-supplied custom checker) makes
 both layers shut off: the pre-analysis cannot reason about what such a
 checker reacts to, so it conservatively deems everything relevant.
+
+**Sharpening.**  At alias tier ``steens`` and above, one mask bit is
+sharpened before the arming test: SHARED_ACCESS counts only for
+accesses whose pointer can reach a shared root in the entry closure's
+own Steensgaard solve (``sharpen_shared``).  On the taint lab it skips
+more entries and explores fewer paths than the unsharpened masks.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from .summary import EventSummaryIndex
 
 _EMPTY: FrozenSet[int] = frozenset()
 _SHARED = EventKind.SHARED_ACCESS.value
-_TAINT = EventKind.TAINT_SOURCE.value
 
 
 class RelevancePreAnalysis:
@@ -57,7 +62,6 @@ class RelevancePreAnalysis:
         scan_ctx: Optional[ScanContext] = None,
         resolve_function_pointers: bool = False,
         sharpen_shared: bool = False,
-        sharpen_taint: bool = False,
     ):
         self.program = program
         self.checkers = list(checkers)
@@ -74,13 +78,6 @@ class RelevancePreAnalysis:
         #: mask stays a pure function of the entry's transitive closure,
         #: which is exactly what the incremental mask cache keys on.
         self.sharpen_shared = sharpen_shared
-        #: P1.8 sharpening: clear TAINT_SOURCE from an entry's region
-        #: when the closure-local must-not-alias solve proves no taint
-        #: source can flow to any taint sink there (see
-        #: :func:`repro.pointsto.flow_tier.taint_flow_possible`).  Same
-        #: purity contract as ``sharpen_shared``: solved per entry
-        #: closure, never from whole-program state.
-        self.sharpen_taint = sharpen_taint
         #: pruning is sound only when every enabled checker declares its
         #: trigger and sink kinds; one undeclared checker disables both layers
         self.supported = bool(self.checkers) and all(
@@ -111,20 +108,10 @@ class RelevancePreAnalysis:
             for _, trigger, sink in self._checker_masks
             if (trigger | sink) & _SHARED
         ]
-        #: (trigger, sink) masks of checkers whose arming can hinge on
-        #: the TAINT_SOURCE bit — empty (no taint-style checker with
-        #: hint-covered sources) short-circuits the sharpening entirely
-        self._taint_sensitive = [
-            (trigger, sink)
-            for _, trigger, sink in self._checker_masks
-            if (trigger | sink) & _TAINT
-        ]
         self._dead_blocks: Dict[str, FrozenSet[int]] = {}
         self._closures: Dict[str, FrozenSet[str]] = {}
         self._shared_by_closure: Dict[FrozenSet[str], FrozenSet[str]] = {}
         self._shared_by_entry: Dict[str, FrozenSet[str]] = {}
-        self._taint_by_closure: Dict[FrozenSet[str], bool] = {}
-        self._taint_by_entry: Dict[str, bool] = {}
         self._function_index: Optional[Dict[str, Function]] = None
         self._armed: Dict[str, List] = {}
         self._armed_names: Dict[str, FrozenSet[str]] = {}
@@ -198,24 +185,6 @@ class RelevancePreAnalysis:
             self._shared_by_entry[entry.name] = shared
         return shared.__contains__
 
-    def _taint_possible(self, entry: Function) -> bool:
-        """Whether any taint source can reach any taint sink within
-        ``entry``'s closure — memoized per entry name and per closure
-        like :meth:`_reaches_shared`, and a pure function of the closure
-        contents (the cached-mask contract)."""
-        possible = self._taint_by_entry.get(entry.name)
-        if possible is None:
-            closure = self._entry_closure(entry)
-            possible = self._taint_by_closure.get(closure)
-            if possible is None:
-                from ..pointsto.flow_tier import taint_flow_possible
-
-                functions = self._closure_functions(closure)
-                possible = taint_flow_possible(self.program, functions, self._function_index)
-                self._taint_by_closure[closure] = possible
-            self._taint_by_entry[entry.name] = possible
-        return possible
-
     # -- entry pruning -------------------------------------------------------
 
     def armed_checkers(self, entry: Function) -> List:
@@ -244,19 +213,6 @@ class RelevancePreAnalysis:
                 region = self.index.region_events_mask(
                     entry.name, self._reaches_shared(entry)
                 )
-        if self.sharpen_taint and self._taint_sensitive and (region & _TAINT):
-            without = region & ~_TAINT
-            depends = any(
-                (region & trigger)
-                and (region & sink)
-                and not ((without & trigger) and (without & sink))
-                for trigger, sink in self._taint_sensitive
-            )
-            if depends and not self._taint_possible(entry):
-                # Must-not-alias proof: no source value can ever reach a
-                # sink in this closure, so the taint checker cannot
-                # report here — disarming it is report-preserving.
-                region = without
         armed = [
             c
             for c, trigger, sink in self._checker_masks

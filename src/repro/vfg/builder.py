@@ -1,20 +1,20 @@
 """Value-flow graph construction (the Saber/SVF regime, §8.1).
 
 Nodes are variable definitions; edges follow direct def-use chains
-(copies, loads/stores matched through Andersen points-to, calls/returns).
-Source-sink clients (:mod:`repro.vfg.reachability`) query which
-definitions a malloc'd value can reach.
+(copies, loads/stores matched pairwise through Andersen points-to,
+calls/returns).  Source-sink clients (:mod:`repro.vfg.reachability`,
+the saber-like baseline) query which definitions a malloc'd value can
+reach; the PATA engine itself builds no value-flow graph.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..ir import (
     Call,
     Free,
-    Function,
     Load,
     Malloc,
     Move,
@@ -41,15 +41,11 @@ class ValueFlowGraph:
         self.edges: Dict[str, Set[str]] = defaultdict(set)
         self.malloc_sites: List[Malloc] = []
         self.free_sites: List[Free] = []
-        #: functions owning either endpoint of a matched store→load pair
-        #: — the memory-flow-relevant subset a sparse client (the P1.8
-        #: flow tier) restricts its per-function dataflow to
-        self.memory_functions: Set[str] = set()
         self._build()
 
     def _build(self) -> None:
-        stores: List[Tuple[Store, str]] = []
-        loads: List[Tuple[Load, str]] = []
+        stores: List[Store] = []
+        loads: List[Load] = []
         returns: Dict[str, Set[str]] = defaultdict(set)
         for func in self.program.functions():
             for block in func.blocks:
@@ -57,11 +53,11 @@ class ValueFlowGraph:
                     if isinstance(inst, Move) and isinstance(inst.src, Var):
                         self.edges[inst.src.name].add(inst.dst.name)
                     elif isinstance(inst, Store):
-                        # const-src stores carry no value edge but are
-                        # still memory defs for relevance matching
-                        stores.append((inst, func.name))
+                        # const-src stores carry no value edge
+                        if isinstance(inst.src, Var):
+                            stores.append(inst)
                     elif isinstance(inst, Load):
-                        loads.append((inst, func.name))
+                        loads.append(inst)
                     elif isinstance(inst, Malloc):
                         self.malloc_sites.append(inst)
                     elif isinstance(inst, Free):
@@ -86,36 +82,11 @@ class ValueFlowGraph:
                 if isinstance(term, Ret) and isinstance(term.value, Var):
                     for receiver in returns.get(func.name, ()):
                         self.edges[term.value.name].add(receiver)
-        # Memory def-use through may-alias pointers.  When the points-to
-        # oracle partitions names into equivalence cells (Steensgaard's
-        # MayAliasPartition exposes ``cell_of``), may-alias is cell
-        # equality and the matching buckets to O(stores + loads); the
-        # general oracle (Andersen) keeps the pairwise check.
-        cell_of = getattr(self.points_to, "cell_of", None)
-        if cell_of is not None:
-            by_cell: Dict[object, List[Tuple[Load, str]]] = defaultdict(list)
-            for load, owner in loads:
-                # unseen names are vacuously singleton: key them by name
-                # so only the self-alias pairing (same pointer) survives
-                cell = cell_of(load.ptr.name)
-                by_cell[cell if cell is not None else load.ptr.name].append((load, owner))
-            for store, store_owner in stores:
-                cell = cell_of(store.ptr.name)
-                for load, load_owner in by_cell.get(
-                    cell if cell is not None else store.ptr.name, ()
-                ):
-                    if isinstance(store.src, Var):
-                        self.edges[store.src.name].add(load.dst.name)
-                    self.memory_functions.add(store_owner)
-                    self.memory_functions.add(load_owner)
-        else:
-            for store, store_owner in stores:
-                for load, load_owner in loads:
-                    if self.points_to.may_alias(store.ptr.name, load.ptr.name):
-                        if isinstance(store.src, Var):
-                            self.edges[store.src.name].add(load.dst.name)
-                        self.memory_functions.add(store_owner)
-                        self.memory_functions.add(load_owner)
+        # Memory def-use through may-alias pointers.
+        for store in stores:
+            for load in loads:
+                if self.points_to.may_alias(store.ptr.name, load.ptr.name):
+                    self.edges[store.src.name].add(load.dst.name)
 
     def reachable_from(self, name: str, limit: int = 100_000) -> Set[str]:
         seen: Set[str] = {name}

@@ -2,6 +2,9 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -287,3 +290,108 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# ---------------------------------------------------------------------------
+# Unreadable inputs and out-of-range counts: one ``error:`` line, exit 2
+# ---------------------------------------------------------------------------
+
+
+def _unreadable(tmp_path, kind):
+    """A path no source reader can take: a directory, or a file whose
+    bytes are not UTF-8."""
+    if kind == "directory":
+        path = tmp_path / "srcdir"
+        path.mkdir()
+    else:
+        path = tmp_path / "latin1.c"
+        path.write_bytes(b"int f(void) { return 0; } /* caf\xe9 */\n")
+    return path
+
+
+def _assert_one_error_line(captured, *names):
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error: ")
+    for name in names:
+        assert name in lines[0]
+    assert captured.out == ""
+
+
+@pytest.fixture
+def no_long_runs(monkeypatch):
+    """A command line that gets past validation fails loudly here
+    instead of listening for requests or building paper tables."""
+    import repro.evaluation
+    import repro.serve
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command ran despite a bad command line")
+
+    monkeypatch.setattr(repro.serve, "PataServer", refuse)
+    monkeypatch.setattr(repro.evaluation, "EvaluationHarness", refuse)
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+@pytest.mark.parametrize("command", [["check"], ["lint"], ["submit", "check_diff"],
+                                     ["serve"]],
+                         ids=["check", "lint", "submit", "serve"])
+def test_unreadable_input_is_one_error_line(tmp_path, capsys, no_long_runs,
+                                            command, kind):
+    path = _unreadable(tmp_path, kind)
+    assert main(command + [str(path)]) == 2
+    _assert_one_error_line(capsys.readouterr(), str(path))
+
+
+def test_check_unwritable_stats_json_is_one_error_line(tmp_path, buggy_file, capsys):
+    target = tmp_path / "missing" / "s.json"
+    assert main(["check", "--stats-json", str(target), str(buggy_file)]) == 2
+    _assert_one_error_line(capsys.readouterr(), str(target))
+
+
+_BAD_COUNTS = [
+    (["check", "--max-paths", "0"], "--max-paths"),
+    (["check", "--max-paths", "-5"], "--max-paths"),
+    (["check", "--workers", "-3"], "--workers"),
+    (["serve", "--max-paths", "0"], "--max-paths"),
+    (["serve", "--workers", "-1"], "--workers"),
+    (["eval", "table4", "--workers", "-2"], "--workers"),
+]
+
+
+@pytest.mark.parametrize("command, option", _BAD_COUNTS,
+                         ids=[" ".join(c) for c, _ in _BAD_COUNTS])
+def test_out_of_range_count_is_a_usage_error(clean_file, capsys, no_long_runs,
+                                             command, option):
+    files = [] if command[0] == "eval" else [str(clean_file)]
+    assert main(command + files) == 2
+    _assert_one_error_line(capsys.readouterr(), option)
+
+
+def test_zero_workers_still_means_one_per_cpu(clean_file, capsys):
+    assert main(["check", "--workers", "0", str(clean_file)]) == 0
+    assert "0 bug(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", ["check-directory", "lint-non-utf8",
+                                  "submit-directory", "stats-json", "max-paths"])
+def test_module_entry_point_exits_2_without_traceback(tmp_path, clean_file, case):
+    """``python -m repro`` ends the process itself: the same failures
+    must reach it as exit 2 and one ``error:`` line."""
+    if case == "stats-json":
+        argv = ["check", "--stats-json", str(tmp_path / "missing" / "s.json"),
+                str(clean_file)]
+    elif case == "max-paths":
+        argv = ["check", "--max-paths", "0", str(clean_file)]
+    else:
+        command, kind = case.split("-", 1)
+        argv = (["submit", "check_diff"] if command == "submit" else [command]) + [
+            str(_unreadable(tmp_path, kind))]
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-m", "repro", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")

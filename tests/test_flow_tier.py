@@ -1,5 +1,4 @@
-"""P1.8 flow-sensitive middle tier: strong updates, must facts, and the
-taint must-not-alias sharpening.
+"""P1.8 skip sets and the flow-sensitive points-to pass.
 
 Three layers of evidence:
 
@@ -7,15 +6,15 @@ Three layers of evidence:
   checked against a brute-force path enumerator: on an acyclic path
   every allocation runs at most once, so a per-path interpreter whose
   stores are always strong is *exact*; the flow pass (joins, bounded
-  fixpoint, strong-update kills) must over-approximate it at every
-  block for every name.  Any unsound kill shows up as a concrete value
-  the flow pass lost;
+  fixpoint, top-level kills, weak memory) must over-approximate it at
+  every block for every name.  Any unsound kill shows up as a concrete
+  value the flow pass lost.  The enumerator is also the model for a
+  whole-engine soundness property;
 * **Andersen-coarsening cross-check** — on every corpus profile, the
-  strong-update states must refine (never leave) the Andersen sets, so
-  every Andersen must-not-alias verdict survives at every program point;
-* **unit pins** — kill coordinates are deterministic, skip sets are
-  strict supersets of the P1.7 singleton fast path, and the taint
-  reachability oracle answers the hand-built positive/negative cases.
+  flow states must refine (never leave) the Andersen sets, so every
+  Andersen must-not-alias verdict survives at every program point;
+* **skip-set pins** — closures embed the callgraph, skip sets are
+  supersets of the P1.7 singleton fast path, and globals never skip.
 """
 
 import pytest
@@ -27,10 +26,8 @@ from repro.ir import Var
 from repro.lang import compile_program
 from repro.pointsto import (
     AndersenPointsTo,
-    MustAliasFacts,
     SteensgaardPointsTo,
     compute_flow_facts,
-    taint_flow_possible,
 )
 from repro.pointsto.flow_sensitive import FlowSensitivePointsTo
 
@@ -165,10 +162,10 @@ def _reference_block_outs(func, base):
 
 @settings(max_examples=60, deadline=None)
 @given(_PROGRAMS)
-def test_strong_updates_over_approximate_every_path(source):
+def test_flow_pass_over_approximates_every_path(source):
     program = compile_program([("t.c", source)])
     base = AndersenPointsTo(program).solve()
-    flow = FlowSensitivePointsTo(base, strong_updates=True)
+    flow = FlowSensitivePointsTo(base)
     func = next(f for f in program.functions() if not f.is_declaration)
     flow.analyze_function(func)
     reference = _reference_block_outs(func, base)
@@ -180,31 +177,17 @@ def test_strong_updates_over_approximate_every_path(source):
         )
 
 
-@settings(max_examples=60, deadline=None)
-@given(_PROGRAMS)
-def test_must_singletons_are_singleton_on_every_path(source):
-    program = compile_program([("t.c", source)])
-    base = AndersenPointsTo(program).solve()
-    flow = FlowSensitivePointsTo(base, strong_updates=True)
-    func = next(f for f in program.functions() if not f.is_declaration)
-    reference = _reference_block_outs(func, base)
-    for name in flow.must_singleton_names(func):
-        for (block_uid, ref_name), concrete in reference.items():
-            if ref_name == name:
-                assert len(concrete) <= 1, (name, block_uid, source)
-
-
 # -- Andersen-coarsening cross-check ----------------------------------------
 
 
 @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: p.name)
 def test_flow_refines_andersen_on_profile(profile):
-    """On every corpus profile: strong-update states only ever shrink
-    the Andersen sets, so every Andersen must-not-alias verdict holds at
+    """On every corpus profile: the flow states only ever shrink the
+    Andersen sets, so every Andersen must-not-alias verdict holds at
     every block under the flow pass too."""
     program = compile_program(generate(profile.scaled(0.25)).compiled_sources())
     base = AndersenPointsTo(program).solve()
-    flow = FlowSensitivePointsTo(base, strong_updates=True)
+    flow = FlowSensitivePointsTo(base)
     checked = 0
     for func in program.functions():
         if func.is_declaration:
@@ -232,83 +215,12 @@ void f(void) {
 """
     program = compile_program([("t.c", source)])
     base = AndersenPointsTo(program).solve()
-    flow = FlowSensitivePointsTo(base, strong_updates=True)
+    flow = FlowSensitivePointsTo(base)
     func = next(f for f in program.functions() if not f.is_declaration)
     block = func.blocks[-1].uid
     assert not base.may_alias("f.p", "f.q")
     assert flow.must_not_alias_at(func, block, "f.p", "f.q")
     assert flow.may_alias_at(func, block, "f.p", "f.r")
-
-
-# -- strong-update kill pins -------------------------------------------------
-
-
-def _kill_fixture():
-    source = """
-void f(void) {
-    int x = 1;
-    int *p = &x;
-    *p = 5;
-    *p = 7;
-    int y = *p;
-}
-"""
-    return compile_program([("t.c", source)])
-
-
-def test_kills_are_recorded_in_stable_coordinates():
-    program = _kill_fixture()
-    part = SteensgaardPointsTo(program).solve().partition()
-    facts = compute_flow_facts(program, part)
-    # init store (through the slot), then *p = 5 killed by *p = 7.
-    assert facts.strong_updates == 2
-    assert facts.killed_defs == (("f", "f.p", 0), ("f", "f.p", 1))
-    assert facts.must_singletons >= 2
-
-
-def test_kills_deterministic_across_runs():
-    program = _kill_fixture()
-    part = SteensgaardPointsTo(program).solve().partition()
-    first = compute_flow_facts(program, part)
-    second = compute_flow_facts(program, part)
-    assert first.killed_defs == second.killed_defs
-    assert first.stamp() == second.stamp()
-
-
-def test_loop_allocations_never_strongly_update():
-    """A malloc in a loop summarizes many cells — stores through it must
-    stay weak (no kill recorded) even though the pointer set is a
-    singleton."""
-    source = """
-void f(int n) {
-    int i = 0;
-    while (i < n) {
-        int *p = malloc(4);
-        *p = 1;
-        *p = 2;
-        i = i + 1;
-    }
-}
-"""
-    program = compile_program([("t.c", source)])
-    part = SteensgaardPointsTo(program).solve().partition()
-    facts = compute_flow_facts(program, part)
-    assert facts.strong_updates == 0
-    assert facts.killed_defs == ()
-
-
-def test_legacy_mode_records_nothing():
-    """The svf_null baseline consumes the default mode: no heap, no
-    kills, no singleton accounting — byte-identical to the pre-P1.8
-    class this module grew from."""
-    program = _kill_fixture()
-    base = AndersenPointsTo(program).solve()
-    flow = FlowSensitivePointsTo(base)
-    func = next(f for f in program.functions() if not f.is_declaration)
-    flow.analyze_function(func)
-    assert flow.strong_updates_applied == 0
-    assert flow.killed_defs == []
-    assert flow.must_singleton_names(func) == frozenset()
 
 
 # -- MustAliasFacts units -----------------------------------------------------
@@ -367,54 +279,3 @@ void f(void) {
     part = SteensgaardPointsTo(program).solve().partition()
     facts = compute_flow_facts(program, part)
     assert not any(n.startswith("@") for n in facts.skip_names_for_entry("f"))
-
-
-# -- taint reachability oracle ------------------------------------------------
-
-
-def test_taint_flow_possible_positive():
-    source = """
-void f(void) {
-    int len = copy_from_user_stub();
-    char *buf = malloc(len);
-}
-"""
-    program = compile_program([("t.c", source)])
-    functions = [f for f in program.functions() if not f.is_declaration]
-    assert taint_flow_possible(program, functions)
-
-
-def test_taint_flow_disconnected_is_impossible():
-    """Source and sink exist but no value path connects them: the
-    must-not-alias proof licenses disarming the taint checker."""
-    source = """
-void f(void) {
-    int tainted = copy_from_user_stub();
-    int clean = 8;
-    char *buf = malloc(clean);
-}
-"""
-    program = compile_program([("t.c", source)])
-    functions = [f for f in program.functions() if not f.is_declaration]
-    assert not taint_flow_possible(program, functions)
-
-
-def test_taint_flow_through_binop_chain():
-    source = """
-void f(void) {
-    int n = copy_from_user_stub();
-    int m = n + 1;
-    int k = m * 2;
-    char *buf = malloc(k);
-}
-"""
-    program = compile_program([("t.c", source)])
-    functions = [f for f in program.functions() if not f.is_declaration]
-    assert taint_flow_possible(program, functions)
-
-
-def test_taint_flow_no_sources_or_sinks():
-    source = "void f(void) { int x = 1; int y = x + 1; }"
-    program = compile_program([("t.c", source)])
-    functions = [f for f in program.functions() if not f.is_declaration]
-    assert not taint_flow_possible(program, functions)

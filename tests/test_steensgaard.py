@@ -261,22 +261,6 @@ def test_heap_pointer_reaches_shared():
     assert "f.p" in part.shared_reaching
 
 
-def test_singletons_by_function_partitions_the_singleton_set():
-    program, _ = _solved(
-        "void f(void) { int a = 1; }\n"
-        "void g(void) { int b = 2; }"
-    )
-    part = build_partition(program)
-    flattened = {
-        name
-        for names in part.singletons_by_function.values()
-        for name in names
-    }
-    assert flattened == set(part.singletons)
-    assert "f.a" in part.singletons_by_function.get("f", ())
-    assert "g.b" in part.singletons_by_function.get("g", ())
-
-
 # -- partition object --------------------------------------------------------
 
 
