@@ -79,6 +79,13 @@ def _check_counts(workers: int, max_paths: Optional[int] = None) -> None:
         raise _UsageError(f"--max-paths must be at least 1, got {max_paths}")
 
 
+def _check_seconds(option: str, value: Optional[float]) -> None:
+    """Reject a time option that is not a positive, finite number of
+    seconds (``None`` means the option is unset)."""
+    if value is not None and not 0 < value < float("inf"):
+        raise _UsageError(f"{option} must be a positive number of seconds, got {value:g}")
+
+
 class _ProfileNames:
     """The corpus profile names as argparse ``choices``, read from
     :mod:`repro.corpus` only when a command line names or lists them."""
@@ -452,6 +459,8 @@ def cmd_serve(args) -> int:
     from .serve import PataServer
 
     _check_counts(args.workers, args.max_paths)
+    _check_seconds("--poll-interval", args.poll_interval)
+    _check_seconds("--request-timeout", args.request_timeout)
     _read_sources(args.files)
     if args.all_checkers and args.checkers:
         print("error: --all-checkers and --checkers are mutually exclusive",
@@ -492,6 +501,7 @@ def cmd_submit(args) -> int:
     exit code mirrors the equivalent one-shot ``check`` run."""
     from .serve import ServeClient
 
+    _check_seconds("--timeout", args.timeout)
     payload = {"op": args.op}
     if args.op == "check_module" and args.files:
         payload["files"] = args.files

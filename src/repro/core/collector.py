@@ -33,29 +33,16 @@ class FunctionInfo:
 
 
 class InformationCollector:
-    """Builds the function database over a whole program.
+    """Builds the function database over a whole program, afresh every
+    run: the may-return closure settles in its first round on every
+    corpus profile, so cached facts could not save a round."""
 
-    ``cached_facts`` (optional, from the incremental cache's layer a)
-    maps function names to previously computed ``(may_return_negative,
-    may_return_zero)`` pairs.  Seeding is sound — cached facts were
-    computed over byte-identical function content (the transitive key
-    certifies that), and the closure fixpoint below only ever flips
-    facts False→True — so the seeded fixpoint converges to exactly the
-    unseeded result, just in fewer rounds.
-    """
-
-    def __init__(self, program: Program, cached_facts: Optional[Dict[str, tuple]] = None):
+    def __init__(self, program: Program):
         self.program = program
         mark_interface_functions(program)
         self.callgraph = CallGraph(program)
         self.functions: Dict[str, FunctionInfo] = {}
         self._collect()
-        if cached_facts:
-            for name, (neg, zero) in cached_facts.items():
-                info = self.functions.get(name)
-                if info is not None:
-                    info.may_return_negative = info.may_return_negative or bool(neg)
-                    info.may_return_zero = info.may_return_zero or bool(zero)
         self._close_return_facts()
 
     def _collect(self) -> None:

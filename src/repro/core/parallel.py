@@ -42,7 +42,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import heap
 from ..ir import Function, Program
@@ -167,32 +167,6 @@ def explore_entries(
             )
         )
     return outcomes
-
-
-class PrecomputedRelevance:
-    """A read-only stand-in for
-    :class:`~repro.presolve.prune.RelevancePreAnalysis` built from the
-    dead-block uid sets (and per-entry armed checker names) of the
-    incremental cache's layer-(b) masks.  Same ``dead_blocks``/
-    ``armed_names`` surface the explorer consumes, none of the
-    summary-index build cost.  The cache path only builds one when
-    *every* entry it will be asked about has a cached mask."""
-
-    supported = True
-
-    def __init__(
-        self,
-        masks: Dict[str, FrozenSet[int]],
-        armed: Optional[Dict[str, Optional[FrozenSet[str]]]] = None,
-    ):
-        self._masks = masks
-        self._armed = armed or {}
-
-    def dead_blocks(self, entry: Function) -> FrozenSet[int]:
-        return self._masks.get(entry.name, frozenset())
-
-    def armed_names(self, entry: Function) -> Optional[FrozenSet[str]]:
-        return self._armed.get(entry.name)
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,7 @@ from ..typestate import Checker, checkers_from_spec, configure_checkers
 from .collector import InformationCollector
 from .config import AnalysisConfig
 from .filter import BugFilter
-from .parallel import (
-    PrecomputedRelevance,
-    World,
-    explore_entries,
-    merge_outcomes,
-    run_parallel,
-)
+from .parallel import World, explore_entries, merge_outcomes, run_parallel
 from .report import AnalysisResult, AnalysisStats, EntryStats
 
 log = logging.getLogger("repro.pata")
@@ -104,10 +98,9 @@ class PATA:
             program.__dict__.pop("_pata_fingerprints", None)
             renumber_program(program)
         # Incremental cache (opt-in): fingerprint the program and open the
-        # summary store before P1, so cached collector facts can seed it.
-        # `incr` stays None when caching is off or cannot apply (live
-        # checker objects, a function name defined in two files) — every
-        # later cache branch collapses to today's behaviour then.
+        # outcome store.  `incr` stays None when caching is off or cannot
+        # apply (live checker objects, a function name defined in two
+        # files) — every later cache branch collapses to today's behaviour.
         duplicates = _duplicate_definitions(program)
         if duplicates:
             log.warning(
@@ -125,13 +118,7 @@ class PATA:
                 program, self.config, self._checker_spec(), store=self._store
             )
         phase_started = time.monotonic()
-        cached_facts = None
-        if incr is not None:
-            cached_facts = {
-                name: facts for name in incr.keys.fingerprints
-                if (facts := incr.load("facts", name)) is not None
-            }
-        collector = InformationCollector(program, cached_facts=cached_facts)
+        collector = InformationCollector(program)
         stats = AnalysisStats(
             analyzed_files=len(program.modules),
             analyzed_lines=program.total_source_lines(),
@@ -146,9 +133,10 @@ class PATA:
         # worker; block pruning happens inside each explorer through the
         # `relevance` handle (forked workers inherit it with the rest of
         # the P2 world — see parallel.py).  With a warm cache the
-        # partition comes from cached relevance masks and per-entry
-        # outcomes instead, and the pre-analysis is only built when some
-        # dirty entry lacks a cached mask.
+        # per-entry outcomes partition the entries first: a cached
+        # outcome is either an explored entry's record or a skip verdict,
+        # and the pre-analysis is built only when some entry is left to
+        # explore.
         phase_started = time.monotonic()
         relevance = None
         analyzed_list = list(entry_list)
@@ -157,13 +145,9 @@ class PATA:
         if incr is not None:
             plan = incr.plan(entry_list)
             cached_outcomes = plan.cached
-            skipped_names = list(plan.skipped)
+            skipped_names = plan.skipped
             analyzed_list = plan.dirty
-            if self.config.prune and plan.dirty and not plan.needs_relevance:
-                relevance = PrecomputedRelevance(plan.masks, plan.armed)
-        if self.config.prune and relevance is None and (
-            incr is None or (plan.needs_relevance and analyzed_list)
-        ):
+        if self.config.prune and analyzed_list:
             from ..presolve import RelevancePreAnalysis, ScanContext
 
             relevance = RelevancePreAnalysis(
@@ -319,14 +303,14 @@ class PATA:
             stats.per_entry = [by_name[func.name] for func in entry_list]
 
         if incr is not None:
-            # Parent-only, single-writer commit of all cache layers (a
-            # no-op under --cache ro).  Staged before P3 so the cached
-            # outcomes are the same objects the filter validates.  The
-            # map holds both executors' products: worker batches and the
-            # in-process path emit the same per-entry-pure EntryOutcome
-            # objects, so their coordinates stage identically (cache
-            # hits are skipped inside commit via ``stats.cached``).
-            incr.commit(collector, relevance, analyzed_list, merge_map, skipped_names)
+            # Parent-only, single-writer commit of outcomes and skip
+            # verdicts (a no-op under --cache ro).  Staged before P3 so
+            # the cached outcomes are the same objects the filter
+            # validates.  The map holds both executors' products: worker
+            # batches and the in-process path emit the same per-entry-pure
+            # EntryOutcome objects, so their coordinates stage identically
+            # (cache hits are skipped inside commit via ``stats.cached``).
+            incr.commit(analyzed_list, merge_map, skipped_names)
             stats.cache_hits = incr.store.hits
             stats.cache_misses = incr.store.misses
             stats.cache_corrupt = incr.store.corrupt

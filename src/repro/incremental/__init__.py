@@ -16,9 +16,10 @@ The subsystem splits into four modules:
   :func:`compile_with_cache` is the frontend (layer-0) cache.
 
 Cache layers (one row each in :data:`.engine.LAYERS`): compiled
-modules, P1 collector facts, P1.5 relevance masks and per-entry P2
-outcomes.  Whole-program products (the P1.7 partition, P1.8 must-alias
-facts, P2.6 module summaries) are rebuilt every run.
+modules and per-entry P2 outcomes; an entry P1.5 skips stores a skip
+verdict as its outcome.  P1 facts, the P1.5 pre-analysis and the
+whole-program products (the P1.7 partition, P1.8 must-alias facts,
+P2.6 module summaries) are rebuilt by any run that needs them.
 Corruption, version skew, and stale coordinates all degrade to warned
 misses — a cache can make a run faster, never wrong.
 """
@@ -34,7 +35,6 @@ from .fingerprint import (
     TransitiveKeys,
     engine_config_fingerprint,
     function_fingerprints,
-    presolve_config_fingerprint,
     spec_fingerprint,
 )
 from .store import CACHE_FORMAT, CacheStore, open_store
@@ -52,7 +52,6 @@ __all__ = [
     "function_fingerprints",
     "open_incremental",
     "open_store",
-    "presolve_config_fingerprint",
     "renumber_program",
     "spec_fingerprint",
 ]

@@ -25,7 +25,7 @@ in the same process.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 from ..ir import Instruction, Program, Terminator
 
@@ -75,29 +75,6 @@ class CoordIndex:
         if inst is None:
             raise StaleEntry(f"coordinate {coord!r} not present in this program")
         return inst
-
-    # -- block coordinates (layer b: dead-block masks) -----------------------
-
-    def block_coords(self, func, uids) -> List[int]:
-        """Dead-block uids of ``func`` → sorted stable block indexes."""
-        index_of = {block.uid: i for i, block in enumerate(func.blocks)}
-        out = []
-        for uid in uids:
-            if uid not in index_of:
-                raise StaleEntry(f"block uid {uid} not in function {func.name}")
-            out.append(index_of[uid])
-        return sorted(out)
-
-    @staticmethod
-    def resolve_block_coords(func, indexes) -> frozenset:
-        """Stable block indexes → the current function's block uids."""
-        blocks = func.blocks
-        try:
-            return frozenset(blocks[i].uid for i in indexes)
-        except IndexError:
-            raise StaleEntry(
-                f"block index out of range for function {func.name}"
-            )
 
 
 # -- record snapshot / rehydrate --------------------------------------------

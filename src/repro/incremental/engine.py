@@ -11,8 +11,9 @@ caching and the checker set is spec-addressable), it:
   declarative :data:`LAYERS` table;
 * partitions the entry list into cache hits, cached skips, and dirty
   entries (:meth:`~IncrementalContext.plan`);
-* after the dirty entries are explored, stages the per-function and
-  per-entry layers and flushes everything with the store's single
+* after the dirty entries are explored, stages one outcome per entry —
+  a P1.5 skip verdict is an outcome whose stats say ``skipped`` — and
+  flushes everything with the store's single
   :meth:`~.store.CacheStore.commit` — the parent process is the only
   store client: worker processes never open it (they inherit the
   parent's explorer world, see :mod:`repro.core.parallel`).
@@ -24,17 +25,11 @@ import importlib
 import logging
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..ir import Function, Program
 from .coords import CoordIndex, StaleEntry, record_coords, rehydrate_records, renumber_program
-from .fingerprint import (
-    TransitiveKeys,
-    _sha,
-    engine_config_fingerprint,
-    presolve_config_fingerprint,
-    spec_fingerprint,
-)
+from .fingerprint import TransitiveKeys, _sha, engine_config_fingerprint, spec_fingerprint
 from .store import CacheStore, open_store
 
 log = logging.getLogger("repro.incremental")
@@ -45,23 +40,6 @@ class CompiledModule(NamedTuple):
 
     module: Any
     fingerprints: Dict[str, str]
-
-
-class ReturnFacts(NamedTuple):
-    """Layer-a payload: one function's P1 may-return facts."""
-
-    may_return_negative: bool
-    may_return_zero: bool
-
-
-class RelevanceMask(NamedTuple):
-    """Layer-b payload: one entry's P1.5 verdict — whether any checker
-    is relevant, its dead blocks as stable indexes, and the armed
-    checker names (``None`` = arming unsupported)."""
-
-    relevant: bool
-    dead: List[int]
-    armed: Optional[List[str]]
 
 
 class Located(NamedTuple):
@@ -103,17 +81,20 @@ class Layer:
         return isinstance(value, _resolve(self.payload))
 
 
-#: Every cache layer.  A module is keyed by its filename and source
-#: digest, every other object by one function's name and transitive
-#: key; each key also folds the engine and cache-format versions (see
-#: :meth:`~.store.CacheStore.object_key`).  No layer holds a product
-#: of the whole program (the P1.7 partition, the P1.8 flow facts, the
+#: Every cache layer, one per unit of work in the paper's framework
+#: (§4): a compiled module, keyed by its filename and source digest,
+#: and an entry function's P2 outcome, keyed by the entry's name and
+#: transitive key; each key also folds the engine and cache-format
+#: versions (see :meth:`~.store.CacheStore.object_key`).  An entry
+#: P1.5 skips stores an outcome whose stats say ``skipped``: the
+#: verdict depends only on the entry's closure, the spec and config
+#: knobs the outcome key already folds.  No layer holds a product of
+#: the whole program (the P1.7 partition, the P1.8 flow facts, the
 #: P2.6 module summaries): its key would fold every function, so any
-#: edit anywhere would miss it.  Each run rebuilds those.
+#: edit anywhere would miss it.  Each run rebuilds those, and P1's
+#: may-return facts.
 LAYERS: Dict[str, Layer] = {row.tag: row for row in (
     Layer("module", (), "repro.incremental.engine:CompiledModule"),
-    Layer("facts", (), "repro.incremental.engine:ReturnFacts"),
-    Layer("mask", ("spec_fp", "presolve_fp"), "repro.incremental.engine:RelevanceMask"),
     Layer("outcome", ("spec_fp", "engine_fp"), "repro.core.parallel:EntryOutcome",
           records=_outcome_records),
 )}
@@ -151,20 +132,12 @@ def _fetch(store, row: Layer, key: str, index: Optional[CoordIndex] = None):
 class IncrementalPlan:
     """The per-entry partition one warm-start run works from."""
 
-    #: entry name -> rehydrated cached outcome ((b) relevant + (c) hit)
+    #: entry name -> rehydrated cached outcome of an explored entry
     cached: Dict[str, object] = field(default_factory=dict)
-    #: entries whose cached relevance mask says "skip outright"
+    #: entries whose cached outcome says P1.5 skipped them
     skipped: List[str] = field(default_factory=list)
     #: entries this run must explore, in entry-list order
     dirty: List[Function] = field(default_factory=list)
-    #: dead-block uid sets for dirty entries whose mask hit anyway
-    masks: Dict[str, FrozenSet[int]] = field(default_factory=dict)
-    #: per-entry armed checker names (None = arming unsupported, the
-    #: explorer dispatches every checker), for the same dirty entries
-    armed: Dict[str, Optional[FrozenSet[str]]] = field(default_factory=dict)
-    #: True when some dirty entry has no cached mask — the run must
-    #: build the live P1.5 pre-analysis
-    needs_relevance: bool = True
 
 
 class IncrementalContext:
@@ -178,7 +151,6 @@ class IncrementalContext:
         # idempotently a moment later).
         mark_interface_functions(program)
         self.store = store
-        self.config = config
         self.keys = TransitiveKeys(
             program,
             config.resolve_function_pointers,
@@ -186,7 +158,6 @@ class IncrementalContext:
         )
         self.spec_fp = spec_fingerprint(checker_spec)
         self.engine_fp = engine_config_fingerprint(config)
-        self.presolve_fp = presolve_config_fingerprint(config)
         self.index = CoordIndex(program)
 
     # -- the generic layer path -----------------------------------------------
@@ -218,75 +189,45 @@ class IncrementalContext:
                 return
         self.store.put(key, value)
 
-    # -- layers b + c: entry partition --------------------------------------
+    # -- the outcome layer: entry partition ------------------------------------
 
     def plan(self, entry_list: List[Function]) -> IncrementalPlan:
         plan = IncrementalPlan()
-        missing_mask = False
         for entry in entry_list:
-            if self.config.prune:
-                mask = self.load("mask", entry.name)
-                if mask is None:
-                    missing_mask = True
-                elif not mask.relevant:
-                    plan.skipped.append(entry.name)
-                    continue
-                else:
-                    plan.armed[entry.name] = (
-                        frozenset(mask.armed) if mask.armed is not None else None
-                    )
-                    try:
-                        plan.masks[entry.name] = CoordIndex.resolve_block_coords(
-                            entry, mask.dead
-                        )
-                    except StaleEntry:
-                        missing_mask = True
             outcome = self.load("outcome", entry.name)
             if outcome is None:
                 plan.dirty.append(entry)
-                continue
-            # A cached entry's phase timing is 0 by definition — the
-            # stored wall time belongs to the run that produced it.
-            outcome.stats.wall_seconds = 0.0
-            outcome.stats.cached = True
-            plan.cached[entry.name] = outcome
-        plan.needs_relevance = self.config.prune and missing_mask
+            elif outcome.stats.skipped:
+                plan.skipped.append(entry.name)
+            else:
+                # A cached entry's phase timing is 0 by definition — the
+                # stored wall time belongs to the run that produced it.
+                outcome.stats.wall_seconds = 0.0
+                outcome.stats.cached = True
+                plan.cached[entry.name] = outcome
         return plan
 
     # -- commit (parent process, single writer) ------------------------------
 
     def commit(
         self,
-        collector,
-        relevance,
         analyzed: List[Function],
         outcomes: Dict[str, object],
         skipped_names: List[str],
     ) -> int:
-        """Stage layers a/b/c for everything this run computed, then
-        flush atomically."""
+        """Stage an outcome for every entry this run explored and a skip
+        verdict for every entry it skipped, then flush atomically."""
         if self.store.mode != "rw":
             return 0
-        for name, info in collector.functions.items():
-            if name in self.keys.fingerprints:
-                facts = ReturnFacts(info.may_return_negative, info.may_return_zero)
-                self.stage("facts", facts, name)
-        if self.config.prune and relevance is not None:
-            from ..presolve import RelevancePreAnalysis
+        from ..core.parallel import EntryOutcome
+        from ..core.report import EntryStats
 
-            if isinstance(relevance, RelevancePreAnalysis):
-                for entry in analyzed:
-                    dead = self.index.block_coords(entry, relevance.dead_blocks(entry))
-                    armed = relevance.armed_names(entry)
-                    mask = RelevanceMask(True, dead, None if armed is None else sorted(armed))
-                    self.stage("mask", mask, entry.name)
-                for name in skipped_names:
-                    if name in self.keys.fingerprints:
-                        self.stage("mask", RelevanceMask(False, [], []), name)
         for entry in analyzed:
             outcome = outcomes.get(entry.name)
             if outcome is not None and not outcome.stats.cached:
                 self.stage("outcome", outcome, entry.name)
+        for name in skipped_names:
+            self.stage("outcome", EntryOutcome(EntryStats(name, skipped=True)), name)
         return self.store.commit()
 
 

@@ -230,9 +230,12 @@ def spec_fingerprint(checker_spec: str) -> str:
 
 
 def engine_config_fingerprint(config) -> str:
-    """The P2-semantics-affecting knobs, folded into layer-(c) keys.
+    """The P2-semantics-affecting knobs, folded into outcome keys.
     Budgets and exploration parameters change which paths (and so which
-    possible bugs) exist; validation/worker/cache knobs do not."""
+    possible bugs) exist; validation/worker/cache knobs do not.  The
+    knobs P1.5 reads (``prune`` itself, ``resolve_function_pointers``,
+    ``optimize_ir``, ``alias_tier``, ``taint_borders``) are among them,
+    so an outcome can carry its entry's skip verdict."""
     return _sha(
         "cfg",
         repr(
@@ -253,19 +256,4 @@ def engine_config_fingerprint(config) -> str:
                 config.taint_borders,
             )
         ),
-    )
-
-
-def presolve_config_fingerprint(config) -> str:
-    """The P1.5-semantics-affecting knobs, folded into layer-(b) keys —
-    deliberately narrower than :func:`engine_config_fingerprint`, so
-    relevance masks survive a path-budget change that forces P2 to
-    re-run.  ``alias_tier`` participates because P1.7 sharpening changes
-    which blocks the masks call dead (soundly, but the bytes differ);
-    ``taint_borders`` because border arming widens the xtaint checker's
-    trigger mask, which feeds the relevance masks."""
-    return _sha(
-        "pcfg",
-        repr((config.resolve_function_pointers, config.optimize_ir,
-              config.alias_tier, config.taint_borders)),
     )

@@ -179,7 +179,11 @@ class UnitLowerer:
                 self._lower_global(decl)
         # Pass 2: function bodies.
         for fdef in self.function_defs.values():
-            FunctionLowerer(self, fdef).lower()
+            try:
+                FunctionLowerer(self, fdef).lower()
+            except RecursionError:
+                raise SemaError(f"function {fdef.name!r} nests too deeply to lower",
+                                self.unit.filename, fdef.line) from None
         return self.module
 
     def _declare_function(self, decl: ast.FunctionDef) -> ir.Function:

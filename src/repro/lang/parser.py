@@ -98,8 +98,13 @@ class Parser:
 
     def parse(self) -> ast.TranslationUnit:
         unit = ast.TranslationUnit(1, self.filename, [], self.source_lines)
-        while not self._at("eof"):
-            unit.decls.append(self._parse_top_level())
+        try:
+            while not self._at("eof"):
+                unit.decls.append(self._parse_top_level())
+        except RecursionError:
+            # Each nesting level costs the descent a few frames; report
+            # where it gave up instead of a traceback.
+            raise self._error("nesting too deep to parse") from None
         return unit
 
     def _parse_top_level(self) -> ast.Node:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..errors import SemaError
 from . import ast
 from .lower import ALLOCATORS, DEALLOCATORS, LOCK_APIS, MEMSET_APIS
 from .parser import parse
@@ -76,7 +77,11 @@ class SemaChecker:
                     self.enums.add(enumerator.name)
         for decl in self.unit.decls:
             if isinstance(decl, ast.FunctionDef) and decl.body is not None:
-                _FunctionSema(self, decl).run()
+                try:
+                    _FunctionSema(self, decl).run()
+                except RecursionError:
+                    raise SemaError(f"function {decl.name!r} nests too deeply to check",
+                                    self.unit.filename, decl.line) from None
         return self.diagnostics
 
 

@@ -173,8 +173,8 @@ class SteensgaardPointsTo:
 
     Pass ``functions`` to restrict the constraint walk to a closure (the
     P1.5 sharpening solves per entry closure so the result is a pure
-    function of the closure's contents — exactly what the mask cache
-    keys on); the default is the whole program (the P1.7 global
+    function of the closure's contents — exactly what a cached skip
+    verdict relies on); the default is the whole program (the P1.7 global
     partition).  ``defined`` is the program's name -> defined function
     map, for a caller that solves many closures of one program.
     """
@@ -693,7 +693,7 @@ def shared_reaching_names(
     """Closure-local shared-state reachability for the P1.5 sharpening.
 
     Solved over exactly ``functions`` so the answer is a deterministic
-    function of the closure contents — cached relevance masks keyed by
+    function of the closure contents — cached skip verdicts keyed by
     the entry's transitive closure stay sound."""
     solver = SteensgaardPointsTo(program, functions=functions, defined=defined).solve()
     marked = solver._component_marks()

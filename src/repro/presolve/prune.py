@@ -76,7 +76,7 @@ class RelevancePreAnalysis:
         #: :mod:`repro.pointsto.steensgaard`).  Computed *per entry
         #: closure* — never from the whole-program partition — so every
         #: mask stays a pure function of the entry's transitive closure,
-        #: which is exactly what the incremental mask cache keys on.
+        #: which is exactly what a cached skip verdict relies on.
         self.sharpen_shared = sharpen_shared
         #: pruning is sound only when every enabled checker declares its
         #: trigger and sink kinds; one undeclared checker disables both layers

@@ -9,9 +9,9 @@ of that resident:
 * :class:`~.store.ModuleTable` — the compiled modules, kept live, one
   per filename, and reused in place while the file is unchanged;
 * :class:`~.store.ResidentStore` — an in-memory object store speaking
-  the :class:`~repro.incremental.store.CacheStore` surface, so every
-  other cache layer (P1 facts, relevance masks, P2 outcomes) stays in
-  RAM across requests;
+  the :class:`~repro.incremental.store.CacheStore` surface, so the
+  per-entry P2 outcomes (P1.5 skip verdicts included) stay in RAM
+  across requests;
 * :class:`~.session.Session` — ``PATA.analyze`` refactored into a
   reusable object owning one module table and one resident store:
   repeated ``analyze()`` calls are warm-cache runs with byte-identical

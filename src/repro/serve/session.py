@@ -4,12 +4,11 @@ A :class:`Session` owns one :class:`~.store.ModuleTable` and one
 :class:`~.store.ResidentStore` and runs any number of analyses against
 them.  The table keeps layer 0 live: one compiled module per filename,
 reused in place while its source is unchanged, so a one-file diff
-compiles one file and unpickles no module.  The store holds the other
-layers as pickled blobs: P1 may-return facts, P1.5 relevance masks and
-per-entry P2 outcomes.  Nothing whole-program is resident — every
-request rebuilds the P1.7 partition, the P1.8 must-alias facts and the
-P2.6 module summaries — so a one-file diff adds a few KB, not a copy
-of the program.  The first request over a file set is a cold run that
+compiles one file and unpickles no module.  The store holds the
+per-entry P2 outcomes, P1.5 skip verdicts included, as pickled blobs.
+Nothing whole-program is resident — every request rebuilds the P1.7
+partition, the P1.8 must-alias facts and the P2.6 module summaries —
+so a one-file diff adds a few KB, not a copy of the program.  The first request over a file set is a cold run that
 populates both; every later request over unchanged content resolves
 every layer from RAM and re-explores only dirtied fingerprint
 closures.  Reports are byte-identical to a one-shot ``PATA().analyze``
@@ -30,7 +29,7 @@ changed byte misses the memo and takes the cache tier.
 Two session-level stat adjustments make per-request numbers honest:
 the store's hit/miss counters are cumulative across the session's
 lifetime, so each request's stats are rewritten to the *delta* this
-request caused (layers a–c; the table counts no hits), and the serve
+request caused (outcomes; the table counts no hits), and the serve
 counters (``requests_served``, ``resident_cache_entries``,
 ``request_replayed``) are stamped on every result.
 """

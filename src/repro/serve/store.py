@@ -9,9 +9,9 @@ A resident session keeps its cache in two places:
   every request cost 0.08 s of a 0.50 s traced one-file diff, and the
   next request's full collection took 0.19 s, against 0.07 s without
   those copies to free.
-* :class:`ResidentStore` holds layers a–c (P1 facts, P1.5 masks, P2
-  outcomes) as pickled blobs, a few KB per edited entry.  It speaks
-  the same surface as :class:`repro.incremental.store.CacheStore` —
+* :class:`ResidentStore` holds the per-entry P2 outcomes (P1.5 skip
+  verdicts included) as pickled blobs, a few KB per edited entry.  It
+  speaks the same surface as :class:`repro.incremental.store.CacheStore` —
   ``get``/``put``/``contains``/``reject``/``commit``, the ``mode``
   attribute, and the ``hits``/``misses``/``corrupt`` counters — but
   keeps every object in RAM, so a long-lived session pays no disk I/O.

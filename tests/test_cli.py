@@ -274,6 +274,25 @@ def test_check_malformed_source_exits_2(tmp_path, capsys, source, where, message
     assert err == f"error: {path}:{where}: {message}\n"
 
 
+#: sources nested past the frontend's recursion limit: in the parser's
+#: expression descent, in its statement descent, and in lowering
+DEEP_SOURCES = {
+    "parens": "int f(void){ return " + "(" * 200 + "1" + ")" * 200 + "; }\n",
+    "ifs": "int f(int a){\n" + "if (a) {\n" * 300 + "a = 1;\n" + "}\n" * 300
+           + "return a; }\n",
+    "terms": "int f(int a){ return " + " + ".join(["a"] * 1000) + "; }\n",
+}
+
+
+@pytest.mark.parametrize("command", ["check", "lint"])
+@pytest.mark.parametrize("shape", sorted(DEEP_SOURCES))
+def test_deeply_nested_source_is_one_error_line(tmp_path, capsys, command, shape):
+    path = tmp_path / f"{shape}.c"
+    path.write_text(DEEP_SOURCES[shape])
+    assert main([command, str(path)]) == 2
+    _assert_one_error_line(capsys.readouterr(), f"{path}:", "too deep")
+
+
 def test_lint_malformed_source_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.c"
     path.write_text("int f(void){ return 0x; }")
@@ -368,13 +387,33 @@ def test_out_of_range_count_is_a_usage_error(clean_file, capsys, no_long_runs,
     _assert_one_error_line(capsys.readouterr(), option)
 
 
+_BAD_SECONDS = [
+    ["serve", "--watch", "--poll-interval", "-1"],
+    ["serve", "--watch", "--poll-interval", "0"],
+    ["serve", "--request-timeout", "-1"],
+    ["serve", "--request-timeout", "0"],
+    ["submit", "status", "--timeout", "-1"],
+    ["submit", "status", "--timeout", "0"],
+]
+
+
+@pytest.mark.parametrize("command", _BAD_SECONDS, ids=" ".join)
+def test_non_positive_seconds_is_a_usage_error(clean_file, capsys, no_long_runs,
+                                               command):
+    files = [str(clean_file)] if command[0] == "serve" else []
+    assert main(command + files) == 2
+    _assert_one_error_line(capsys.readouterr(), command[-2])
+
+
 def test_zero_workers_still_means_one_per_cpu(clean_file, capsys):
     assert main(["check", "--workers", "0", str(clean_file)]) == 0
     assert "0 bug(s)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("case", ["check-directory", "lint-non-utf8",
-                                  "submit-directory", "stats-json", "max-paths"])
+                                  "submit-directory", "stats-json", "max-paths",
+                                  "check-deep", "lint-deep", "poll-interval",
+                                  "request-timeout", "submit-timeout"])
 def test_module_entry_point_exits_2_without_traceback(tmp_path, clean_file, case):
     """``python -m repro`` ends the process itself: the same failures
     must reach it as exit 2 and one ``error:`` line."""
@@ -383,6 +422,14 @@ def test_module_entry_point_exits_2_without_traceback(tmp_path, clean_file, case
                 str(clean_file)]
     elif case == "max-paths":
         argv = ["check", "--max-paths", "0", str(clean_file)]
+    elif case.endswith("-deep"):
+        deep = tmp_path / "deep.c"
+        deep.write_text(DEEP_SOURCES["parens"])
+        argv = [case.split("-")[0], str(deep)]
+    elif case in ("poll-interval", "request-timeout"):
+        argv = ["serve", "--watch", f"--{case}", "-1", str(clean_file)]
+    elif case == "submit-timeout":
+        argv = ["submit", "status", "--timeout", "-1"]
     else:
         command, kind = case.split("-", 1)
         argv = (["submit", "check_diff"] if command == "submit" else [command]) + [

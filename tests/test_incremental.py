@@ -11,7 +11,9 @@ Four layers of coverage:
 * PATA-level warm starts: a leaf-callee edit re-analyzes exactly its
   caller closure, a registration added to the indirect-call pool
   invalidates only entries that may dispatch into it, a checker-spec
-  change re-runs layers b/c but reuses layer-a facts;
+  or budget change misses every outcome, and an unchanged re-run reads
+  one outcome per entry — P1.5 skip verdicts included — and builds no
+  P1.5 pre-analysis;
 * the CLI surface: ``--cache``/``--cache-dir`` validation, warm-run
   equivalence, ``--stats-json``.
 
@@ -524,8 +526,8 @@ def test_no_run_commits_a_whole_program_payload(tmp_path, spec):
 
 def test_cli_one_file_edit_adds_kilobytes_to_the_cache(tmp_path, capsys):
     """A ``--cache rw`` one-file edit of a small linux tree writes the
-    edited module and its new entry's facts, mask and outcome: tens of
-    KB, not a fresh copy of anything whole-program."""
+    edited module and its new entry's outcome: tens of KB, not a fresh
+    copy of anything whole-program."""
     corpus = generate(PROFILES_BY_NAME["linux"].scaled(0.2))
     tree = tmp_path / "tree"
     tree.mkdir()
@@ -683,6 +685,29 @@ def test_warm_run_serves_every_entry_from_cache(tmp_path):
             assert row.wall_seconds == 0.0
 
 
+def test_unchanged_rerun_reads_one_outcome_per_entry(tmp_path, monkeypatch):
+    """An entry P1.5 skipped caches its skip verdict as an outcome, so a
+    warm re-run of an unchanged tree reads one object per entry function
+    and never builds the pre-analysis."""
+    import repro.presolve
+
+    sources = generate(PROFILES_BY_NAME["linux"].scaled(0.2)).compiled_sources()
+    config = AnalysisConfig(cache_dir=str(tmp_path / "cache"), cache_mode="rw")
+    cold = PATA(config=config, checker_spec="all").analyze(compile_program(sources))
+    assert cold.stats.entries_skipped > 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an unchanged re-run built the P1.5 pre-analysis")
+
+    monkeypatch.setattr(repro.presolve, "RelevancePreAnalysis", refuse)
+    warm = PATA(config=config, checker_spec="all").analyze(compile_program(sources))
+    assert warm.stats.cache_hits == warm.stats.entry_functions
+    assert warm.stats.cache_misses == 0
+    assert warm.stats.entries_skipped == cold.stats.entries_skipped
+    assert warm.stats.entries_reanalyzed == 0
+    assert _report_text(warm) == _report_text(cold)
+
+
 def test_leaf_edit_reanalyzes_exactly_dirty_closure(tmp_path):
     cache = str(tmp_path / "cache")
     _analyze(_sources(HELPER_V1), cache, "rw")
@@ -709,24 +734,22 @@ def test_pool_addition_reanalyzes_only_dispatching_entries(tmp_path):
     assert _report_text(warm) == _report_text(baseline)
 
 
-def test_spec_change_reuses_facts_but_not_outcomes(tmp_path):
+def test_spec_change_misses_every_outcome(tmp_path):
     cache = str(tmp_path / "cache")
     _analyze(_sources(), cache, "rw", spec="npd")
     warm = _analyze(_sources(), cache, "rw", spec="all")
-    # Layer c (and b) are spec-keyed: nothing served from cache...
+    # Outcome keys fold the spec: nothing is served from cache.
     assert warm.stats.entries_cached == 0
-    # ...but layer-a facts are spec-independent and hit.
-    assert warm.stats.cache_hits > 0
     baseline = _analyze(_sources(), spec="all")
     assert _report_text(warm) == _report_text(baseline)
 
 
-def test_budget_change_reuses_masks_but_not_outcomes(tmp_path):
+def test_budget_change_misses_every_outcome(tmp_path):
     cache = str(tmp_path / "cache")
     _analyze(_sources(), cache, "rw")
     warm = _analyze(_sources(), cache, "rw", max_paths_per_entry=1999)
-    # The engine fingerprint changed (layer c misses) but the narrow
-    # presolve fingerprint did not (layer b hits feed PrecomputedRelevance).
+    # The engine fingerprint changed, so every outcome misses and the
+    # run explores with a live P1.5 pre-analysis.
     assert warm.stats.entries_cached == 0
     assert warm.stats.entries_reanalyzed > 0
     baseline = _analyze(_sources(), max_paths_per_entry=1999)
@@ -881,7 +904,7 @@ def test_cli_stats_count_the_module_layer(tmp_path, capsys):
     args = ["check", "--cache", "rw", "--cache-dir", cache, *paths]
     _cli_run(args, capsys, tmp_path / "cold.json")
     _, _, warm = _cli_run(args, capsys, tmp_path / "warm.json")
-    # PATA's own handle (the library path) counts the summary layers only.
+    # PATA's own handle (the library path) counts the outcome layer only.
     summary = _analyze([(p, pathlib.Path(p).read_text()) for p in paths], cache, "ro")
     assert warm["cache_misses"] == 0
     assert warm["cache_hits"] == summary.stats.cache_hits + len(paths)

@@ -7,7 +7,8 @@ interleave) must produce byte-identical reports — and the deterministic
 stats totals must agree — at workers 1 and workers 4.  The mixed leg is the sharp edge: it
 exercises outcome rehydration, per-entry dedup reconciliation, and
 cross-entry race matching over a blend of cached and fresh SharedAccess
-tuples.
+tuples.  A cache populated with pruning on must not serve its P1.5 skip
+verdicts to a pruning-off run.
 """
 
 import dataclasses
@@ -36,9 +37,9 @@ def corpus_sources():
     return generate(profile).compiled_sources()
 
 
-def _run(sources, spec, workers, cache_dir=None):
+def _run(sources, spec, workers, cache_dir=None, prune=True):
     config = AnalysisConfig(workers=workers, cache_dir=cache_dir,
-                            cache_mode="rw" if cache_dir else "off")
+                            cache_mode="rw" if cache_dir else "off", prune=prune)
     pata = PATA(config=config, checker_spec=spec)
     if config.cache_active():
         store = open_store(cache_dir, "rw")
@@ -120,3 +121,20 @@ def test_edited_function_differential(corpus_sources, tmp_path):
     warm = _run(edited, "all", 1, cache)
     assert _text(warm) == _text(baseline)
     assert warm.stats.entries_reanalyzed < total
+
+
+def test_skip_verdicts_never_cross_prune_modes(corpus_sources, tmp_path):
+    """A cache populated with pruning on holds P1.5 skip verdicts; a
+    pruning-off run over the same directory must explore every entry
+    and equal a cache-off pruning-off run."""
+    cache = str(tmp_path / "cache")
+    pruned = _run(corpus_sources, "all", 1, cache)
+    assert pruned.stats.entries_skipped > 0
+    unpruned = _run(corpus_sources, "all", 1, cache, prune=False)
+    baseline = _run(corpus_sources, "all", 1, prune=False)
+    assert unpruned.stats.entries_skipped == 0
+    assert unpruned.stats.entries_cached == 0
+    assert unpruned.stats.entries_reanalyzed == unpruned.stats.entry_functions
+    assert _text(unpruned) == _text(baseline)
+    for name in _DETERMINISTIC_TOTALS:
+        assert getattr(unpruned.stats, name) == getattr(baseline.stats, name), name

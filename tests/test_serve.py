@@ -409,9 +409,9 @@ class TestResidentStore:
 
     def test_one_file_diffs_grow_the_store_by_kilobytes(self):
         """Five one-file diffs, each adding a leak to another file of a
-        small linux tree: the store grows by the new entries' facts,
-        masks and outcomes only — no whole-program object per diff —
-        and every diff prints what a one-shot run prints."""
+        small linux tree: the store grows by the new entries' outcomes
+        only — no whole-program object per diff — and every diff prints
+        what a one-shot run prints."""
         sources = generate(LINUX.scaled(0.2)).compiled_sources()
         session = Session(checker_spec="all")
         session.analyze(sources)
@@ -715,6 +715,26 @@ class TestDaemon:
                 server,
                 {"op": "check_module", "files": [str(tmp_path / "gone.c")]})
             assert not response["ok"]
+            assert server.session is session_before
+            assert server.sessions_reset == 0
+            warm = submit(server, {"op": "check_module"})
+            assert warm["ok"] and warm["serve"]["entries_reanalyzed"] == 0
+        finally:
+            drain(server)
+
+    def test_deeply_nested_overlay_keeps_session(self, tmp_path, buggy_file):
+        """An overlay nested past the parser's recursion limit is a
+        source error like any other: an error response naming the file,
+        no session reset, and the resident cache keeps serving."""
+        server = start_server(tmp_path, [buggy_file])
+        try:
+            submit(server, {"op": "check_module"})
+            session_before = server.session
+            deep = "int f(void){ return " + "(" * 200 + "1" + ")" * 200 + "; }\n"
+            response = submit(
+                server, {"op": "check_diff", "overlay": {str(buggy_file): deep}})
+            assert not response["ok"]
+            assert f"ParseError: {buggy_file}:" in response["error"]
             assert server.session is session_before
             assert server.sessions_reset == 0
             warm = submit(server, {"op": "check_module"})
