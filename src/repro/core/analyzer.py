@@ -18,7 +18,11 @@ continuation runs once per distinct exit state, bounded by
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+import contextlib
+import os
+import sys
+import threading
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..alias import AliasGraph, Trail, apply_instruction
 from ..errors import BudgetExceeded
@@ -85,6 +89,56 @@ from ..typestate import (
 from .config import AnalysisConfig
 
 _CMP_OPS = {"eq", "ne", "lt", "le", "gt", "ge"}
+
+#: blocks one path may nest (the walk recurses once per block) before
+#: its entry ends budget-exhausted.  A constant, not a config knob: the
+#: corpora nest at most 22, a function of 120 nested ``if`` blocks 240.
+MAX_PATH_DEPTH = 1000
+#: Python frames per nested block, at most: ``_enter_block``,
+#: ``_run_insts`` and ``_run_terminator`` or ``_inline_call``, plus
+#: ``_do_return`` and the caller's ``_run_insts`` when a call returns
+_FRAMES_PER_BLOCK = 6
+#: frames event dispatch and checker code add at the deepest block
+_LEAF_FRAMES = 200
+
+_stack_lock = threading.Lock()
+_stack_users = 0
+_stack_outer = 0
+
+
+def _reset_path_stack() -> None:
+    """A forked pool worker starts with no walk of its own in flight,
+    and with a lock no other thread of the parent can still hold."""
+    global _stack_lock, _stack_users
+    _stack_lock = threading.Lock()
+    _stack_users = 0
+
+
+os.register_at_fork(after_in_child=_reset_path_stack)
+
+
+@contextlib.contextmanager
+def _path_stack() -> Iterator[None]:
+    """Raise the recursion limit by what a walk :data:`MAX_PATH_DEPTH`
+    blocks deep can use.  The caller's own depth is below the limit it
+    found, so the bound cuts at the same block whether the walk runs
+    from the CLI, a test, a daemon thread or a pool worker.  Overlapping
+    uses share one raise; the last to leave restores the limit the first
+    one found, which the frontend's own nesting errors depend on."""
+    global _stack_users, _stack_outer
+    with _stack_lock:
+        if _stack_users == 0:
+            _stack_outer = sys.getrecursionlimit()
+            sys.setrecursionlimit(
+                _stack_outer + MAX_PATH_DEPTH * _FRAMES_PER_BLOCK + _LEAF_FRAMES)
+        _stack_users += 1
+    try:
+        yield
+    finally:
+        with _stack_lock:
+            _stack_users -= 1
+            if _stack_users == 0:
+                sys.setrecursionlimit(_stack_outer)
 
 
 class _Frame:
@@ -201,6 +255,8 @@ class PathExplorer:
         self.blocks_pruned = 0
         self._frame_ids = 0
         self._call_stack: List[str] = []
+        #: blocks nested on the current path (see MAX_PATH_DEPTH)
+        self._path_depth = 0
 
     # -- reporting -----------------------------------------------------------------
 
@@ -299,7 +355,8 @@ class PathExplorer:
         self._call_stack.append(entry.name)
         self.trace.append(("enter", entry.name, frame.frame_id))
         try:
-            self._enter_block(entry.entry, frame)
+            with _path_stack():
+                self._enter_block(entry.entry, frame)
         except BudgetExceeded:
             self.budget_exhausted = True
         finally:
@@ -342,11 +399,15 @@ class PathExplorer:
         if visits >= self.config.max_block_visits:
             # Loop bound reached: the path dies here (paper's unroll-once).
             return
+        if self._path_depth >= MAX_PATH_DEPTH:
+            raise BudgetExceeded("path depth")
         frame.block_visits[block.uid] = visits + 1
+        self._path_depth += 1
         try:
             self._run_insts(block, 0, frame)
         finally:
             frame.block_visits[block.uid] = visits
+            self._path_depth -= 1
 
     def _run_insts(self, block: BasicBlock, index: int, frame: _Frame) -> None:
         insts = block.instructions

@@ -15,6 +15,21 @@ from typing import Optional
 
 #: the precision-tier ladder, in rung order
 _ALIAS_TIERS = {"off": 0, "steens": 1, "flow": 2}
+_CACHE_MODES = ("off", "ro", "rw")
+#: the least value each count or budget can run with: below it a run
+#: explores nothing, or explores without the bound it names
+_LEAST = {
+    "max_paths_per_entry": 1,
+    "max_steps_per_entry": 1,
+    "max_call_depth": 1,
+    "max_block_visits": 1,
+    "max_callee_exits_per_call": 1,
+    # 0 inlines no recursive call at all; below it, no call at all
+    "max_recursion_occurrences": 0,
+    "max_indirect_targets": 1,
+    "solver_max_search_nodes": 1,
+    "workers": 0,
+}
 
 
 @dataclass
@@ -92,6 +107,15 @@ class AnalysisConfig:
                 f"alias_tier must be one of {sorted(_ALIAS_TIERS)}, "
                 f"got {self.alias_tier!r}"
             )
+        if self.cache_mode not in _CACHE_MODES:
+            raise ValueError(
+                f"cache_mode must be one of {list(_CACHE_MODES)}, "
+                f"got {self.cache_mode!r}"
+            )
+        for name, least in _LEAST.items():
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value!r}")
 
     def alias_tier_level(self) -> int:
         """The tier as a comparable rung: 0 = off, 1 = steens, 2 = flow."""

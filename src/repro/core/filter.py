@@ -7,14 +7,20 @@ possible bug's recorded path into SMT-lite constraints (Table 3, one
 symbol per alias set) and drops the bug when the conjunction is
 definitely unsatisfiable.  UNKNOWN verdicts keep the bug — only a proven
 contradiction may silence a finding.
+
+A single-trace bug keeps its verdict (:attr:`PossibleBug.verdict`), and
+the incremental cache stores it with the bug's entry outcome; a bug
+that arrives with one is not translated or solved again.  Pair findings
+(races, cross-module taint) are matched after the merge, belong to no
+entry, and are validated fresh every run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from ..smt import SolveResult, Solver, translate_trace, translate_trace_pair
+from ..smt import Solver, translate_trace, translate_trace_pair
 from ..typestate import PossibleBug
 from .report import BugReport
 
@@ -25,7 +31,8 @@ class FilterStats:
     dropped_false: int = 0
     constraints_aware: int = 0
     constraints_unaware: int = 0
-    unknown_verdicts: int = 0
+    #: validated bugs that arrived with a verdict
+    verdicts_cached: int = 0
 
 
 @dataclass
@@ -77,18 +84,20 @@ class BugFilter:
     def run(self, possible_bugs: List[PossibleBug]) -> FilterResult:
         result = FilterResult()
         for bug in possible_bugs:
-            verdict, model = self._validate(bug, result.stats)
-            if verdict:
-                result.reports.append(BugReport.from_possible(bug, model))
+            if self._validate(bug, result.stats):
+                result.reports.append(BugReport.from_possible(bug))
             else:
                 result.stats.dropped_false += 1
         return result
 
-    def _validate(self, bug: PossibleBug, stats: FilterStats) -> Tuple[bool, Optional[dict]]:
+    def _validate(self, bug: PossibleBug, stats: FilterStats) -> bool:
         if not self.validate_paths or not bug.trace:
-            return True, None
+            return True
         stats.validated += 1
-        if bug.second_trace:
+        if bug.verdict is not None:
+            stats.verdicts_cached += 1
+            feasible, aware, unaware = bug.verdict
+        elif bug.second_trace:
             # Pair finding (race or cross-module taint matches): both
             # paths must be jointly feasible — a guard contradiction
             # across them discharges it.  The matcher encodes both
@@ -103,14 +112,17 @@ class BugFilter:
                 skip_names_a=self._skip_for(entry_a) if sep else None,
                 skip_names_b=self._skip_for(entry_b) if sep else None,
                 extra_requirement_b=bug.extra_requirement)
+            feasible, aware, unaware = self._solve(translation)
         else:
             translation = translate_trace(
                 bug.trace, bug.extra_requirement, alias_aware=self.alias_aware,
                 partition=self.partition,
                 skip_names=self._skip_for(bug.entry_function))
-        stats.constraints_aware += translation.aware_constraints
-        stats.constraints_unaware += translation.unaware_constraints
-        solution = self.solver.solve(translation.atoms)
-        if solution.result is SolveResult.UNKNOWN:
-            stats.unknown_verdicts += 1
-        return solution.feasible, solution.model
+            feasible, aware, unaware = bug.verdict = self._solve(translation)
+        stats.constraints_aware += aware
+        stats.constraints_unaware += unaware
+        return feasible
+
+    def _solve(self, translation) -> Tuple[bool, int, int]:
+        feasible = self.solver.solve(translation.atoms).feasible
+        return feasible, translation.aware_constraints, translation.unaware_constraints

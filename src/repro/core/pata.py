@@ -302,21 +302,6 @@ class PATA:
                 by_name[name] = EntryStats(name=name, skipped=True)
             stats.per_entry = [by_name[func.name] for func in entry_list]
 
-        if incr is not None:
-            # Parent-only, single-writer commit of outcomes and skip
-            # verdicts (a no-op under --cache ro).  Staged before P3 so
-            # the cached outcomes are the same objects the filter
-            # validates.  The map holds both executors' products: worker
-            # batches and the in-process path emit the same per-entry-pure
-            # EntryOutcome objects, so their coordinates stage identically
-            # (cache hits are skipped inside commit via ``stats.cached``).
-            incr.commit(analyzed_list, merge_map, skipped_names)
-            stats.cache_hits = incr.store.hits
-            stats.cache_misses = incr.store.misses
-            stats.cache_corrupt = incr.store.corrupt
-            if self._store is None:
-                incr.store.close()  # opened from the config: PATA owns it
-
         phase_started = time.monotonic()
         bug_filter = BugFilter(
             self.config.validate_paths,
@@ -330,7 +315,24 @@ class PATA:
         stats.validated_paths = filtered.stats.validated
         stats.smt_constraints_aware = filtered.stats.constraints_aware
         stats.smt_constraints_unaware = filtered.stats.constraints_unaware
+        stats.verdicts_cached = filtered.stats.verdicts_cached
         stats.time_filter_seconds = time.monotonic() - phase_started
+
+        if incr is not None:
+            # Parent-only, single-writer commit of outcomes and skip
+            # verdicts (a no-op under --cache ro).  Staged after P3, so
+            # each explored outcome carries the verdicts of its bugs
+            # that reached the filter.  The map holds both executors'
+            # products: worker batches and the in-process path emit the
+            # same per-entry-pure EntryOutcome objects, so their
+            # coordinates stage identically (cache hits are skipped
+            # inside commit via ``stats.cached``).
+            incr.commit(analyzed_list, merge_map, skipped_names)
+            stats.cache_hits = incr.store.hits
+            stats.cache_misses = incr.store.misses
+            stats.cache_corrupt = incr.store.corrupt
+            if self._store is None:
+                incr.store.close()  # opened from the config: PATA owns it
         stats.time_seconds = time.monotonic() - started
         return AnalysisResult(reports=filtered.reports, stats=stats)
 

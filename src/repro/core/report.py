@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..typestate import BugKind, PossibleBug
 
@@ -22,10 +22,9 @@ class BugReport:
     sink_line: int
     entry_function: str
     alias_set: Tuple[str, ...] = ()
-    feasible_model: Optional[dict] = None
 
     @classmethod
-    def from_possible(cls, bug: PossibleBug, model: Optional[dict] = None) -> "BugReport":
+    def from_possible(cls, bug: PossibleBug) -> "BugReport":
         return cls(
             kind=bug.kind,
             checker=bug.checker,
@@ -37,7 +36,6 @@ class BugReport:
             sink_line=bug.sink.loc.line,
             entry_function=bug.entry_function,
             alias_set=bug.alias_set,
-            feasible_model=model,
         )
 
     @property
@@ -116,6 +114,9 @@ class AnalysisStats:
     dropped_repeated_bugs: int = 0
     dropped_false_bugs: int = 0
     validated_paths: int = 0
+    #: validated bugs whose P3 verdict came with a cached entry outcome
+    #: (translated and solved by the run that explored the entry)
+    verdicts_cached: int = 0
     budget_exhausted_entries: int = 0
     #: P1.5 relevance pruning: entries skipped outright, CFG blocks
     #: marked irrelevant across analyzed entries, and paths cut short

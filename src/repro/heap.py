@@ -11,6 +11,15 @@ outcomes.  CPython's default collector walks all of it on every full
 * automatic full collections are suppressed;
 * the previous thresholds come back on exit.
 
+A long-lived process keeps a resident program (a daemon session's
+compiled modules) and must still reclaim each request's cyclic garbage.
+:func:`resident_heap` is that step: one collection per analyzing request
+over what was allocated since the last ``gc.freeze()``, then a freeze,
+so the pass never walks the resident modules.  Modules the session
+drops become frozen garbage; they are counted (:func:`drop_resident`)
+and a thaw makes the pass a full one once they outgrow a quarter of
+the table.
+
 A worker process does nothing but analysis and adopts the policy for
 its lifetime (:func:`adopt`).  A one-shot process ends through
 :func:`exit_process`, which skips tearing down a heap the OS reclaims
@@ -25,7 +34,7 @@ import gc
 import os
 import sys
 import threading
-from typing import Iterator, NoReturn, Tuple
+from typing import Dict, Iterator, NoReturn, Tuple
 
 #: (young, middle, full) collector thresholds inside an analysis: a
 #: young collection per 10k net allocations instead of 700, a middle one
@@ -33,21 +42,28 @@ from typing import Iterator, NoReturn, Tuple
 #: generation-2 counter never reaches.  Chosen by measurement.
 ANALYSIS_THRESHOLDS: Tuple[int, int, int] = (10_000, 10, 2**31 - 1)
 
+#: a full pass is due once the resident modules dropped since the last
+#: one exceed ``1 / THAW_SHARE`` of the table: CPython's own rule, which
+#: runs a full collection once the objects awaiting one exceed a
+#: quarter of the long-lived ones
+THAW_SHARE = 4
+
 _lock = threading.Lock()
 _depth = 0
 _outer: Tuple[int, ...] = ()
+# The frozen generation is process-wide, so its bookkeeping is too.
+_dropped = 0
+_thaws = 0
 
 
 @contextlib.contextmanager
-def analysis_heap(collect_first: bool = False) -> Iterator[None]:
+def analysis_heap() -> Iterator[None]:
     """Run the body under :data:`ANALYSIS_THRESHOLDS`.
 
     Nested or overlapping uses (a daemon request that timed out still
     running beside the next one) share one policy: the last to leave
     restores the thresholds the first one found.  The collector's
-    enabled state is never touched.  ``collect_first`` makes exactly one
-    full collection on entry, reclaiming the cyclic garbage an earlier
-    analysis in this process left behind.
+    enabled state is never touched.
     """
     global _depth, _outer
     with _lock:
@@ -56,14 +72,55 @@ def analysis_heap(collect_first: bool = False) -> Iterator[None]:
             gc.set_threshold(*ANALYSIS_THRESHOLDS)
         _depth += 1
     try:
-        if collect_first:
-            gc.collect()
         yield
     finally:
         with _lock:
             _depth -= 1
             if _depth == 0:
                 gc.set_threshold(*_outer)
+
+
+@contextlib.contextmanager
+def resident_heap(resident: int) -> Iterator[None]:
+    """The resident-heap step, wrapped around compiling one request's
+    changed files into a table of ``resident`` modules.
+
+    The caller first unlinks earlier programs from its resident modules,
+    so nothing frozen keeps the previous request's garbage reachable.
+    On entry: thaw (``gc.unfreeze()``) only when a full pass is due,
+    then make exactly one collection, which walks only what was
+    allocated since the last freeze (the previous request's
+    temporaries), or everything after a thaw.  The body compiles; on a
+    normal exit everything alive is frozen, the new modules with it, so
+    the next request's pass skips them.  Collecting before compiling
+    keeps a cold first request from walking the modules it just built.
+    """
+    global _dropped, _thaws
+    with _lock:
+        thaw = _dropped * THAW_SHARE > resident
+        if thaw:
+            _dropped = 0
+            _thaws += 1
+    if thaw:
+        gc.unfreeze()
+    gc.collect()
+    yield
+    gc.freeze()
+
+
+def drop_resident(count: int) -> None:
+    """Count ``count`` resident modules as dropped (replaced, cleared or
+    discarded with their table): frozen cyclic garbage that only a thaw
+    can reclaim."""
+    global _dropped
+    with _lock:
+        _dropped += count
+
+
+def resident_stats() -> Dict[str, int]:
+    """Objects in the frozen generation, and thaws so far in this
+    process (the daemon's ``status``)."""
+    return {"frozen_objects": gc.get_freeze_count(), "thaws": _thaws}
 
 
 def adopt() -> None:

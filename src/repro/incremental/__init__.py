@@ -16,8 +16,8 @@ The subsystem splits into four modules:
   :func:`compile_with_cache` is the frontend (layer-0) cache.
 
 Cache layers (one row each in :data:`.engine.LAYERS`): compiled
-modules and per-entry P2 outcomes; an entry P1.5 skips stores a skip
-verdict as its outcome.  P1 facts, the P1.5 pre-analysis and the
+modules and per-entry P2 outcomes, whose bugs carry their P3 verdicts;
+an entry P1.5 skips stores a skip verdict as its outcome.  P1 facts, the P1.5 pre-analysis and the
 whole-program products (the P1.7 partition, P1.8 must-alias facts,
 P2.6 module summaries) are rebuilt by any run that needs them.
 Corruption, version skew, and stale coordinates all degrade to warned

@@ -11,9 +11,10 @@ caching and the checker set is spec-addressable), it:
   declarative :data:`LAYERS` table;
 * partitions the entry list into cache hits, cached skips, and dirty
   entries (:meth:`~IncrementalContext.plan`);
-* after the dirty entries are explored, stages one outcome per entry —
-  a P1.5 skip verdict is an outcome whose stats say ``skipped`` — and
-  flushes everything with the store's single
+* after P3, stages one outcome per explored entry, its bugs carrying
+  their P3 verdicts, and one per skipped entry — a P1.5 skip verdict is
+  an outcome whose stats say ``skipped`` — and flushes everything with
+  the store's single
   :meth:`~.store.CacheStore.commit` — the parent process is the only
   store client: worker processes never open it (they inherit the
   parent's explorer world, see :mod:`repro.core.parallel`).
@@ -88,7 +89,10 @@ class Layer:
 #: versions (see :meth:`~.store.CacheStore.object_key`).  An entry
 #: P1.5 skips stores an outcome whose stats say ``skipped``: the
 #: verdict depends only on the entry's closure, the spec and config
-#: knobs the outcome key already folds.  No layer holds a product of
+#: knobs the outcome key already folds.  An explored entry's bugs carry
+#: their P3 verdicts: the key fixes each bug's trace, and with it the
+#: translation and the solver's answer under the folded P3 knobs (pair
+#: findings are matched after the merge and carry none).  No layer holds a product of
 #: the whole program (the P1.7 partition, the P1.8 flow facts, the
 #: P2.6 module summaries): its key would fold every function, so any
 #: edit anywhere would miss it.  Each run rebuilds those, and P1's

@@ -230,12 +230,14 @@ def spec_fingerprint(checker_spec: str) -> str:
 
 
 def engine_config_fingerprint(config) -> str:
-    """The P2-semantics-affecting knobs, folded into outcome keys.
+    """The knobs an entry outcome depends on, folded into outcome keys.
     Budgets and exploration parameters change which paths (and so which
-    possible bugs) exist; validation/worker/cache knobs do not.  The
-    knobs P1.5 reads (``prune`` itself, ``resolve_function_pointers``,
+    possible bugs) exist; worker and cache knobs do not.  The knobs P1.5
+    reads (``prune`` itself, ``resolve_function_pointers``,
     ``optimize_ir``, ``alias_tier``, ``taint_borders``) are among them,
-    so an outcome can carry its entry's skip verdict."""
+    so an outcome can carry its entry's skip verdict, and so are the P3
+    knobs (``validate_paths``, ``solver_max_search_nodes``), so it can
+    carry its bugs' verdicts."""
     return _sha(
         "cfg",
         repr(
@@ -254,6 +256,8 @@ def engine_config_fingerprint(config) -> str:
                 config.prune,
                 config.alias_tier,
                 config.taint_borders,
+                config.validate_paths,
+                config.solver_max_search_nodes,
             )
         ),
     )

@@ -65,8 +65,9 @@ log = logging.getLogger("repro.incremental")
 #: cached outcomes' access lists; 5: typed payloads from the engine's
 #: layer table, no facts or plan bundles; 6: one pack file per commit
 #: instead of one file per object; 7: no partition, flow-facts or
-#: module-summary layers)
-CACHE_FORMAT = 7
+#: module-summary layers; 8: cached outcomes' bugs carry P3 verdicts,
+#: and outcome keys fold the P3 knobs)
+CACHE_FORMAT = 8
 #: most packs a commit may leave behind; past it the commit merges
 PACK_LIMIT = 8
 PACK_DIR = "packs"
@@ -361,8 +362,9 @@ class CacheStore:
         raw = bytes.fromhex(key)
         if self._contains(raw):
             return
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        self._staged[raw] = checksummed(raw, payload)
+        payload = dumps(value)
+        if payload is not None:
+            self._staged[raw] = checksummed(raw, payload)
 
     def commit(self) -> int:
         """Flush every staged object as one new pack (tempfile + rename)
@@ -437,6 +439,20 @@ class CacheStore:
                 os.unlink(self._dir / name)
             except OSError:
                 pass  # a concurrent merge removed it first
+
+
+def dumps(value: Any) -> Optional[bytes]:
+    """``value`` pickled for a store, or ``None`` with a warning when its
+    object graph nests too deeply to pickle (an instruction drags its
+    function's whole CFG along, and a function whose blocks chain a few
+    hundred deep overflows the pickler's stack): the object is not
+    cached, and the next run misses it."""
+    try:
+        return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    except RecursionError:
+        log.warning("cache: %s object nests too deeply to pickle; not storing it",
+                    type(value).__name__)
+        return None
 
 
 def open_store(cache_dir: Optional[str], cache_mode: str) -> Optional[CacheStore]:

@@ -51,6 +51,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
+from ..heap import resident_stats
 from .protocol import ProtocolError, decode, encode, job_key, validate_request
 from .session import Session
 from .watch import WatchLoop
@@ -466,7 +467,8 @@ class PataServer:
     def _degrade(self, reason: str) -> None:
         """Replace the session with a fresh context: the abandoned one
         (possibly still being mutated by a timed-out analysis thread)
-        is never read again."""
+        is never read again.  Its modules count as dropped once it is
+        gone, so a later request thaws the heap and frees them."""
         log.warning("serve: %s; starting a fresh session (resident cache "
                     "dropped, results unaffected)", reason)
         self.session = self._make_session()
@@ -492,6 +494,7 @@ class PataServer:
             "session_uptime_seconds": round(self.session.uptime_seconds(), 3),
             "resident_cache": occupancy,
             "resident_modules": len(self.session.modules),
+            "heap": resident_stats(),
             "watch": self.watch,
             "watch_runs": self.watch_runs,
         }

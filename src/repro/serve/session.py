@@ -5,13 +5,17 @@ A :class:`Session` owns one :class:`~.store.ModuleTable` and one
 them.  The table keeps layer 0 live: one compiled module per filename,
 reused in place while its source is unchanged, so a one-file diff
 compiles one file and unpickles no module.  The store holds the
-per-entry P2 outcomes, P1.5 skip verdicts included, as pickled blobs.
-Nothing whole-program is resident — every request rebuilds the P1.7
-partition, the P1.8 must-alias facts and the P2.6 module summaries —
-so a one-file diff adds a few KB, not a copy of the program.  The first request over a file set is a cold run that
+per-entry P2 outcomes as pickled blobs, with P1.5 skip verdicts and the
+P3 verdicts of their bugs.  Nothing whole-program is resident — every
+request rebuilds the P1.7 partition, the P1.8 must-alias facts and the
+P2.6 module summaries — so a one-file diff adds a few KB, not a copy
+of the program.  The first request over a file set is a cold run that
 populates both; every later request over unchanged content resolves
-every layer from RAM and re-explores only dirtied fingerprint
-closures.  Reports are byte-identical to a one-shot ``PATA().analyze``
+every layer from RAM, re-explores only dirtied fingerprint closures
+and re-validates only their bugs.  The resident modules sit in the
+collector's frozen generation (:func:`repro.heap.resident_heap`), so a
+request's collection walks what the previous request left, not the
+program.  Reports are byte-identical to a one-shot ``PATA().analyze``
 over the same sources and config — residency is an optimization,
 never a precision or soundness trade.
 
@@ -95,14 +99,16 @@ class Session:
         warm-cache runs that re-explore nothing.
 
         Runs under the analysis heap policy.  A request that analyzes
-        starts with one full collection, which reclaims the cyclic
-        garbage earlier requests left (the policy defers automatic full
-        passes); a replay allocates next to nothing and collects nothing.
+        runs the resident-heap step around compiling its changed files
+        (:meth:`~.store.ModuleTable.take`): one collection over what the
+        previous request left, never over the frozen resident modules
+        unless enough of them were dropped to make a full pass pay.  A
+        replay allocates next to nothing and collects nothing.
         """
         sources = list(sources)
         key = self._request_key(sources)
         memo = self._memo.get(key)
-        with analysis_heap(collect_first=memo is None):
+        with analysis_heap():
             if memo is not None:
                 return self._replay(key, memo)
             return self._analyze(key, sources)
@@ -213,7 +219,8 @@ class Session:
         graceful degradation path after a request timed out or crashed
         midway (half-mutated residency must never serve the next
         request).  Results stay correct either way; only warmth is
-        lost."""
+        lost.  The discarded table counts every module as dropped, so
+        the next analyzing request thaws the heap and frees them."""
         self.modules = ModuleTable()
         self.store = ResidentStore()
         self._memo.clear()

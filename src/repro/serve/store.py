@@ -10,8 +10,9 @@ A resident session keeps its cache in two places:
   next request's full collection took 0.19 s, against 0.07 s without
   those copies to free.
 * :class:`ResidentStore` holds the per-entry P2 outcomes (P1.5 skip
-  verdicts included) as pickled blobs, a few KB per edited entry.  It
-  speaks the same surface as :class:`repro.incremental.store.CacheStore` —
+  verdicts and the bugs' P3 verdicts included) as pickled blobs, a few
+  KB per edited entry.  It speaks the same surface as
+  :class:`repro.incremental.store.CacheStore` —
   ``get``/``put``/``contains``/``reject``/``commit``, the ``mode``
   attribute, and the ``hits``/``misses``/``corrupt`` counters — but
   keeps every object in RAM, so a long-lived session pays no disk I/O.
@@ -35,9 +36,12 @@ import hashlib
 import logging
 import pickle
 import threading
+import weakref
 from typing import Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
+from .. import heap
 from ..incremental.engine import CompiledModule, compile_module
+from ..incremental.store import dumps
 
 log = logging.getLogger("repro.serve")
 
@@ -101,7 +105,9 @@ class ResidentStore:
     def put(self, key: str, value: Any) -> None:
         if self.contains(key):
             return
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = dumps(value)
+        if blob is None:
+            return
         with self._lock:
             self._staged[key] = blob
 
@@ -141,6 +147,11 @@ class ModuleTable:
     """Layer 0 of a resident session: one live compiled module per
     filename, replaced when the file's source changes.
 
+    The modules sit in the collector's frozen generation, so each one
+    the table replaces or clears, and every one a discarded table held,
+    is counted as dropped (:func:`repro.heap.drop_resident`) for the
+    next thaw to free.
+
     Unlocked: a session serves one request at a time, the daemon's
     scheduler answers ``status`` between requests, and a timed-out
     request keeps running against its abandoned session's own table.
@@ -148,25 +159,33 @@ class ModuleTable:
 
     def __init__(self) -> None:
         self._entries: Dict[str, _Resident] = {}
+        # A discarded table (a session reset or replaced) drops all its
+        # modules at once.
+        weakref.finalize(self, _drop_all, self._entries)
 
     def take(self, sources: Iterable[Tuple[str, str]]) -> List[CompiledModule]:
         """The compiled modules for one request's ``(filename, source)``
-        pairs, compiling only files whose source changed.  A filename
-        repeated within one request gets a fresh, untabled module for
-        each repeat, as a one-shot run compiles it twice: one module
-        object must not be linked twice into one program."""
+        pairs, compiling only files whose source changed, inside the
+        resident-heap step (:func:`repro.heap.resident_heap`).  A
+        filename repeated within one request gets a fresh, untabled
+        module for each repeat, as a one-shot run compiles it twice: one
+        module object must not be linked twice into one program."""
         for entry in self._entries.values():
             # Unlink every earlier program, from the modules this
-            # request skips too, so none of them stays reachable.
+            # request skips too, so none of them stays reachable from
+            # the frozen generation.
             entry.compiled.module._owners.clear()
         taken = set()
         compiled = []
-        for filename, source in sources:
-            if filename in taken:
-                compiled.append(compile_module(filename, source))
-                continue
-            taken.add(filename)
-            compiled.append(self._get(filename, source))
+        with heap.resident_heap(len(self._entries)):
+            for filename, source in sources:
+                if filename in taken:
+                    # Frozen with the rest, garbage after this request.
+                    heap.drop_resident(1)
+                    compiled.append(compile_module(filename, source))
+                    continue
+                taken.add(filename)
+                compiled.append(self._get(filename, source))
         return compiled
 
     def _get(self, filename: str, source: str) -> CompiledModule:
@@ -181,12 +200,19 @@ class ModuleTable:
             func.name for func in compiled.module.functions.values()
             if func.is_interface
         )
+        if entry is not None:
+            heap.drop_resident(1)
         self._entries[filename] = _Resident(digest, compiled, interfaces)
         return compiled
 
     def clear(self) -> None:
         """Drop every module: the next request compiles from scratch."""
+        _drop_all(self._entries)
         self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def _drop_all(entries: Dict[str, _Resident]) -> None:
+    heap.drop_resident(len(entries))

@@ -44,6 +44,12 @@ class PossibleBug:
     #: of both paths' constraints (:func:`repro.smt.translate.translate_trace_pair`)
     #: instead of a single path's.
     second_trace: Tuple = ()
+    #: stage 2's ``(feasible, aware constraints, unaware constraints)``
+    #: for a single-trace bug, set when P3 validates it.  It rides the
+    #: bug's cached entry outcome: translation and solving depend only on
+    #: the trace, ``extra_requirement``, ``alias_aware`` and the solver
+    #: budget, all fixed by the outcome key.
+    verdict: Optional[Tuple[bool, int, int]] = None
 
     @property
     def dedup_key(self) -> Tuple[str, int, int]:

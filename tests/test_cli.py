@@ -293,6 +293,88 @@ def test_deeply_nested_source_is_one_error_line(tmp_path, capsys, command, shape
     _assert_one_error_line(capsys.readouterr(), f"{path}:", "too deep")
 
 
+def nested_ifs(levels: int) -> str:
+    """A dereference of a null pointer ``levels`` nested ``if`` blocks
+    deep: the explorer's path nests about two blocks per level."""
+    return ("int deep(struct s *p, int x) {\n  if (!p) {\n"
+            + "".join(f"if (x > {i}) {{\n" for i in range(levels))
+            + "return p->v;\n" + "}\n" * levels + "  }\n  return 0;\n}\n")
+
+
+def chained_ifs(levels: int) -> str:
+    """``levels`` ``if`` statements in a row, then a null dereference:
+    no syntactic nesting, but every path nests two blocks per ``if``."""
+    return ("int deep(struct s *p, int x) {\n  int y = 0;\n"
+            + "".join(f"  if (x > {i}) y = y + 1;\n" for i in range(levels))
+            + "  if (!p) return p->v;\n  return y;\n}\n")
+
+
+#: (source, exit code, paths of the deep entry or None for a source
+#: error, whether the path-depth bound cuts the deep entry).  A 300-level
+#: nest is already a source error; 600 ``if`` statements in a row nest
+#: past the explorer's path-depth bound.
+DEEP_PATHS = {
+    "nested-120": (nested_ifs(120), 1, 122, False),
+    "nested-180": (nested_ifs(180), 1, 182, False),
+    "nested-400": (nested_ifs(400), 2, None, False),
+    "chained-400": (chained_ifs(400), 1, 2000, True),
+    "chained-600": (chained_ifs(600), 1, 0, True),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_PATHS))
+def test_deep_paths_end_alike_everywhere(tmp_path, capsys, shape):
+    """A path nested deeper than the interpreter's stack allows ends its
+    entry budget-exhausted at a fixed depth, the same through ``check``,
+    the worker pool, ``python -m repro`` and a daemon ``check_diff``:
+    the same stdout and exit code, no traceback, no session reset."""
+    from repro.core.analyzer import MAX_PATH_DEPTH
+    from repro.serve import PataServer
+    from repro import AnalysisConfig
+
+    assert MAX_PATH_DEPTH < 2 * 600, "chained-600 must nest past the bound"
+    source, code, paths, exhausted = DEEP_PATHS[shape]
+    path = tmp_path / "deep.c"
+    path.write_text(BUGGY + source)
+    argv = ["check", "--no-prune", "--all-checkers", str(path)]
+    stats = tmp_path / "stats.json"
+    assert main(argv + ["--stats-json", str(stats)]) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if paths is None:
+        assert out == "" and "too deep" in err
+    else:
+        assert out.count("NULL-POINTER DEREFERENCE") == (1 if shape == "chained-600" else 2)
+        deep = json.loads(stats.read_text())["per_entry"][1]
+        assert (deep["name"], deep["paths"], deep["budget_exhausted"]) == (
+            "deep", paths, exhausted)
+
+    assert main(argv + ["--workers", "2"]) == code
+    assert capsys.readouterr().out == out
+
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-m", "repro", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert "Traceback" not in proc.stderr
+
+    path.write_text(BUGGY)
+    server = PataServer(roots=[str(path)], socket_path=str(tmp_path / "pata.sock"),
+                        config=AnalysisConfig(prune=False), checker_spec="all")
+    server.start()
+    try:
+        path.write_text(BUGGY + source)
+        assert main(["submit", "check_diff", str(path),
+                     "--socket", server.socket_path]) == code
+        assert capsys.readouterr().out == out
+        assert server.sessions_reset == 0
+    finally:
+        server.request_shutdown()
+        server.serve_forever()
+        server.close()
+
+
 def test_lint_malformed_source_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.c"
     path.write_text("int f(void){ return 0x; }")

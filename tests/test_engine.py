@@ -1,6 +1,8 @@
 """End-to-end engine tests on the paper's motivating examples and on the
 engine's budget/merging machinery."""
 
+import pytest
+
 from repro import PATA, AnalysisConfig
 from repro.core import PathExplorer
 from repro.lang import compile_program
@@ -282,3 +284,29 @@ def test_explorer_reusable_across_entries():
     kinds = {b.kind for b in explorer.possible_bugs}
     assert kinds == {BugKind.NPD}
     assert len(explorer.possible_bugs) == 2
+
+
+#: field -> (a value that cannot run, the least value that can).  Each
+#: bad value used to be accepted: a run then explored nothing (no block
+#: visit, no step), explored past its bound (no path), dropped every call
+#: continuation, or silently turned the cache off (``"RW"``).
+CONFIG_BOUNDS = {
+    "max_paths_per_entry": (0, 1),
+    "max_steps_per_entry": (0, 1),
+    "max_call_depth": (0, 1),
+    "max_block_visits": (0, 1),
+    "max_callee_exits_per_call": (0, 1),
+    "max_recursion_occurrences": (-1, 0),
+    "max_indirect_targets": (0, 1),
+    "solver_max_search_nodes": (0, 1),
+    "workers": (-3, 0),
+    "cache_mode": ("RW", "rw"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(CONFIG_BOUNDS))
+def test_config_rejects_a_value_that_cannot_run(field):
+    bad, least = CONFIG_BOUNDS[field]
+    with pytest.raises(ValueError, match=field):
+        AnalysisConfig(**{field: bad})
+    assert getattr(AnalysisConfig(**{field: least}), field) == least

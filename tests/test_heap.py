@@ -6,9 +6,12 @@ around it.
   output with the collector disabled, collecting on every allocation,
   and under the policy.
 * A daemon session keeps the collector contract: thresholds and enabled
-  state restored after every request, exactly one full collection per
-  analyzing request, none per replay, and a tracked-object count that
-  stops growing once the replay memo is full.
+  state restored after every request, exactly one collection per
+  analyzing request over what the last freeze left out, none per
+  replay, and a count of tracked plus frozen objects that stops growing.
+  Every module the session drops dies at the next thaw, and a thaw
+  comes once the drops outgrow a quarter of the table or the session
+  is reset.
 * Both process entry points (``python -m repro`` and the ``repro-pata``
   script target) end with a hard exit that keeps the CLI's output,
   exit-code and broken-pipe contracts and leaves no worker behind.
@@ -23,6 +26,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import weakref
 
 import pytest
 
@@ -108,7 +112,7 @@ def test_overlapping_uses_restore_once_the_last_leaves():
 
 def test_policy_never_touches_the_enabled_state():
     with collector(enabled=False):
-        with heap.analysis_heap(collect_first=True):
+        with heap.analysis_heap(), heap.resident_heap(0):
             assert not gc.isenabled()
         assert not gc.isenabled()
 
@@ -128,12 +132,56 @@ def test_young_collections_run_and_full_ones_do_not():
             assert full_collections() == full
 
 
-def test_collect_first_makes_exactly_one_full_collection():
+def settle():
+    """Free whatever earlier tests left frozen and zero the drop count:
+    a resident step over an empty table thaws any debt."""
+    gc.unfreeze()
+    gc.collect()
+    with heap.resident_heap(0):
+        pass
+
+
+def frozen(obj) -> bool:
+    """Whether ``obj`` sits in the frozen generation, which
+    ``gc.get_objects()`` does not list."""
+    return gc.is_tracked(obj) and not any(o is obj for o in gc.get_objects())
+
+
+def thaws() -> int:
+    return heap.resident_stats()["thaws"]
+
+
+def test_resident_step_collects_once_then_freezes():
     with collector():
-        before = full_collections()
-        with heap.analysis_heap(collect_first=True):
-            pass
+        settle()
+        before, thawed = full_collections(), thaws()
+        with heap.resident_heap(0):
+            assert full_collections() == before + 1
+            built = [[] for _ in range(100)]
+            assert not frozen(built)
         assert full_collections() == before + 1
+        assert thaws() == thawed
+        assert frozen(built) and frozen(built[0])
+        assert heap.resident_stats()["frozen_objects"] == gc.get_freeze_count()
+
+
+def test_resident_step_thaws_once_drops_exceed_a_quarter():
+    with collector():
+        settle()
+        with heap.resident_heap(8):
+            built = []
+        before = thaws()
+        heap.drop_resident(2)  # a quarter of the table: no full pass yet
+        with heap.resident_heap(8):
+            assert frozen(built)
+        assert thaws() == before
+        heap.drop_resident(1)
+        with heap.resident_heap(8):
+            assert not frozen(built), "thawed before the collection"
+        assert thaws() == before + 1
+        with heap.resident_heap(8):
+            assert frozen(built), "the drop count starts over"
+        assert thaws() == before + 1
 
 
 # ---------------------------------------------------------------------------
@@ -244,31 +292,95 @@ def test_session_sequence_identical_under_every_collector_setting(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def edited(base, i):
+    """``base`` with a leak edit ``i`` appended to its first file."""
+    (name, text), rest = base[0], base[1:]
+    return [(name, text + leak_edit(i))] + rest
+
+
+def resident_objects() -> int:
+    return len(gc.get_objects()) + gc.get_freeze_count()
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_session_collector_contract(enabled):
+    """Over three times the table size in one-file diffs: one collection
+    per analyzing request and none per replay, thresholds and enabled
+    state restored, and tracked plus frozen objects level off.  Each
+    diff drops one module, so the frozen count climbs between thaws:
+    a plateau means every window of table-size diffs peaks no higher
+    than the first did."""
     base = generate(LINUX.scaled(0.05)).compiled_sources()
-    (name, text), rest = base[0], base[1:]
+    table = len(base)
     session = Session(checker_spec="all")
-    tracked = []
+    counts = []
     with collector((800, 11, 12), enabled):
-        for i in range(12):
-            request = [(name, text + leak_edit(i))] + rest
+        settle()
+        thawed = thaws()
+        for i in range(max(3 * table, MEMO_LIMIT + 2 * table)):
+            request = edited(base, i)
             before = full_collections()
             result = session.analyze(request)
             assert not result.stats.request_replayed
-            assert full_collections() == before + 1, "one full pass per analyzing request"
+            assert full_collections() == before + 1, "one pass per analyzing request"
+            assert gc.get_freeze_count() > 0, "the resident heap is frozen"
             assert gc.get_threshold() == (800, 11, 12) and gc.isenabled() == enabled
-            tracked.append(len(gc.get_objects()))
+            counts.append(resident_objects())
 
             before = full_collections()
             assert session.analyze(request).stats.request_replayed
             assert full_collections() == before, "a replay collects nothing"
             assert gc.get_threshold() == (800, 11, 12) and gc.isenabled() == enabled
+    assert thaws() > thawed
     # From the request that fills the memo on, each new result evicts
-    # the oldest: nothing else a request leaves behind survives the next.
-    plateau = tracked[MEMO_LIMIT - 1:]
-    assert max(plateau) <= plateau[0] * 1.01, tracked
+    # the oldest; a thaw frees the dropped modules.
+    settled = counts[MEMO_LIMIT - 1:]
+    first = max(settled[:table])
+    for start in range(table, len(settled), table):
+        assert max(settled[start:start + table]) <= first * 1.01, counts
 
+
+def module_refs(session, name):
+    """Weak references to the tabled module for ``name`` and to its
+    functions: each function and its blocks form a cycle, which only a
+    collection that sees them can free."""
+    module = session.modules._entries[name].compiled.module
+    return [weakref.ref(module)] + [weakref.ref(f) for f in module.functions.values()]
+
+
+def test_replaced_modules_die_at_the_next_thaw():
+    base = generate(LINUX.scaled(0.05)).compiled_sources()
+    session = Session(checker_spec="all")
+    settle()
+    session.analyze(base)
+    replaced = []
+    before = thaws()
+    i = 0
+    while thaws() == before:
+        replaced.append(module_refs(session, base[0][0]))
+        i += 1
+        session.analyze(edited(base, i))
+        assert i <= len(base), "a thaw is due once drops exceed a quarter of the table"
+    assert i > 1
+    assert all(ref() is None for refs in replaced[:-1] for ref in refs)
+    # The thawing request replaced one more module after its collection:
+    # frozen garbage until the next thaw.
+    assert any(ref() is not None for ref in replaced[-1])
+    settle()
+    assert all(ref() is None for ref in replaced[-1])
+
+
+def test_reset_makes_the_next_request_thaw():
+    base = generate(LINUX.scaled(0.05)).compiled_sources()
+    session = Session(checker_spec="all")
+    settle()
+    session.analyze(base)
+    refs = module_refs(session, base[1][0])
+    before = thaws()
+    session.reset()
+    session.analyze(base)
+    assert thaws() == before + 1
+    assert all(ref() is None for ref in refs)
 
 
 # ---------------------------------------------------------------------------

@@ -249,14 +249,15 @@ def test_store_pre_bump_format_heals_on_commit(tmp_path, caplog):
     3 -> 4: P2.6 xtaint summary layer + TaintFlow records in cached
     outcomes; 4 -> 5: typed layer-table payloads, bundles dropped;
     5 -> 6: one pack file per commit; 6 -> 7: partition, flow-facts and
-    module-summary layers dropped): a directory stamped with the
-    pre-bump format must read as all-misses, stay usable, and be
-    re-stamped with the current format by the next commit — no manual
-    cache wipe needed."""
-    assert CACHE_FORMAT == 7  # update the pre-bump fixture when bumping again
-    # A format-6 cache: its header stamp plus a pack holding a partition
-    # object under the key only the format-6 derivation could produce.
-    stale = _pre_bump_key("partition", "a=1")
+    module-summary layers dropped; 7 -> 8: cached outcomes carry P3
+    verdicts): a directory stamped with the pre-bump format must read as
+    all-misses, stay usable, and be re-stamped with the current format
+    by the next commit — no manual cache wipe needed."""
+    assert CACHE_FORMAT == 8  # update the pre-bump fixture when bumping again
+    # A format-7 cache: its header stamp plus a pack holding an outcome
+    # (its bugs without verdicts) under the key only the format-7
+    # derivation could produce.
+    stale = _pre_bump_key("outcome", "spec", "cfg", "entry", "closure")
     (tmp_path / PACK_DIR).mkdir()
     with open(tmp_path / PACK_DIR / f"{1:020d}-stale{PACK_SUFFIX}", "wb") as out:
         write_pack(out, [(stale, checksummed(stale, pickle.dumps("pre-bump")))], 1)
@@ -285,7 +286,7 @@ def test_store_pre_bump_format_heals_on_commit(tmp_path, caplog):
 
 
 def test_engine_heals_pre_bump_cache_directory(tmp_path, monkeypatch):
-    """End to end: analyzing over a format-6 cache directory, populated
+    """End to end: analyzing over a format-7 cache directory, populated
     by a full run, matches the uncached run byte for byte with no hit,
     re-stamps the header, and leaves a warm cache behind."""
     import repro.incremental.store as store_module

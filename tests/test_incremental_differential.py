@@ -9,6 +9,10 @@ exercises outcome rehydration, per-entry dedup reconciliation, and
 cross-entry race matching over a blend of cached and fresh SharedAccess
 tuples.  A cache populated with pruning on must not serve its P1.5 skip
 verdicts to a pruning-off run.
+
+Cached outcomes carry their bugs' P3 verdicts: a warm run translates
+and solves only the bugs of entries it explored (and the pair findings
+matched after the merge), and verdicts never cross P3 settings.
 """
 
 import dataclasses
@@ -28,6 +32,7 @@ _DETERMINISTIC_TOTALS = (
     "typestates_unaware", "dropped_repeated_bugs", "dropped_false_bugs",
     "validated_paths", "budget_exhausted_entries", "entries_skipped",
     "blocks_pruned", "paths_pruned", "shared_accesses", "race_pairs_matched",
+    "smt_constraints_aware", "smt_constraints_unaware",
 )
 
 
@@ -37,9 +42,10 @@ def corpus_sources():
     return generate(profile).compiled_sources()
 
 
-def _run(sources, spec, workers, cache_dir=None, prune=True):
+def _run(sources, spec, workers, cache_dir=None, prune=True, **knobs):
     config = AnalysisConfig(workers=workers, cache_dir=cache_dir,
-                            cache_mode="rw" if cache_dir else "off", prune=prune)
+                            cache_mode="rw" if cache_dir else "off", prune=prune,
+                            **knobs)
     pata = PATA(config=config, checker_spec=spec)
     if config.cache_active():
         store = open_store(cache_dir, "rw")
@@ -138,3 +144,84 @@ def test_skip_verdicts_never_cross_prune_modes(corpus_sources, tmp_path):
     assert _text(unpruned) == _text(baseline)
     for name in _DETERMINISTIC_TOTALS:
         assert getattr(unpruned.stats, name) == getattr(baseline.stats, name), name
+
+
+@pytest.fixture
+def translations(monkeypatch):
+    """The first trace of every translation P3 makes, single or pair."""
+    from repro.core import filter as filter_module
+
+    traces = []
+    for name in ("translate_trace", "translate_trace_pair"):
+        def counted(trace, *args, _real=getattr(filter_module, name), **kwargs):
+            traces.append(trace)
+            return _real(trace, *args, **kwargs)
+
+        monkeypatch.setattr(filter_module, name, counted)
+    return traces
+
+
+def _entry_of(trace):
+    return trace[0][1]  # ("enter", entry name, frame id)
+
+
+@pytest.mark.parametrize("spec", ["all", "taint,race,xtaint"])
+def test_unchanged_rerun_translates_only_pair_findings(
+        corpus_sources, tmp_path, translations, spec):
+    cache = str(tmp_path / "cache")
+    cold = _run(corpus_sources, spec, 1, cache)
+    assert cold.stats.validated_paths > 0 and cold.stats.verdicts_cached == 0
+    pairs = cold.stats.race_pairs_matched + cold.stats.xtaint_pairs_matched
+    assert len(translations) == cold.stats.validated_paths
+    translations.clear()
+    warm = _run(corpus_sources, spec, 1, cache)
+    assert _text(warm) == _text(cold)
+    assert warm.stats.entries_reanalyzed == 0
+    assert warm.stats.verdicts_cached == warm.stats.validated_paths - pairs
+    assert len(translations) == pairs
+    if spec == "all":
+        assert pairs == 0 and not translations
+    else:
+        assert pairs > 0, "the pair leg is vacuous without pair findings"
+
+
+def test_edit_translates_only_the_new_entrys_bugs(corpus_sources, tmp_path, translations):
+    cache = str(tmp_path / "cache")
+    _run(corpus_sources, "all", 1, cache)
+    name, text = corpus_sources[1]
+    edited = list(corpus_sources)
+    edited[1] = (name, text + "\nint verdict_edit(int n) { int *p = malloc(8); "
+                               "if (n > 1) return -1; free(p); return 0; }\n")
+    translations.clear()
+    warm = _run(edited, "all", 1, cache)
+    fresh = list(translations)
+    baseline = _run(edited, "all", 1)
+    assert _text(warm) == _text(baseline)
+    assert "verdict_edit" in _text(warm)
+    assert fresh and {_entry_of(t) for t in fresh} == {"verdict_edit"}
+    assert warm.stats.verdicts_cached == warm.stats.validated_paths - len(fresh)
+    for name in _DETERMINISTIC_TOTALS:
+        assert getattr(warm.stats, name) == getattr(baseline.stats, name), name
+
+
+@pytest.mark.parametrize("knobs", [{"validate_paths": False},
+                                   {"solver_max_search_nodes": 1}])
+def test_verdicts_never_cross_p3_settings(corpus_sources, tmp_path, translations, knobs):
+    """A cache populated under one set of P3 knobs serves no outcome, and
+    so no verdict, to a run under another: the other run explores and
+    validates everything afresh, as a cache-off run would."""
+    cache = str(tmp_path / "cache")
+    populated = _run(corpus_sources, "all", 1, cache)
+    translations.clear()
+    other = _run(corpus_sources, "all", 1, cache, **knobs)
+    assert len(translations) == other.stats.validated_paths
+    baseline = _run(corpus_sources, "all", 1, **knobs)
+    assert other.stats.entries_cached == 0 and other.stats.verdicts_cached == 0
+    assert _text(other) == _text(baseline)
+    for name in _DETERMINISTIC_TOTALS:
+        assert getattr(other.stats, name) == getattr(baseline.stats, name), name
+    # Neither setting overwrote the other's outcomes.
+    translations.clear()
+    again = _run(corpus_sources, "all", 1, cache)
+    assert again.stats.entries_reanalyzed == 0 and not translations
+    assert again.stats.verdicts_cached == populated.stats.validated_paths

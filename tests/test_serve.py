@@ -13,7 +13,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import PATA, AnalysisConfig
+from repro import PATA, AnalysisConfig, heap
 from repro.cli import check_output_text, main
 from repro.core.report import AnalysisStats
 from repro.corpus import LINUX, PROFILES_BY_NAME, generate
@@ -628,6 +628,8 @@ class TestDaemon:
             assert status["resident_cache"]["objects"] > 0
             assert status["resident_cache"]["bytes"] > 0
             assert status["resident_modules"] == 1
+            assert status["heap"] == heap.resident_stats()
+            assert status["heap"]["frozen_objects"] > 0
             assert status["uptime_seconds"] >= 0.0
             assert status["watch"] is False
         finally:
@@ -755,9 +757,12 @@ class TestDaemon:
             assert not response["ok"]
             assert "RuntimeError" in response["error"]
             assert server.sessions_reset == 1
-            # The replacement session answers correctly (cold, but right).
+            # The replacement session answers correctly (cold, but right),
+            # and thaws the heap to free the discarded session's modules.
+            thaws = submit(server, {"op": "status"})["heap"]["thaws"]
             recovered = submit(server, {"op": "check_module"})
             assert recovered["ok"]
+            assert submit(server, {"op": "status"})["heap"]["thaws"] == thaws + 1
             assert recovered["output"] == expected
             assert recovered["serve"]["entries_reanalyzed"] > 0
         finally:
