@@ -88,12 +88,16 @@ def _check_seconds(option: str, value: Optional[float]) -> None:
 
 class _ProfileNames:
     """The corpus profile names as argparse ``choices``, read from
-    :mod:`repro.corpus` only when a command line names or lists them."""
+    :mod:`repro.corpus` only when a command line names or lists them:
+    the four OS profiles, and with ``labs`` the three labs too."""
+
+    def __init__(self, labs: bool = False):
+        self.labs = labs
 
     def _names(self) -> List[str]:
-        from .corpus import PROFILES_BY_NAME
+        from .corpus import CORPUS_PROFILES_BY_NAME, PROFILES_BY_NAME
 
-        return sorted(PROFILES_BY_NAME)
+        return sorted(CORPUS_PROFILES_BY_NAME if self.labs else PROFILES_BY_NAME)
 
     def __contains__(self, name: object) -> bool:
         return name in self._names()
@@ -225,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     profiles = _ProfileNames()
     corpus = sub.add_parser("corpus", help="generate a synthetic OS corpus")
-    corpus.add_argument("--os", choices=profiles, metavar="OS", required=True,
+    corpus.add_argument("--os", choices=_ProfileNames(labs=True), metavar="OS", required=True,
                         help="corpus profile: %(choices)s")
     corpus.add_argument("--scale", type=float, default=1.0)
     corpus.add_argument("--out", type=pathlib.Path, default=None,
@@ -548,9 +552,9 @@ def cmd_lint(args) -> int:
 
 def cmd_corpus(args) -> int:
     """``corpus``: generate a synthetic OS tree (optionally to disk)."""
-    from .corpus import PROFILES_BY_NAME, generate
+    from .corpus import CORPUS_PROFILES_BY_NAME, generate
 
-    profile = PROFILES_BY_NAME[args.os].scaled(args.scale)
+    profile = CORPUS_PROFILES_BY_NAME[args.os].scaled(args.scale)
     corpus = generate(profile)
     print(f"{profile.name} {profile.version_label}: {len(corpus.files)} files, "
           f"{corpus.total_lines():,} LOC, {len(corpus.ground_truth)} injected bugs, "

@@ -18,11 +18,7 @@ continuation runs once per distinct exit state, bounded by
 
 from __future__ import annotations
 
-import contextlib
-import os
-import sys
-import threading
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..alias import AliasGraph, Trail, apply_instruction
 from ..errors import BudgetExceeded
@@ -59,6 +55,7 @@ from ..ir import (
 )
 from ..races.shared import SharedAccess
 from ..smt.terms import NEGATED_REL, SWAPPED_REL
+from ..stack import headroom
 from ..typestate import (
     AllocEvent,
     AssignConstEvent,
@@ -100,46 +97,8 @@ MAX_PATH_DEPTH = 1000
 _FRAMES_PER_BLOCK = 6
 #: frames event dispatch and checker code add at the deepest block
 _LEAF_FRAMES = 200
-
-_stack_lock = threading.Lock()
-_stack_users = 0
-_stack_outer = 0
-
-
-def _reset_path_stack() -> None:
-    """A forked pool worker starts with no walk of its own in flight,
-    and with a lock no other thread of the parent can still hold."""
-    global _stack_lock, _stack_users
-    _stack_lock = threading.Lock()
-    _stack_users = 0
-
-
-os.register_at_fork(after_in_child=_reset_path_stack)
-
-
-@contextlib.contextmanager
-def _path_stack() -> Iterator[None]:
-    """Raise the recursion limit by what a walk :data:`MAX_PATH_DEPTH`
-    blocks deep can use.  The caller's own depth is below the limit it
-    found, so the bound cuts at the same block whether the walk runs
-    from the CLI, a test, a daemon thread or a pool worker.  Overlapping
-    uses share one raise; the last to leave restores the limit the first
-    one found, which the frontend's own nesting errors depend on."""
-    global _stack_users, _stack_outer
-    with _stack_lock:
-        if _stack_users == 0:
-            _stack_outer = sys.getrecursionlimit()
-            sys.setrecursionlimit(
-                _stack_outer + MAX_PATH_DEPTH * _FRAMES_PER_BLOCK + _LEAF_FRAMES)
-        _stack_users += 1
-    try:
-        yield
-    finally:
-        with _stack_lock:
-            _stack_users -= 1
-            if _stack_users == 0:
-                sys.setrecursionlimit(_stack_outer)
-
+#: the recursion headroom a walk needs (see :func:`repro.stack.headroom`)
+_PATH_FRAMES = MAX_PATH_DEPTH * _FRAMES_PER_BLOCK + _LEAF_FRAMES
 
 class _Frame:
     """One (possibly inlined) function activation."""
@@ -355,7 +314,7 @@ class PathExplorer:
         self._call_stack.append(entry.name)
         self.trace.append(("enter", entry.name, frame.frame_id))
         try:
-            with _path_stack():
+            with headroom(_PATH_FRAMES):
                 self._enter_block(entry.entry, frame)
         except BudgetExceeded:
             self.budget_exhausted = True

@@ -13,6 +13,17 @@ the incremental cache stores it with the bug's entry outcome; a bug
 that arrives with one is not translated or solved again.  Pair findings
 (races, cross-module taint) are matched after the merge, belong to no
 entry, and are validated fresh every run.
+
+Within one run (one :class:`BugFilter`) P3 answers each distinct
+question once.  Pair findings share traces — firmlab's pairs replay
+each distinct trace about five times — so :func:`translate_trace_pair`
+keeps each alias-aware trace replay in a memo keyed by the trace
+object.  And verdicts are memoized by the constraint system with its
+symbols renamed by rank of first occurrence
+(:func:`~repro.smt.terms.rank_renamed`): the solver's answer does not
+depend on how symbols are numbered, so :meth:`Solver.solve` runs once
+per distinct system.  The constraint counters still come from each
+bug's own translation.  Neither memo outlives the run.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from ..smt import Solver, translate_trace, translate_trace_pair
+from ..smt import Solver, rank_renamed, translate_trace, translate_trace_pair
 from ..typestate import PossibleBug
 from .report import BugReport
 
@@ -33,6 +44,8 @@ class FilterStats:
     constraints_unaware: int = 0
     #: validated bugs that arrived with a verdict
     verdicts_cached: int = 0
+    #: solver calls; the verdict memo answers the other validations
+    smt_solves: int = 0
 
 
 @dataclass
@@ -64,6 +77,10 @@ class BugFilter:
         self.flow_facts = flow_facts
         self._skip_memo: dict = {}
         self.solver = Solver(max_search_nodes=solver_max_search_nodes)
+        #: alias-aware pair replays (see :func:`translate_trace_pair`)
+        self._replays: dict = {}
+        #: rank-renamed constraint system -> feasible
+        self._verdicts: dict = {}
 
     def _skip_for(self, entry_name: str):
         """The per-entry skip set for trace replay, or ``None`` to fall
@@ -111,18 +128,23 @@ class BugFilter:
                 partition=self.partition,
                 skip_names_a=self._skip_for(entry_a) if sep else None,
                 skip_names_b=self._skip_for(entry_b) if sep else None,
-                extra_requirement_b=bug.extra_requirement)
-            feasible, aware, unaware = self._solve(translation)
+                extra_requirement_b=bug.extra_requirement,
+                replays=self._replays)
+            feasible, aware, unaware = self._solve(translation, stats)
         else:
             translation = translate_trace(
                 bug.trace, bug.extra_requirement, alias_aware=self.alias_aware,
                 partition=self.partition,
                 skip_names=self._skip_for(bug.entry_function))
-            feasible, aware, unaware = bug.verdict = self._solve(translation)
+            feasible, aware, unaware = bug.verdict = self._solve(translation, stats)
         stats.constraints_aware += aware
         stats.constraints_unaware += unaware
         return feasible
 
-    def _solve(self, translation) -> Tuple[bool, int, int]:
-        feasible = self.solver.solve(translation.atoms).feasible
+    def _solve(self, translation, stats: FilterStats) -> Tuple[bool, int, int]:
+        key = rank_renamed(translation.atoms)
+        feasible = self._verdicts.get(key)
+        if feasible is None:
+            feasible = self._verdicts[key] = self.solver.solve(translation.atoms).feasible
+            stats.smt_solves += 1
         return feasible, translation.aware_constraints, translation.unaware_constraints

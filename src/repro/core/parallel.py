@@ -19,13 +19,17 @@ protocol:
   cheap tail levels the finish;
 * each batch returns a small ``(entry name, EntryOutcome)`` chunk —
   bounding peak pickle size to one batch, never a whole shard — and the
-  parent folds chunks into its outcome map as they complete;
+  parent folds chunks into its outcome map as they complete.  A chunk
+  writes every instruction and terminator as its uid (forked workers
+  share the parent's uids), and the parent reads each uid back as its
+  own object, so a result never carries a copy of the IR: pickling an
+  instruction would drag its block, its function and every block
+  reachable from it along, which both costs bytes and overflows the
+  pickler's recursion on one deep function;
 * the final merge (:func:`merge_outcomes`) visits entries in
   ``entry_list`` order regardless of completion order, deduplicating
   with the same ``dedup_key`` logic the sequential explorer applies
-  in-process — instruction uids survive the fork and the result
-  pickles, so cross-worker duplicates collapse exactly as they do
-  in-process.
+  in-process, on the parent's own instructions.
 
 Determinism: every field of the merged result except wall-clock timings
 is identical to the sequential run's, byte for byte.  Any failure to
@@ -38,14 +42,16 @@ in-process path — never a crash.
 
 from __future__ import annotations
 
+import io
 import logging
 import os
+import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import heap
-from ..ir import Function, Program
+from ..ir import Function, Instruction, Program, Terminator
 from ..races.shared import SharedAccess
 from ..typestate import Checker, PossibleBug
 from .analyzer import PathExplorer
@@ -187,10 +193,48 @@ def _init_worker(world: World) -> None:
     _WORLD = world
 
 
-def _run_batch(entry_names: List[str]) -> List[Tuple[str, EntryOutcome]]:
+class _UidPickler(pickle.Pickler):
+    """Writes instructions and terminators as their uids."""
+
+    def persistent_id(self, obj):
+        if isinstance(obj, (Instruction, Terminator)):
+            return obj.uid
+        return None
+
+
+class _UidUnpickler(pickle.Unpickler):
+    """Reads each uid back as the object it names in ``index``."""
+
+    def __init__(self, data: bytes, index: Dict[int, object]):
+        super().__init__(io.BytesIO(data))
+        self._index = index
+
+    def persistent_load(self, uid):
+        return self._index[uid]
+
+
+def instruction_index(program: Program) -> Dict[int, object]:
+    """uid -> instruction or terminator, over every defined function."""
+    index: Dict[int, object] = {}
+    for func in program.functions():
+        for block in func.blocks:
+            for inst in block.instructions:
+                index[inst.uid] = inst
+            if block.terminator is not None:
+                index[block.terminator.uid] = block.terminator
+    return index
+
+
+def load_chunk(data: bytes, index: Dict[int, object]) -> List[Tuple[str, "EntryOutcome"]]:
+    """Decode a :func:`_run_batch` result against the parent's program."""
+    return _UidUnpickler(data, index).load()
+
+
+def _run_batch(entry_names: List[str]) -> bytes:
     """Worker-process batch body: explore one small batch of entries on
     a fresh explorer over the inherited world and return its outcome
-    chunk, one per-entry-pure outcome per name, in batch order."""
+    chunk, one per-entry-pure outcome per name, in batch order, pickled
+    with instructions as uids (:func:`load_chunk` decodes it)."""
     world = _WORLD
     assert world is not None, "worker batch before initializer ran"
     crash = os.environ.get(_CRASH_ENV)
@@ -207,7 +251,9 @@ def _run_batch(entry_names: List[str]) -> List[Tuple[str, EntryOutcome]]:
     if touch_dir:
         with open(os.path.join(touch_dir, f"batch-{os.getpid()}-{entry_names[0]}"), "w"):
             pass
-    return list(zip(entry_names, outcomes))
+    buffer = io.BytesIO()
+    _UidPickler(buffer, pickle.HIGHEST_PROTOCOL).dump(list(zip(entry_names, outcomes)))
+    return buffer.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +317,10 @@ def run_parallel(world: World, entry_list: Sequence[Function]) -> Optional[Paral
         ) as pool:
             futures = [pool.submit(_run_batch, batch) for batch in batches]
             try:
+                # Built while the first batches run.
+                index = instruction_index(world.program)
                 for future in as_completed(futures):
-                    for name, outcome in future.result():
+                    for name, outcome in load_chunk(future.result(), index):
                         outcomes[name] = outcome
             except BaseException:
                 # One failed batch fails the whole parallel attempt; the

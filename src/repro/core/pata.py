@@ -316,6 +316,7 @@ class PATA:
         stats.smt_constraints_aware = filtered.stats.constraints_aware
         stats.smt_constraints_unaware = filtered.stats.constraints_unaware
         stats.verdicts_cached = filtered.stats.verdicts_cached
+        stats.smt_solves = filtered.stats.smt_solves
         stats.time_filter_seconds = time.monotonic() - phase_started
 
         if incr is not None:

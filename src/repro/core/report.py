@@ -117,6 +117,9 @@ class AnalysisStats:
     #: validated bugs whose P3 verdict came with a cached entry outcome
     #: (translated and solved by the run that explored the entry)
     verdicts_cached: int = 0
+    #: solver calls P3 made: validations neither cached nor answered by
+    #: the run's verdict memo (one per distinct constraint system)
+    smt_solves: int = 0
     budget_exhausted_entries: int = 0
     #: P1.5 relevance pruning: entries skipped outright, CFG blocks
     #: marked irrelevant across analyzed entries, and paths cut short

@@ -11,6 +11,7 @@ from .spec import (
 from .generator import generate
 from .oses import (
     ALL_PROFILES,
+    CORPUS_PROFILES_BY_NAME,
     FIRMLAB,
     LINUX,
     PROFILES_BY_NAME,
@@ -31,7 +32,7 @@ from .metrics import (
 __all__ = [
     "BaitRegion", "GeneratedFile", "GeneratedOS", "GroundTruthBug",
     "OSProfile", "Requirement", "generate",
-    "ALL_PROFILES", "FIRMLAB", "LINUX", "PROFILES_BY_NAME", "RACELAB", "RIOT", "TAINTLAB", "TENCENTOS", "ZEPHYR",
+    "ALL_PROFILES", "CORPUS_PROFILES_BY_NAME", "FIRMLAB", "LINUX", "PROFILES_BY_NAME", "RACELAB", "RIOT", "TAINTLAB", "TENCENTOS", "ZEPHYR",
     "CONFIRM_PERCENT", "MatchResult", "is_confirmed", "match_findings",
     "reachable_truth",
 ]

@@ -167,3 +167,8 @@ FIRMLAB = OSProfile(
 
 ALL_PROFILES: List[OSProfile] = [LINUX, ZEPHYR, RIOT, TENCENTOS]
 PROFILES_BY_NAME: Dict[str, OSProfile] = {p.name: p for p in ALL_PROFILES}
+#: every profile ``repro corpus`` generates: the four OS profiles and
+#: the three single-checker labs
+CORPUS_PROFILES_BY_NAME: Dict[str, OSProfile] = {
+    p.name: p for p in ALL_PROFILES + [TAINTLAB, RACELAB, FIRMLAB]
+}

@@ -28,8 +28,9 @@ from ..ir import (
     StructType,
     Var,
 )
+from ..stack import headroom
 from . import ast
-from .parser import parse
+from .parser import FRONTEND_FRAMES, parse
 
 # Allocation APIs: name -> (size-argument index, zero-initialized, may return NULL)
 ALLOCATORS: Dict[str, Tuple[int, bool, bool]] = {
@@ -178,12 +179,10 @@ class UnitLowerer:
             elif isinstance(decl, ast.GlobalVar):
                 self._lower_global(decl)
         # Pass 2: function bodies.
-        for fdef in self.function_defs.values():
-            try:
+        # The parser bounded the nesting the lowering recurses over.
+        with headroom(FRONTEND_FRAMES):
+            for fdef in self.function_defs.values():
                 FunctionLowerer(self, fdef).lower()
-            except RecursionError:
-                raise SemaError(f"function {fdef.name!r} nests too deeply to lower",
-                                self.unit.filename, fdef.line) from None
         return self.module
 
     def _declare_function(self, decl: ast.FunctionDef) -> ir.Function:

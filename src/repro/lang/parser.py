@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import List, Optional, Set, Tuple
 
 from ..errors import ParseError
+from ..stack import headroom
 from . import ast
 from .lexer import Token, parse_int_literal, tokenize
 
@@ -36,6 +37,31 @@ _BINARY_PRECEDENCE = {
 
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 
+#: Nesting bounds of the frontend.  Constants, like P2's path-depth
+#: bound: the parse stops with "nesting too deep to parse" at the token
+#: that passes one, so whether a source compiles, and where it fails,
+#: depends on the source alone.  As in C's translation limits,
+#: statements and expressions are bounded apart.  A statement nested in
+#: another is one level (an ``if`` and its ``{`` block are two), so 180
+#: nested ``if`` blocks use 361.
+MAX_STATEMENT_NESTING = 512
+#: An expression level is an operand nested in another: a parenthesis,
+#: a unary or cast operand, a nested ``{`` initializer, or one link of a
+#: left-deep chain (``a + b + c``, ``a, b``, ``p->q[i]``, ``a = b``,
+#: ``c ? a : b``), which nests below everything its chain holds so far.
+#: The bound covers the height of every expression tree sema and
+#: lowering recurse over.
+MAX_EXPRESSION_NESTING = 128
+#: Python frames parse, sema or lowering spend per level (3 and 7 at
+#: most, measured over every statement and expression form), and at
+#: the innermost level: the headroom they run under (see
+#: :func:`repro.stack.headroom`)
+_FRAMES_PER_STATEMENT = 4
+_FRAMES_PER_EXPRESSION = 10
+_LEAF_FRAMES = 100
+FRONTEND_FRAMES = (MAX_STATEMENT_NESTING * _FRAMES_PER_STATEMENT
+                   + MAX_EXPRESSION_NESTING * _FRAMES_PER_EXPRESSION + _LEAF_FRAMES)
+
 
 class Parser:
     """Recursive-descent parser; one instance per translation unit."""
@@ -49,6 +75,12 @@ class Parser:
         self.pos = 0
         self.typedefs: Set[str] = set()
         self.source_lines = source.count("\n") + 1
+        #: statement nesting of the statement being parsed
+        self._statements = 0
+        #: expression level being parsed, and the deepest level reached
+        #: since the innermost open chain started
+        self._expr_depth = 0
+        self._expr_peak = 0
 
     # -- token helpers ------------------------------------------------------
 
@@ -86,6 +118,29 @@ class Parser:
         tok = self._peek()
         return ParseError(message, self.filename, tok.line, tok.column)
 
+    # -- expression nesting (see MAX_EXPRESSION_NESTING) ----------------------
+
+    def _descend(self) -> int:
+        """Enter one expression level; returns the level to restore."""
+        depth = self._expr_depth + 1
+        if depth > MAX_EXPRESSION_NESTING:
+            raise self._error("nesting too deep to parse")
+        self._expr_depth = depth
+        if depth > self._expr_peak:
+            self._expr_peak = depth
+        return depth - 1
+
+    # A left-deep chain saves the level it sits at and the peak so far,
+    # measures the peak afresh from its own level, and at its end
+    # restores the level and keeps the higher peak.  The five chain
+    # parsers do this inline: they run once per operand.
+
+    def _link(self) -> None:
+        """One more link of the open chain: it encloses everything the
+        chain holds so far, and its operands nest one level below."""
+        self._expr_depth = self._expr_peak
+        self._descend()
+
     # -- type detection ------------------------------------------------------
 
     def _starts_type(self, offset: int = 0) -> bool:
@@ -98,13 +153,9 @@ class Parser:
 
     def parse(self) -> ast.TranslationUnit:
         unit = ast.TranslationUnit(1, self.filename, [], self.source_lines)
-        try:
+        with headroom(FRONTEND_FRAMES):
             while not self._at("eof"):
                 unit.decls.append(self._parse_top_level())
-        except RecursionError:
-            # Each nesting level costs the descent a few frames; report
-            # where it gave up instead of a traceback.
-            raise self._error("nesting too deep to parse") from None
         return unit
 
     def _parse_top_level(self) -> ast.Node:
@@ -308,6 +359,7 @@ class Parser:
     def _parse_initializer(self) -> ast.Initializer:
         tok = self._peek()
         if self._accept("punct", "{"):
+            depth = self._descend()
             fields: List[Tuple[str, ast.Initializer]] = []
             elements: List[ast.Initializer] = []
             while not self._accept("punct", "}"):
@@ -318,6 +370,7 @@ class Parser:
                 else:
                     elements.append(self._parse_initializer())
                 self._accept("punct", ",")
+            self._expr_depth = depth
             if fields:
                 return ast.Initializer(tok.line, None, fields, None)
             return ast.Initializer(tok.line, None, None, elements)
@@ -333,6 +386,14 @@ class Parser:
         return ast.Block(tok.line, statements)
 
     def _parse_statement(self) -> ast.Stmt:
+        self._statements += 1
+        if self._statements > MAX_STATEMENT_NESTING:
+            raise self._error("nesting too deep to parse")
+        stmt = self._parse_statement_kind()
+        self._statements -= 1
+        return stmt
+
+    def _parse_statement_kind(self) -> ast.Stmt:
         tok = self._peek()
         if self._at("punct", "{"):
             return self._parse_block()
@@ -470,49 +531,70 @@ class Parser:
     # -- expressions ------------------------------------------------------------
 
     def _parse_expression(self) -> ast.Expr:
+        top, outer = self._expr_depth, self._expr_peak
+        self._expr_peak = top
         expr = self._parse_assignment()
         while self._accept("punct", ","):
+            self._link()
             expr = ast.Binary(expr.line, ",", expr, self._parse_assignment())
+        self._expr_depth = top
+        if outer > self._expr_peak:
+            self._expr_peak = outer
         return expr
 
     def _parse_assignment(self) -> ast.Expr:
-        lhs = self._parse_ternary()
+        top, outer = self._expr_depth, self._expr_peak
+        self._expr_peak = top
+        expr = self._parse_ternary()
         tok = self._peek()
         if tok.kind == "punct" and tok.text in _ASSIGN_OPS:
             self._next()
+            self._link()
             rhs = self._parse_assignment()
             op = tok.text[:-1] if tok.text != "=" else ""
-            return ast.Assign(tok.line, lhs, rhs, op)
-        return lhs
+            expr = ast.Assign(tok.line, expr, rhs, op)
+        self._expr_depth = top
+        if outer > self._expr_peak:
+            self._expr_peak = outer
+        return expr
 
     def _parse_ternary(self) -> ast.Expr:
-        cond = self._parse_binary(1)
+        top, outer = self._expr_depth, self._expr_peak
+        self._expr_peak = top
+        expr = self._parse_binary(1)
         if self._accept("punct", "?"):
+            self._link()
             then_expr = self._parse_expression()
             self._expect("punct", ":")
             else_expr = self._parse_ternary()
-            return ast.Ternary(cond.line, cond, then_expr, else_expr)
-        return cond
+            expr = ast.Ternary(expr.line, expr, then_expr, else_expr)
+        self._expr_depth = top
+        if outer > self._expr_peak:
+            self._expr_peak = outer
+        return expr
 
     def _parse_binary(self, min_prec: int) -> ast.Expr:
+        top, outer = self._expr_depth, self._expr_peak
+        self._expr_peak = top
         lhs = self._parse_unary()
         while True:
             tok = self._peek()
             prec = _BINARY_PRECEDENCE.get(tok.text) if tok.kind == "punct" else None
             if prec is None or prec < min_prec:
+                self._expr_depth = top
+                if outer > self._expr_peak:
+                    self._expr_peak = outer
                 return lhs
             self._next()
+            self._link()
             rhs = self._parse_binary(prec + 1)
             lhs = ast.Binary(tok.line, tok.text, lhs, rhs)
 
     def _parse_unary(self) -> ast.Expr:
         tok = self._peek()
-        if tok.kind == "punct" and tok.text in ("-", "~", "!", "*", "&"):
+        if tok.kind == "punct" and tok.text in ("-", "~", "!", "*", "&", "++", "--"):
             self._next()
-            return ast.Unary(tok.line, tok.text, self._parse_unary())
-        if tok.kind == "punct" and tok.text in ("++", "--"):
-            self._next()
-            return ast.Unary(tok.line, tok.text, self._parse_unary())
+            return ast.Unary(tok.line, tok.text, self._parse_operand())
         if tok.kind == "kw" and tok.text == "sizeof":
             self._next()
             if self._at("punct", "(") and self._starts_type(1):
@@ -523,7 +605,7 @@ class Parser:
                     depth += 1
                 self._expect("punct", ")")
                 return ast.SizeOf(tok.line, ty.with_pointers(depth), None)
-            return ast.SizeOf(tok.line, None, self._parse_unary())
+            return ast.SizeOf(tok.line, None, self._parse_operand())
         if self._at("punct", "(") and self._starts_type(1):
             self._next()
             ty = self._parse_type_spec()
@@ -531,13 +613,24 @@ class Parser:
             while self._accept("punct", "*"):
                 depth += 1
             self._expect("punct", ")")
-            return ast.Cast(tok.line, ty.with_pointers(depth), self._parse_unary())
+            return ast.Cast(tok.line, ty.with_pointers(depth), self._parse_operand())
         return self._parse_postfix()
 
+    def _parse_operand(self) -> ast.Expr:
+        """A unary, cast or ``sizeof`` operand, one level down."""
+        depth = self._descend()
+        operand = self._parse_unary()
+        self._expr_depth = depth
+        return operand
+
     def _parse_postfix(self) -> ast.Expr:
+        top, outer = self._expr_depth, self._expr_peak
+        self._expr_peak = top
         expr = self._parse_primary()
         while True:
             tok = self._peek()
+            if tok.kind == "punct" and tok.text in ("(", "[", ".", "->", "++", "--"):
+                self._link()
             if self._accept("punct", "("):
                 args: List[ast.Expr] = []
                 if not self._at("punct", ")"):
@@ -559,6 +652,9 @@ class Parser:
                 self._next()
                 expr = ast.Unary(tok.line, "p" + tok.text, expr)
             else:
+                self._expr_depth = top
+                if outer > self._expr_peak:
+                    self._expr_peak = outer
                 return expr
 
     def _parse_primary(self) -> ast.Expr:
@@ -578,7 +674,9 @@ class Parser:
             self._next()
             return ast.Name(tok.line, tok.text)
         if self._accept("punct", "("):
+            depth = self._descend()
             expr = self._parse_expression()
+            self._expr_depth = depth
             self._expect("punct", ")")
             return expr
         raise self._error(f"expected expression, found {tok.text!r}")

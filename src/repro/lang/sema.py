@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..errors import SemaError
+from ..stack import headroom
 from . import ast
 from .lower import ALLOCATORS, DEALLOCATORS, LOCK_APIS, MEMSET_APIS
-from .parser import parse
+from .parser import FRONTEND_FRAMES, parse
 
 _KNOWN_INTRINSICS = (
     set(ALLOCATORS) | set(DEALLOCATORS) | set(LOCK_APIS) | set(MEMSET_APIS)
@@ -75,13 +75,11 @@ class SemaChecker:
             elif isinstance(decl, ast.StructDef) and decl.name.startswith("enum "):
                 for enumerator in decl.fields:
                     self.enums.add(enumerator.name)
-        for decl in self.unit.decls:
-            if isinstance(decl, ast.FunctionDef) and decl.body is not None:
-                try:
+        # The parser bounded the nesting these walks recurse over.
+        with headroom(FRONTEND_FRAMES):
+            for decl in self.unit.decls:
+                if isinstance(decl, ast.FunctionDef) and decl.body is not None:
                     _FunctionSema(self, decl).run()
-                except RecursionError:
-                    raise SemaError(f"function {decl.name!r} nests too deeply to check",
-                                    self.unit.filename, decl.line) from None
         return self.diagnostics
 
 

@@ -9,7 +9,7 @@ defines that language; :mod:`repro.smt.solver` decides it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 REL_OPS = ("eq", "ne", "lt", "le", "gt", "ge")
 NEGATED_REL = {"eq": "ne", "ne": "eq", "lt": "ge", "ge": "lt", "le": "gt", "gt": "le"}
@@ -178,3 +178,23 @@ def fold(term: Term) -> Term:
                 return Num(value)
         return App(term.op, args)
     return term
+
+
+def rank_renamed(atoms: Sequence[Atom]) -> Tuple[Atom, ...]:
+    """``atoms`` with every symbol renamed to the rank of its first
+    occurrence, hints dropped.  Two systems that differ only in how
+    their symbols are numbered rename to equal tuples, which makes the
+    result a key for anything that depends on the system alone."""
+    ranks: Dict[int, int] = {}
+
+    def rename(term: Term) -> Term:
+        if isinstance(term, Sym):
+            rank = ranks.get(term.sid)
+            if rank is None:
+                rank = ranks[term.sid] = len(ranks)
+            return Sym(rank)
+        if isinstance(term, App):
+            return App(term.op, tuple(rename(arg) for arg in term.args))
+        return term
+
+    return tuple(Atom(atom.op, rename(atom.lhs), rename(atom.rhs)) for atom in atoms)

@@ -26,6 +26,7 @@ class (the Fig. 9 example).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -443,6 +444,30 @@ def _trace_defined_globals(trace: Sequence[Tuple]) -> set:
     return names
 
 
+@dataclass
+class _Replay:
+    """One alias-aware replay of one trace, as pair translation reads it:
+    its translation, and the symbol of every global it may bridge — bound
+    exactly once on the replay (only ever read, so one symbol denotes its
+    value on the whole path) and never defined by the trace."""
+
+    translation: Translation
+    bridgeable: Dict[str, Sym]
+
+
+def _replay(trace, partition, skip_names, extra_requirement) -> _Replay:
+    translator = PathTranslator(partition=partition, skip_names=skip_names)
+    translation = translator.translate(trace, extra_requirement)
+    binds = Counter(name for name in translator.graph.journal if name.startswith("@"))
+    defined = _trace_defined_globals(trace)
+    bridgeable = {}
+    for name, count in binds.items():
+        node = translator.graph.node_of_name(name)
+        if count == 1 and node is not None and name not in defined:
+            bridgeable[name] = Sym(node.uid)
+    return _Replay(translation, bridgeable)
+
+
 def translate_trace_pair(
     trace_a: Sequence[Tuple],
     trace_b: Sequence[Tuple],
@@ -451,6 +476,7 @@ def translate_trace_pair(
     skip_names_a=None,
     skip_names_b=None,
     extra_requirement_b=None,
+    replays: Optional[dict] = None,
 ) -> Translation:
     """Translate two independently recorded paths into one *joint*
     constraint set — stage 2 for pair findings (the race detector's
@@ -479,31 +505,43 @@ def translate_trace_pair(
     cross-module taint pair.  It must be satisfiable together with both
     path conditions and the bridges, so a range check dominating the
     sink discharges the pair exactly like the single-trace case.
+
+    ``replays`` is a memo of alias-aware replays the caller keeps for
+    the pairs of one run, all under one ``partition``.  It is keyed by
+    the trace object's identity, its skip set's identity and the extra
+    requirement, and holds the trace and the skip set so neither
+    identity is reused while it lives.  A memoized replay keeps its
+    symbols, so two pairs sharing a trace get constraint systems equal
+    up to renaming to what fresh replays give; the symbol spaces of one
+    pair's two replays stay disjoint, except for a trace paired with
+    itself, which therefore replays afresh.
     """
-    defined = _trace_defined_globals(trace_a) | _trace_defined_globals(trace_b)
-    bridges: List[Atom] = []
     if alias_aware:
         # Per-trace skip sets (each trace may come from a different
         # entry whose closure proves different names skippable).  Globals
-        # are never skipped under any tier, so the bridging walk below
-        # sees every ``@`` name either way.
-        first = PathTranslator(partition=partition, skip_names=skip_names_a)
-        second = PathTranslator(partition=partition, skip_names=skip_names_b)
-        result_a = first.translate(trace_a)
-        result_b = second.translate(trace_b, extra_requirement_b)
-        for name in sorted(first.graph._node_of):
-            if not name.startswith("@") or name in defined:
-                continue
-            node_b = second.graph.node_of_name(name)
-            if node_b is None:
-                continue
-            # Bound exactly once on both replays: the name was only ever
-            # read, so one symbol denotes its value on the whole path.
-            if first.graph.journal.count(name) != 1 or second.graph.journal.count(name) != 1:
-                continue
-            node_a = first.graph.node_of_name(name)
-            bridges.append(Atom("eq", first._sym(node_a), second._sym(node_b)))
+        # are never skipped under any tier, so every ``@`` name a replay
+        # binds has a node to bridge either way.
+        def replay(trace, skip_names, extra):
+            if replays is None or trace_a is trace_b:
+                return _replay(trace, partition, skip_names, extra)
+            key = (id(trace), id(skip_names), extra)
+            hit = replays.get(key)
+            if hit is None:
+                hit = replays[key] = (trace, skip_names,
+                                      _replay(trace, partition, skip_names, extra))
+            return hit[2]
+
+        first = replay(trace_a, skip_names_a, None)
+        second = replay(trace_b, skip_names_b, extra_requirement_b)
+        result_a, result_b = first.translation, second.translation
+        bridges = [
+            Atom("eq", sym, second.bridgeable[name])
+            for name, sym in sorted(first.bridgeable.items())
+            if name in second.bridgeable
+        ]
     else:
+        defined = _trace_defined_globals(trace_a) | _trace_defined_globals(trace_b)
+        bridges = []
         first = NaPathTranslator()
         result_a = first.translate(trace_a)
         second = NaPathTranslator()

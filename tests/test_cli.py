@@ -274,8 +274,9 @@ def test_check_malformed_source_exits_2(tmp_path, capsys, source, where, message
     assert err == f"error: {path}:{where}: {message}\n"
 
 
-#: sources nested past the frontend's recursion limit: in the parser's
-#: expression descent, in its statement descent, and in lowering
+#: sources nested past the frontend's nesting bounds: parentheses and
+#: a left-deep sum past the expression bound, ``if`` blocks past the
+#: statement bound
 DEEP_SOURCES = {
     "parens": "int f(void){ return " + "(" * 200 + "1" + ")" * 200 + "; }\n",
     "ifs": "int f(int a){\n" + "if (a) {\n" * 300 + "a = 1;\n" + "}\n" * 300
@@ -291,6 +292,46 @@ def test_deeply_nested_source_is_one_error_line(tmp_path, capsys, command, shape
     path.write_text(DEEP_SOURCES[shape])
     assert main([command, str(path)]) == 2
     _assert_one_error_line(capsys.readouterr(), f"{path}:", "too deep")
+
+
+def _from_depth(depth: int, call):
+    """``call()`` made ``depth`` frames deeper than this one."""
+    return call() if depth == 0 else _from_depth(depth - 1, call)
+
+
+@pytest.mark.parametrize("command", ["check", "lint"])
+@pytest.mark.parametrize("shape", ["ifs-180", "ifs", "parens", "terms"])
+def test_nesting_outcome_ignores_the_callers_stack(tmp_path, capsys, command, shape):
+    """The frontend's nesting bounds are constants: a source compiles,
+    or fails at the same ``file:line:col``, whether the CLI is called
+    from a shallow stack, 60 or 300 frames deeper, or a fresh thread."""
+    import re
+    import threading
+
+    from repro.lang.parser import MAX_STATEMENT_NESTING
+
+    ifs_180 = ("int f(int a){\n" + "if (a) {\n" * 180 + "a = 1;\n" + "}\n" * 180
+               + "return a; }\n")
+    assert 2 * 180 < MAX_STATEMENT_NESTING < 2 * 300
+    path = tmp_path / f"{shape}.c"
+    path.write_text(ifs_180 if shape == "ifs-180" else DEEP_SOURCES[shape])
+    outcomes = []
+    for depth in (0, 60, 300):
+        code = _from_depth(depth, lambda: main([command, str(path)]))
+        outcomes.append((code, *capsys.readouterr()))
+    threaded = []
+    thread = threading.Thread(target=lambda: threaded.append(main([command, str(path)])))
+    thread.start()
+    thread.join()
+    outcomes.append((threaded[0], *capsys.readouterr()))
+    assert outcomes[1:] == outcomes[:1] * 3
+    code, out, err = outcomes[0]
+    if shape == "ifs-180":
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and out == ""
+        assert re.fullmatch(rf"error: {re.escape(str(path))}:\d+:\d+: "
+                            r"nesting too deep to parse\n", err)
 
 
 def nested_ifs(levels: int) -> str:

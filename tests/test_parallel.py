@@ -198,14 +198,15 @@ def test_worker_world_and_batch():
     explores a batch and returns per-entry-pure outcomes in batch order,
     equal to the in-process path's."""
     import repro.core.parallel as parallel_mod
-    from repro.core.parallel import World, _init_worker, _run_batch
+    from repro.core.parallel import (
+        World, _init_worker, _run_batch, instruction_index, load_chunk)
 
     program = compile_program([("budget.c", BUDGET_SOURCE)])
     world = World(program, AnalysisConfig(), default_checkers())
     try:
         _init_worker(world)
         assert parallel_mod._WORLD is world
-        chunk = _run_batch(["heavy", "light"])
+        chunk = load_chunk(_run_batch(["heavy", "light"]), instruction_index(program))
     finally:
         parallel_mod._WORLD = None
     assert [name for name, _ in chunk] == ["heavy", "light"]
@@ -516,3 +517,53 @@ int e2(struct s *p) { return helper(p); }
     assert [str(b) for b in merged] == [str(b) for b in shared.possible_bugs]
     assert stats.dropped_repeated_bugs == shared.repeated_bugs
     assert stats.dropped_repeated_bugs == 1
+
+
+def test_deep_function_results_cross_the_pool(tmp_path, capsys, caplog):
+    """A worker ships instructions as uids, never the IR around them:
+    a function of 400 chained ``if`` blocks, whose pickled IR would nest
+    past the pickler's recursion limit, still comes back through the
+    pool, and the report equals the sequential one."""
+    import json
+
+    from repro.cli import main
+
+    source = ("int f(int x) { int *p = malloc(8);\n"
+              + "".join(f"if (x > {i}) {{ x = x + 1; }}\n" for i in range(400))
+              + "return x; }\nint h(int *p) { if (!p) return *p; return 0; }\n")
+    path = tmp_path / "deep.c"
+    path.write_text(source)
+    argv = ["check", "--all-checkers", str(path)]
+    assert main(argv) == 1
+    sequential = capsys.readouterr().out
+    stats = tmp_path / "stats.json"
+    with caplog.at_level(logging.WARNING, logger="repro.parallel"):
+        assert main(argv + ["--workers", "2", "--stats-json", str(stats)]) == 1
+    assert not caplog.records
+    assert json.loads(stats.read_text())["workers_used"] == 2
+    assert capsys.readouterr().out == sequential
+    assert "MEMORY LEAK" in sequential and "NULL-POINTER DEREFERENCE" in sequential
+
+
+def test_decoded_outcomes_hold_the_parents_instructions():
+    import repro.core.parallel as parallel_mod
+    from repro.core.parallel import World, _init_worker, _run_batch, instruction_index, load_chunk
+
+    source = ("struct s { int v; };\n"
+              "int f(struct s *p) { if (!p) { return p->v; } return 0; }\n"
+              "int g(int n) { int *q = malloc(8); if (n) return 1; free(q); return 0; }\n")
+    program = compile_program([("bugs.c", source)])
+    world = World(program, AnalysisConfig(), default_checkers())
+    index = instruction_index(program)
+    try:
+        _init_worker(world)
+        chunk = load_chunk(_run_batch(["f", "g"]), index)
+    finally:
+        parallel_mod._WORLD = None
+    bugs = [bug for _, outcome in chunk for bug in outcome.bugs]
+    assert len(bugs) == 2
+    for bug in bugs:
+        steps = [item for step in bug.trace for item in step if hasattr(item, "uid")]
+        assert steps
+        for inst in [bug.source, bug.sink, *steps]:
+            assert index[inst.uid] is inst

@@ -229,3 +229,62 @@ def test_multi_declarator_global_flattened():
 def test_source_lines_recorded():
     unit = parse("int a;\nint b;\n")
     assert unit.source_lines >= 2
+
+
+# ---------------------------------------------------------------------------
+# Nesting bounds: fixed, and within the headroom the frontend runs under
+# ---------------------------------------------------------------------------
+
+
+def _bounded_sources():
+    """Sources at the frontend's nesting bounds, and one level past."""
+    from repro.lang.parser import MAX_EXPRESSION_NESTING as ME, MAX_STATEMENT_NESTING as MS
+
+    def ifs(levels, inner):
+        return ("int g(int a); int f(int x, int *a) {\n" + "if (x) {\n" * levels + inner
+                + "\n" + "}\n" * levels + "return x; }\n")
+
+    def paren(levels):
+        return "(" * levels + "x" + ")" * levels
+
+    at = {
+        "ifs+parens": ifs(MS // 2 - 1, f"x = {paren(ME - 3)};"),
+        "ifs+sum": ifs(MS // 2 - 1, "x = " + " + ".join(["x"] * (ME - 1)) + ";"),
+        "ifs+calls": ifs(MS // 2 - 1, "x = " + "g(" * (ME // 2 - 2) + "x" + ")" * (ME // 2 - 2) + ";"),
+        "else-ifs": "int f(int x) { if (x) x = 1;" + " else if (x) x = 1;" * (MS - 2) + " return x; }\n",
+        "initializer": "int f(void) { int v[1] = " + "{" * (ME - 1) + "1" + "}" * (ME - 1) + "; return 0; }\n",
+    }
+    past = {
+        "ifs": ifs(MS // 2, "x = 1;"),
+        "parens": ifs(1, f"x = {paren(ME)};"),
+        "sum": ifs(1, "x = " + " + ".join(["x"] * (ME + 2)) + ";"),
+        # Two chains, each within the bound, nest past it: the outer
+        # chain's links enclose the inner chain's height.
+        "nested-sums": ifs(1, "x = (" + " + ".join(["x"] * (ME // 2 + 8)) + ") + "
+                           + " + ".join(["x"] * (ME // 2 + 8)) + ";"),
+    }
+    return at, past
+
+
+def test_sources_at_the_nesting_bounds_compile_from_a_deep_stack():
+    import sys
+
+    from repro.lang import compile_source
+    from repro.lang.sema import check_source
+
+    def depth():
+        frame, count = sys._getframe(), 0
+        while frame is not None:
+            frame, count = frame.f_back, count + 1
+        return count
+
+    def near_the_limit(call, room=40):
+        return call() if depth() >= sys.getrecursionlimit() - room else near_the_limit(call, room)
+
+    at, past = _bounded_sources()
+    for name, source in at.items():
+        near_the_limit(lambda: compile_source(source, f"{name}.c"))
+        near_the_limit(lambda: check_source(source, f"{name}.c"))
+    for name, source in past.items():
+        with pytest.raises(ParseError, match="nesting too deep to parse"):
+            compile_source(source, f"{name}.c")

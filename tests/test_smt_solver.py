@@ -198,3 +198,61 @@ def test_property_solver_agrees_with_brute_force(atoms):
     else:
         # An unsatisfiable system must never get a (verified) model.
         assert not sol.is_sat
+
+
+# ---------------------------------------------------------------------------
+# Renaming invariance: P3's verdict memo keys on rank-renamed systems
+# ---------------------------------------------------------------------------
+
+_SIDS = st.integers(min_value=1, max_value=6)
+_CONSTS = st.integers(min_value=-4, max_value=4)
+
+
+@st.composite
+def _conjunctions(draw):
+    """Pins, differences, disequalities and nonlinear terms, as the
+    translators emit them."""
+    atoms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        shape = draw(st.sampled_from(["pin", "diff", "ne", "app"]))
+        op = draw(_ops)
+        lhs = Sym(draw(_SIDS))
+        if shape == "pin":
+            rhs = Num(draw(_CONSTS))
+        elif shape == "diff":
+            rhs = App(draw(st.sampled_from(["add", "sub"])), (Sym(draw(_SIDS)), Num(draw(_CONSTS))))
+        elif shape == "ne":
+            op, rhs = "ne", draw(st.one_of(_CONSTS.map(Num), _SIDS.map(Sym)))
+        else:
+            rhs = App(draw(st.sampled_from(["mul", "div", "mod", "and", "xor", "shl"])),
+                      (Sym(draw(_SIDS)), draw(st.one_of(_CONSTS.map(Num), _SIDS.map(Sym)))))
+        atoms.append(Atom(op, lhs, rhs))
+    return atoms
+
+
+def _renamed(atoms, mapping):
+    def term(t):
+        if isinstance(t, Sym):
+            return Sym(mapping[t.sid])
+        if isinstance(t, App):
+            return App(t.op, tuple(term(a) for a in t.args))
+        return t
+    return [Atom(a.op, term(a.lhs), term(a.rhs)) for a in atoms]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_conjunctions(), st.randoms(use_true_random=False),
+       st.sampled_from([1, 50, 20000]))
+def test_property_verdict_ignores_symbol_numbering(atoms, rng, budget):
+    from repro.smt import Solver, rank_renamed
+
+    solver = Solver(max_search_nodes=budget)
+    targets = rng.sample(range(1, 10_000), 6)
+    bijection = {sid: targets[sid - 1] for sid in range(1, 7)}
+    renamed = _renamed(atoms, bijection)
+    verdict = solver.solve(atoms)
+    assert solver.solve(renamed).feasible == verdict.feasible
+    assert solver.solve(rank_renamed(atoms)).feasible == verdict.feasible
+    # The memo key: equal for every numbering of one system.
+    assert rank_renamed(renamed) == rank_renamed(atoms)
+    assert rank_renamed(rank_renamed(atoms)) == rank_renamed(atoms)
