@@ -20,12 +20,11 @@ protocol:
 * each batch returns a small ``(entry name, EntryOutcome)`` chunk —
   bounding peak pickle size to one batch, never a whole shard — and the
   parent folds chunks into its outcome map as they complete.  A chunk
-  writes every instruction and terminator as its uid (forked workers
+  goes through the codec the cache uses too
+  (:mod:`repro.incremental.coords`), with the pool's naming: every
+  instruction and terminator is written as its uid (forked workers
   share the parent's uids), and the parent reads each uid back as its
-  own object, so a result never carries a copy of the IR: pickling an
-  instruction would drag its block, its function and every block
-  reachable from it along, which both costs bytes and overflows the
-  pickler's recursion on one deep function;
+  own object, so a result never carries a copy of the IR;
 * the final merge (:func:`merge_outcomes`) visits entries in
   ``entry_list`` order regardless of completion order, deduplicating
   with the same ``dedup_key`` logic the sequential explorer applies
@@ -42,10 +41,8 @@ in-process path — never a crash.
 
 from __future__ import annotations
 
-import io
 import logging
 import os
-import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -193,24 +190,11 @@ def _init_worker(world: World) -> None:
     _WORLD = world
 
 
-class _UidPickler(pickle.Pickler):
-    """Writes instructions and terminators as their uids."""
-
-    def persistent_id(self, obj):
-        if isinstance(obj, (Instruction, Terminator)):
-            return obj.uid
-        return None
-
-
-class _UidUnpickler(pickle.Unpickler):
-    """Reads each uid back as the object it names in ``index``."""
-
-    def __init__(self, data: bytes, index: Dict[int, object]):
-        super().__init__(io.BytesIO(data))
-        self._index = index
-
-    def persistent_load(self, uid):
-        return self._index[uid]
+def _uid(obj):
+    """The pool's naming for the codec (:mod:`repro.incremental.coords`):
+    an instruction or terminator by its uid, which forked workers share
+    with the parent."""
+    return obj.uid if isinstance(obj, (Instruction, Terminator)) else None
 
 
 def instruction_index(program: Program) -> Dict[int, object]:
@@ -226,15 +210,21 @@ def instruction_index(program: Program) -> Dict[int, object]:
 
 
 def load_chunk(data: bytes, index: Dict[int, object]) -> List[Tuple[str, "EntryOutcome"]]:
-    """Decode a :func:`_run_batch` result against the parent's program."""
-    return _UidUnpickler(data, index).load()
+    """Decode a :func:`_run_batch` result against the parent's program,
+    each uid through ``index`` (:func:`instruction_index`)."""
+    # Imported here: repro.incremental cannot load while repro does.
+    from ..incremental.coords import decode
+
+    return decode(data, index.__getitem__)
 
 
 def _run_batch(entry_names: List[str]) -> bytes:
     """Worker-process batch body: explore one small batch of entries on
     a fresh explorer over the inherited world and return its outcome
-    chunk, one per-entry-pure outcome per name, in batch order, pickled
+    chunk, one per-entry-pure outcome per name, in batch order, encoded
     with instructions as uids (:func:`load_chunk` decodes it)."""
+    from ..incremental.coords import encode
+
     world = _WORLD
     assert world is not None, "worker batch before initializer ran"
     crash = os.environ.get(_CRASH_ENV)
@@ -251,9 +241,7 @@ def _run_batch(entry_names: List[str]) -> bytes:
     if touch_dir:
         with open(os.path.join(touch_dir, f"batch-{os.getpid()}-{entry_names[0]}"), "w"):
             pass
-    buffer = io.BytesIO()
-    _UidPickler(buffer, pickle.HIGHEST_PROTOCOL).dump(list(zip(entry_names, outcomes)))
-    return buffer.getvalue()
+    return encode(list(zip(entry_names, outcomes)), _uid)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ The subsystem splits into four modules:
 * :mod:`.store` — the on-disk object store: one pack file per commit
   and an in-memory key index, checksummed reads, staged single-writer
   atomic commits, a bounded pack count, versioned header;
-* :mod:`.coords` — stable instruction coordinates and outcome
-  rehydration across process boundaries (uids are process-local);
+* :mod:`.coords` — stable instruction coordinates and the one codec
+  that carries an outcome across a boundary: the worker pool names
+  instructions by uid, the cache by coordinate (uids are
+  process-local);
 * :mod:`.engine` — orchestration: :class:`IncrementalContext` drives
   plan/load/stage/commit inside :meth:`repro.core.pata.PATA.analyze`;
   :func:`compile_with_cache` is the frontend (layer-0) cache.

@@ -1,19 +1,33 @@
-"""Stable instruction coordinates and cross-run rehydration.
+"""Stable instruction coordinates, and the one codec that carries an
+entry's outcome across a process or run boundary.
 
 Instruction and block ``uid``\\ s are *process-local* counters: a cached
-P2 outcome unpickled in a later run carries uids that mean nothing to —
+P2 outcome read by a later run would carry uids that mean nothing to —
 or worse, collide with — the current program.  This module gives every
-instruction, terminator, and block a **coordinate** that *is* stable
-across runs for an unchanged function::
+instruction and terminator a **coordinate** that *is* stable across
+runs for an unchanged function::
 
     (function name, block index, instruction index)   # -1 = terminator
 
-A cache hit's entry has an unchanged callgraph closure (that is what the
-transitive key certifies), so every instruction its traces mention still
-sits at the same coordinate in the current program; rehydration swaps
-each unpickled copy for the current program's own object.  After that a
-cached outcome is indistinguishable from one the current run explored:
-uid-based dedup keys, race-matcher sort orders, and ``heap#<uid>``
+The codec (:func:`encode` / :func:`decode`) is one pickler/unpickler
+pair: it writes each object a *naming* function names as that name,
+and reads each name back through a *resolver*.  An outcome crosses two
+boundaries, each with its own naming:
+
+* the worker pool names an instruction or terminator by its uid, which
+  forked workers share with the parent (:mod:`repro.core.parallel`);
+* the cache names it by its coordinate, and a string holding
+  ``heap#<uid>`` by the same string with each uid replaced by that
+  instruction's coordinate (:meth:`CoordIndex.name`).  The engine writes
+  ``heap#N`` only from an allocation's uid, so the rule rewrites exactly
+  what a cold run would print, in whatever field it sits.
+
+Either way no pickled outcome carries a copy of the IR, and a decoded
+one holds the current program's own objects: a cache hit's entry has an
+unchanged callgraph closure (that is what the transitive key
+certifies), so every coordinate its records name still resolves, and
+the outcome is indistinguishable from one the current run explored —
+uid-based dedup keys, race-matcher sort orders and ``heap#<uid>``
 shared-state roots all agree with freshly analyzed entries.
 
 The module also owns :func:`renumber_program` — after assembling a
@@ -24,8 +38,10 @@ in the same process.
 
 from __future__ import annotations
 
+import io
+import pickle
 import re
-from typing import Dict, Iterator, Tuple
+from typing import Any, Callable, Dict, Iterator, Tuple
 
 from ..ir import Instruction, Program, Terminator
 
@@ -34,6 +50,8 @@ from ..ir import Instruction, Program, Terminator
 Coord = Tuple[str, int, int]
 
 _HEAP_ROOT = re.compile(r"heap#(\d+)")
+#: a ``heap#`` root as the cache names it: ``heap#<function>@<block>.<index>``
+_NAMED_ROOT = re.compile(r"heap#([^@]*)@(\d+)\.(-?\d+)")
 
 
 class StaleEntry(Exception):
@@ -41,6 +59,37 @@ class StaleEntry(Exception):
     not have (or vice versa) — the entry predates the current cache-key
     scheme or the key derivation missed a dependency.  Callers treat it
     as a miss; soundness never rests on this path being unreachable."""
+
+
+class _Pickler(pickle.Pickler):
+    def __init__(self, file, ref: Callable[[Any], Any]):
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self._ref = ref
+
+    def persistent_id(self, obj):
+        return self._ref(obj)
+
+
+class _Unpickler(pickle.Unpickler):
+    def __init__(self, file, resolve: Callable[[Any], Any]):
+        super().__init__(file)
+        self._resolve = resolve
+
+    def persistent_load(self, name):
+        return self._resolve(name)
+
+
+def encode(value: Any, ref: Callable[[Any], Any]) -> bytes:
+    """``value`` pickled with each object for which ``ref`` returns a
+    name (anything but ``None``) written as that name."""
+    buffer = io.BytesIO()
+    _Pickler(buffer, ref).dump(value)
+    return buffer.getvalue()
+
+
+def decode(data: bytes, resolve: Callable[[Any], Any]) -> Any:
+    """Read :func:`encode`'s bytes back, each name through ``resolve``."""
+    return _Unpickler(io.BytesIO(data), resolve).load()
 
 
 def _walk(program: Program) -> Iterator[Tuple[Coord, object]]:
@@ -54,8 +103,7 @@ def _walk(program: Program) -> Iterator[Tuple[Coord, object]]:
 
 class CoordIndex:
     """Bidirectional uid ⇄ coordinate maps over one program, built once
-    per analysis (one linear walk) and shared by every snapshot/
-    rehydrate call."""
+    per analysis (one linear walk): the cache's naming and resolver."""
 
     def __init__(self, program: Program):
         self.by_uid: Dict[int, Coord] = {}
@@ -70,121 +118,33 @@ class CoordIndex:
         except KeyError:
             raise StaleEntry(f"uid {uid} has no coordinate in this program")
 
-    def resolve(self, coord) -> object:
-        inst = self.by_coord.get(tuple(coord))
+    def _name_root(self, match) -> str:
+        func, block, inst = self.coord_of(int(match.group(1)))
+        return f"heap#{func}@{block}.{inst}"
+
+    def _resolve_root(self, match) -> str:
+        coord = (match.group(1), int(match.group(2)), int(match.group(3)))
+        return f"heap#{self.resolve(coord).uid}"
+
+    def name(self, obj):
+        """The cache's naming: an instruction or terminator by its
+        coordinate, a string holding ``heap#<uid>`` by the same string
+        with each uid replaced by that instruction's coordinate."""
+        if isinstance(obj, (Instruction, Terminator)):
+            return self.coord_of(obj.uid)
+        if type(obj) is str and "heap#" in obj:
+            return _HEAP_ROOT.sub(self._name_root, obj)
+        return None
+
+    def resolve(self, name):
+        """The current program's object for a :meth:`name`; raises
+        :class:`StaleEntry` for a coordinate the program lacks."""
+        if type(name) is str:
+            return _NAMED_ROOT.sub(self._resolve_root, name)
+        inst = self.by_coord.get(name)
         if inst is None:
-            raise StaleEntry(f"coordinate {coord!r} not present in this program")
+            raise StaleEntry(f"coordinate {name!r} not present in this program")
         return inst
-
-
-# -- record snapshot / rehydrate --------------------------------------------
-
-
-def _is_inst(obj) -> bool:
-    return isinstance(obj, (Instruction, Terminator))
-
-
-def _trace_uids(trace) -> Iterator[int]:
-    for step in trace:
-        for item in step:
-            if _is_inst(item):
-                yield item.uid
-
-
-def _key_uids(key) -> Iterator[int]:
-    for match in _HEAP_ROOT.finditer(key[0]):
-        yield int(match.group(1))
-
-
-def record_coords(bugs, accesses, index: CoordIndex) -> Dict[int, Coord]:
-    """uid → coordinate for every instruction a cached record set
-    mentions: bug sources/sinks, trace steps, access instructions, and
-    the malloc uids embedded in ``heap#N`` shared-state roots (keys and
-    locksets).  Stored alongside the pickled payload; the loading run
-    inverts it."""
-    coords: Dict[int, Coord] = {}
-
-    def note(uid: int) -> None:
-        if uid not in coords:
-            coords[uid] = index.coord_of(uid)
-
-    for bug in bugs:
-        note(bug.source.uid)
-        note(bug.sink.uid)
-        for uid in _trace_uids(bug.trace):
-            note(uid)
-        for uid in _trace_uids(bug.second_trace):
-            note(uid)
-    for access in accesses:
-        note(access.inst.uid)
-        for uid in _trace_uids(access.trace):
-            note(uid)
-        for uid in _key_uids(access.key):
-            note(uid)
-        for lock in access.lockset:
-            for uid in _key_uids(lock):
-                note(uid)
-        # TaintFlow records (P2.6) ride the same channel and add two
-        # fields SharedAccess lacks; duck-typed so both families walk.
-        source = getattr(access, "source", None)
-        if source is not None:
-            note(source.uid)
-        dst_key = getattr(access, "dst_key", None)
-        if dst_key is not None:
-            for uid in _key_uids(dst_key):
-                note(uid)
-    return coords
-
-
-def rehydrate_records(bugs, accesses, coords: Dict[int, Coord], index: CoordIndex) -> None:
-    """Swap every unpickled instruction (and ``heap#N`` root) in the
-    bug and access records for the current program's object at the
-    recorded coordinate, **in place**.  Raises :class:`StaleEntry` when any
-    coordinate no longer resolves — the caller downgrades to a miss."""
-
-    resolved: Dict[int, object] = {
-        uid: index.resolve(coord) for uid, coord in coords.items()
-    }
-
-    def map_inst(inst):
-        try:
-            return resolved[inst.uid]
-        except KeyError:
-            raise StaleEntry(f"uid {inst.uid} missing from coordinate table")
-
-    def map_trace(trace) -> Tuple:
-        return tuple(
-            tuple(map_inst(item) if _is_inst(item) else item for item in step)
-            for step in trace
-        )
-
-    def map_root(root: str) -> str:
-        def sub(match) -> str:
-            old = int(match.group(1))
-            try:
-                return f"heap#{resolved[old].uid}"
-            except KeyError:
-                raise StaleEntry(f"heap uid {old} missing from coordinate table")
-        return _HEAP_ROOT.sub(sub, root)
-
-    def map_key(key):
-        return (map_root(key[0]), key[1])
-
-    for bug in bugs:
-        bug.source = map_inst(bug.source)
-        bug.sink = map_inst(bug.sink)
-        bug.trace = map_trace(bug.trace)
-        if bug.second_trace:
-            bug.second_trace = map_trace(bug.second_trace)
-    for access in accesses:
-        access.inst = map_inst(access.inst)
-        access.trace = map_trace(access.trace)
-        access.key = map_key(access.key)
-        access.lockset = frozenset(map_key(lock) for lock in access.lockset)
-        if getattr(access, "source", None) is not None:
-            access.source = map_inst(access.source)
-        if getattr(access, "dst_key", None) is not None:
-            access.dst_key = map_key(access.dst_key)
 
 
 def renumber_program(program: Program) -> None:

@@ -5,7 +5,10 @@ actually talks to.  Opened once per analysis (when the config enables
 caching and the checker set is spec-addressable), it:
 
 * derives every function's transitive key (:mod:`.fingerprint`) and the
-  program's coordinate index (:mod:`.coords`) once;
+  program's coordinate index (:mod:`.coords`) once: the index is the
+  cache's naming for the codec, so an outcome is stored as bytes with
+  each instruction written as its coordinate, and decoded onto the
+  current program's own instructions;
 * serves every cache layer through one :meth:`~IncrementalContext.load`
   and one :meth:`~IncrementalContext.stage`, both driven by the
   declarative :data:`LAYERS` table;
@@ -26,10 +29,10 @@ import importlib
 import logging
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..ir import Function, Program
-from .coords import CoordIndex, StaleEntry, record_coords, rehydrate_records, renumber_program
+from .coords import CoordIndex, StaleEntry, decode, encode, renumber_program
 from .fingerprint import TransitiveKeys, _sha, engine_config_fingerprint, spec_fingerprint
 from .store import CacheStore, open_store
 
@@ -41,18 +44,6 @@ class CompiledModule(NamedTuple):
 
     module: Any
     fingerprints: Dict[str, str]
-
-
-class Located(NamedTuple):
-    """A payload stored with the coordinates of every instruction it
-    mentions (see :func:`~.coords.record_coords`)."""
-
-    value: Any
-    coords: Dict[int, Tuple[str, int, int]]
-
-
-def _outcome_records(outcome):
-    return outcome.bugs, outcome.accesses
 
 
 @lru_cache(maxsize=None)
@@ -72,8 +63,9 @@ class Layer:
     folds: Tuple[str, ...]
     #: ``"module:Class"`` of the payload, imported on first use
     payload: str
-    #: ``(bugs, accesses)`` of a payload that carries outcome coordinates
-    records: Optional[Callable] = None
+    #: whether the row stores the codec's bytes, instructions named by
+    #: coordinate (:class:`~.coords.CoordIndex`), rather than the payload
+    coded: bool = False
 
     def key(self, *parts: str) -> str:
         return CacheStore.object_key(self.tag, *parts)
@@ -100,33 +92,30 @@ class Layer:
 LAYERS: Dict[str, Layer] = {row.tag: row for row in (
     Layer("module", (), "repro.incremental.engine:CompiledModule"),
     Layer("outcome", ("spec_fp", "engine_fp"), "repro.core.parallel:EntryOutcome",
-          records=_outcome_records),
+          coded=True),
 )}
 
 
 def _fetch(store, row: Layer, key: str, index: Optional[CoordIndex] = None):
-    """The one load path: get, shape-check, rehydrate.  A wrong-typed
-    payload or a stale coordinate is a warned miss — never a crash,
-    never a report against the wrong instructions — and the store lets
-    the next stage of the key overwrite the object."""
+    """The one load path: get, decode, shape-check.  A wrong-typed
+    payload, undecodable bytes or a stale coordinate is a warned miss —
+    never a crash, never a report against the wrong instructions — and
+    the store lets the next stage of the key overwrite the object."""
     stored = store.get(key)
     if stored is None:
         return None
-    if row.records is None:
-        if row.accepts(stored):
-            return stored
-        problem = "unexpected payload shape"
-    elif not (isinstance(stored, Located) and isinstance(stored.coords, dict)
-              and row.accepts(stored.value)):
-        problem = "unexpected payload shape"
-    else:
+    value, problem = stored, "unexpected payload shape"
+    if row.coded:
         try:
-            rehydrate_records(*row.records(stored.value), stored.coords, index)
-            return stored.value
+            value = decode(stored, index.resolve)
         except StaleEntry as exc:
             # The transitive key should make this unreachable; if key
             # derivation ever misses a dependency, degrade to a miss.
-            problem = f"stale coordinates ({exc})"
+            value, problem = None, f"stale coordinates ({exc})"
+        except Exception as exc:
+            value, problem = None, f"undecodable payload ({exc})"
+    if row.accepts(value):
+        return value
     log.warning("cache: %s object %s: %s; treating as a miss", row.tag, key[:12], problem)
     store.reject(key)
     return None
@@ -136,7 +125,7 @@ def _fetch(store, row: Layer, key: str, index: Optional[CoordIndex] = None):
 class IncrementalPlan:
     """The per-entry partition one warm-start run works from."""
 
-    #: entry name -> rehydrated cached outcome of an explored entry
+    #: entry name -> decoded cached outcome of an explored entry
     cached: Dict[str, object] = field(default_factory=dict)
     #: entries whose cached outcome says P1.5 skipped them
     skipped: List[str] = field(default_factory=list)
@@ -171,8 +160,8 @@ class IncrementalContext:
         return row.key(*folds, name, self.keys.key(name))
 
     def load(self, layer: str, name: str):
-        """Layer ``layer``'s payload for ``name``, rehydrated onto the
-        current program, or ``None`` on a miss."""
+        """Layer ``layer``'s payload for ``name``, holding the current
+        program's instructions, or ``None`` on a miss."""
         row = LAYERS[layer]
         return _fetch(self.store, row, self._key(row, name), self.index)
 
@@ -183,11 +172,11 @@ class IncrementalContext:
             return
         row = LAYERS[layer]
         key = self._key(row, name)
-        if row.records is not None:
+        if row.coded:
             if self.store.contains(key):
                 return
             try:
-                value = Located(value, record_coords(*row.records(value), self.index))
+                value = encode(value, self.index.name)
             except StaleEntry as exc:  # pragma: no cover - defensive
                 log.warning("cache: not storing %s object (%s)", row.tag, exc)
                 return

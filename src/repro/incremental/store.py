@@ -66,8 +66,10 @@ log = logging.getLogger("repro.incremental")
 #: layer table, no facts or plan bundles; 6: one pack file per commit
 #: instead of one file per object; 7: no partition, flow-facts or
 #: module-summary layers; 8: cached outcomes' bugs carry P3 verdicts,
-#: and outcome keys fold the P3 knobs)
-CACHE_FORMAT = 8
+#: and outcome keys fold the P3 knobs; 9: an outcome is stored as the
+#: codec's bytes, its instructions named by coordinate, and a function
+#: pickles its blocks' terminators after all of its blocks)
+CACHE_FORMAT = 9
 #: most packs a commit may leave behind; past it the commit merges
 PACK_LIMIT = 8
 PACK_DIR = "packs"
@@ -443,10 +445,11 @@ class CacheStore:
 
 def dumps(value: Any) -> Optional[bytes]:
     """``value`` pickled for a store, or ``None`` with a warning when its
-    object graph nests too deeply to pickle (an instruction drags its
-    function's whole CFG along, and a function whose blocks chain a few
-    hundred deep overflows the pickler's stack): the object is not
-    cached, and the next run misses it."""
+    object graph nests too deeply to pickle: the object is not cached,
+    and the next run misses it.  A safety net: a function pickles its
+    blocks' terminators after all of its blocks, so a chain of blocks
+    does not nest, and an outcome reaches the store as the codec's
+    bytes (:mod:`.coords`)."""
     try:
         return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
     except RecursionError:

@@ -44,6 +44,15 @@ class BasicBlock:
     def successors(self) -> Tuple["BasicBlock", ...]:
         return self.terminator.successors() if self.terminator else ()
 
+    def __getstate__(self):
+        # Inside a function the terminator is pickled by the function,
+        # after every block (see Function.__getstate__).
+        if self.parent is None:
+            return self.__dict__
+        state = self.__dict__.copy()
+        del state["terminator"]
+        return state
+
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
 
@@ -115,6 +124,18 @@ class Function:
 
     def instruction_count(self) -> int:
         return sum(len(b.instructions) for b in self.blocks)
+
+    def __getstate__(self):
+        # Each block's terminator goes after all of the blocks, so every
+        # successor link is a memo hit and the pickle's depth does not
+        # grow with the length of a chain of blocks.
+        return self.__dict__, [block.terminator for block in self.blocks]
+
+    def __setstate__(self, state) -> None:
+        attrs, terminators = state
+        self.__dict__.update(attrs)
+        for block, terminator in zip(self.blocks, terminators):
+            block.terminator = terminator
 
     def __repr__(self) -> str:
         return f"<Function {self.name} ({len(self.blocks)} blocks)>"

@@ -10,21 +10,20 @@ A resident session keeps its cache in two places:
   next request's full collection took 0.19 s, against 0.07 s without
   those copies to free.
 * :class:`ResidentStore` holds the per-entry P2 outcomes (P1.5 skip
-  verdicts and the bugs' P3 verdicts included) as pickled blobs, a few
-  KB per edited entry.  It speaks the same surface as
-  :class:`repro.incremental.store.CacheStore` —
+  verdicts and the bugs' P3 verdicts included) as the codec's bytes
+  (:mod:`repro.incremental.coords`), a few KB per edited entry.  It
+  speaks the same surface as :class:`repro.incremental.store.CacheStore` —
   ``get``/``put``/``contains``/``reject``/``commit``, the ``mode``
   attribute, and the ``hits``/``misses``/``corrupt`` counters — but
   keeps every object in RAM, so a long-lived session pays no disk I/O.
 
-The two layers differ in what an analysis does to them.  Rehydration
-(:func:`repro.incremental.coords.rehydrate_records`) mutates a fetched
-outcome in place to point at the current program, so every ``get``
-must hand out a *fresh* unpickled copy, as the disk store does;
-returning the live object would let one request's rehydration corrupt
-the copy the next request reads.  A module is mutated in exactly three
-ways, each re-established before reuse: uids and cross-module
-interface marks are rewritten by every assembly
+The two layers differ in what an analysis does to them.  An outcome
+is stored as bytes and every fetch decodes a *fresh* one onto the
+current program's instructions, as with the disk store, so what an
+analysis does to a fetched outcome (it marks the stats row cached)
+never reaches the copy the next request reads.  A module is mutated in
+exactly three ways, each re-established before reuse: uids and
+cross-module interface marks are rewritten by every assembly
 (:func:`repro.incremental.engine.assemble_program`), and the table
 restores each function's compile-time ``is_interface`` flag and drops
 the programs that linked the module before.

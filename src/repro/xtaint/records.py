@@ -13,15 +13,17 @@ Flows ride the engine's existing access channel — the same
 ``shared_accesses`` list, ``EntryOutcome`` field and entry-order merge
 that carries :class:`~repro.races.shared.SharedAccess` — so workers,
 the incremental cache and the deterministic merge all handle them with
-no new plumbing.  ``dedup_key`` is namespaced with a literal ``"xflow"``
-head so it can never collide with a ``SharedAccess`` key inside the
-shared seen-set.
+no new plumbing: the codec that carries an outcome across both
+boundaries (:mod:`repro.incremental.coords`) names every instruction
+and ``heap#`` root a flow holds, whatever its field.  ``dedup_key`` is
+namespaced with a literal ``"xflow"`` head so it can never collide with
+a ``SharedAccess`` key inside the shared seen-set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..ir import Instruction
 from ..races.shared import AccessKey
@@ -37,8 +39,8 @@ class TaintFlow:
     """One cross-module taint observation on one explored path.
 
     Everything here must pickle (instructions and traces already do);
-    flows ship from workers inside ``EntryOutcome.accesses`` and are
-    rehydrated by :mod:`repro.incremental.coords` on cache replay.
+    flows ship from workers and through the cache inside
+    ``EntryOutcome.accesses``.
     """
 
     #: canonical shared key the taint crossed (for relays: the *from* key)
@@ -68,9 +70,6 @@ class TaintFlow:
     border: bool = False
     #: engine path snapshot at the observation — replayable by stage 2
     trace: Tuple = ()
-    #: present only for coordinate compatibility with SharedAccess
-    #: (coords walks ``access.lockset`` unconditionally); always empty.
-    lockset: FrozenSet[AccessKey] = frozenset()
 
     @property
     def is_write(self) -> bool:

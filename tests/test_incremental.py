@@ -42,7 +42,8 @@ from repro.incremental import (
     open_store,
     spec_fingerprint,
 )
-from repro.incremental.engine import LAYERS, Located
+from repro.incremental.coords import decode
+from repro.incremental.engine import LAYERS
 from repro.incremental.store import (
     DIGEST_BYTES,
     PACK_DIR,
@@ -148,6 +149,12 @@ def _payload(record):
     return pickle.loads(record[DIGEST_BYTES:])
 
 
+def _decoded(payload):
+    """A coded row's bytes read back with every name left as the name
+    (a coordinate tuple or a ``heap#`` string): no program needed."""
+    return decode(payload, lambda name: name)
+
+
 def _entry_status(result):
     """name -> 'cached' | 'skipped' | 'analyzed' for every entry row."""
     out = {}
@@ -250,13 +257,14 @@ def test_store_pre_bump_format_heals_on_commit(tmp_path, caplog):
     outcomes; 4 -> 5: typed layer-table payloads, bundles dropped;
     5 -> 6: one pack file per commit; 6 -> 7: partition, flow-facts and
     module-summary layers dropped; 7 -> 8: cached outcomes carry P3
-    verdicts): a directory stamped with the pre-bump format must read as
-    all-misses, stay usable, and be re-stamped with the current format
-    by the next commit — no manual cache wipe needed."""
-    assert CACHE_FORMAT == 8  # update the pre-bump fixture when bumping again
-    # A format-7 cache: its header stamp plus a pack holding an outcome
-    # (its bugs without verdicts) under the key only the format-7
-    # derivation could produce.
+    verdicts; 8 -> 9: outcomes stored as the codec's bytes, instructions
+    named by coordinate): a directory stamped with the pre-bump format
+    must read as all-misses, stay usable, and be re-stamped with the
+    current format by the next commit — no manual cache wipe needed."""
+    assert CACHE_FORMAT == 9  # update the pre-bump fixture when bumping again
+    # A format-8 cache: its header stamp plus a pack holding an outcome
+    # (pickled by value beside a coordinate table) under the key only
+    # the format-8 derivation could produce.
     stale = _pre_bump_key("outcome", "spec", "cfg", "entry", "closure")
     (tmp_path / PACK_DIR).mkdir()
     with open(tmp_path / PACK_DIR / f"{1:020d}-stale{PACK_SUFFIX}", "wb") as out:
@@ -286,7 +294,7 @@ def test_store_pre_bump_format_heals_on_commit(tmp_path, caplog):
 
 
 def test_engine_heals_pre_bump_cache_directory(tmp_path, monkeypatch):
-    """End to end: analyzing over a format-7 cache directory, populated
+    """End to end: analyzing over a format-8 cache directory, populated
     by a full run, matches the uncached run byte for byte with no hit,
     re-stamps the header, and leaves a warm cache behind."""
     import repro.incremental.store as store_module
@@ -383,7 +391,7 @@ def test_corrupt_object_is_counted_and_warned_once(tmp_path, caplog):
     cache = str(tmp_path / "cache")
     cold = _analyze(_sources(), cache, "rw")
     outcome = LAYERS["outcome"]
-    _flip_first(cache, lambda p: isinstance(p, Located) and outcome.accepts(p.value))
+    _flip_first(cache, lambda p: isinstance(p, bytes) and outcome.accepts(_decoded(p)))
     with caplog.at_level(logging.WARNING, logger="repro.incremental"):
         warm = _analyze(_sources(), cache, "rw")
     assert _report_text(warm) == _report_text(cold)
@@ -448,13 +456,13 @@ def test_layer_shape_surprise_degrades_to_rebuild(tmp_path, tag):
     assert warm == cold
 
     def held(value):
-        if row.records is not None:
-            return isinstance(value, Located) and row.accepts(value.value)
+        if row.coded:
+            return isinstance(value, bytes) and row.accepts(_decoded(value))
         return row.accepts(value)
 
     bogus = {"not": "a payload"}
-    if row.records is not None:
-        bogus = Located(bogus, {})
+    if row.coded:
+        bogus = pickle.dumps(bogus)  # the codec's bytes, of the wrong shape
     blob = pickle.dumps(bogus)
 
     def swap(key, record):
@@ -466,6 +474,43 @@ def test_layer_shape_surprise_degrades_to_rebuild(tmp_path, tag):
     surprised, misses = _layer_run(sources, cache_dir)
     assert surprised == cold
     assert misses == clean_misses + replaced
+
+
+def test_stale_coordinate_is_a_warned_miss(tmp_path, caplog, monkeypatch):
+    """An outcome naming an instruction the program lacks (here: one
+    written by a naming that prefixes every function name) is a warned
+    miss per entry: the entry is explored again, its key rewritten, and
+    the reports are the cache-off run's."""
+    from repro.incremental.coords import CoordIndex
+
+    sources = _sources() + [("w.c", XT_WRITER), ("r.c", XT_READER)]
+    cache = str(tmp_path)
+    real = CoordIndex.name
+
+    def ghost(self, obj):
+        name = real(self, obj)
+        return ("ghost_" + name[0], *name[1:]) if isinstance(name, tuple) else name
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CoordIndex, "name", ghost)
+        _analyze(sources, cache, "rw", spec="default,xtaint")
+    stale = 0  # outcomes naming at least one instruction
+    for path in pack_paths(cache):
+        for _, record in pack_records(path):
+            payload, names = _payload(record), []
+            if isinstance(payload, bytes):
+                decode(payload, names.append)
+            stale += any(isinstance(name, tuple) for name in names)
+    assert stale > 0
+
+    with caplog.at_level(logging.WARNING, logger="repro.incremental"):
+        warm = _analyze(sources, cache, "rw", spec="default,xtaint")
+    assert _report_text(warm) == _report_text(_analyze(sources, spec="default,xtaint"))
+    assert warm.stats.cache_misses == stale
+    assert warm.stats.entries_reanalyzed == stale
+    assert len([r for r in caplog.records if "stale coordinates" in r.message]) == stale
+    healed = _analyze(sources, cache, "rw", spec="default,xtaint")
+    assert healed.stats.cache_misses == 0
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +564,8 @@ def test_no_run_commits_a_whole_program_payload(tmp_path, spec):
         assert records
         for record in records:
             payload = _payload(record)
-            if isinstance(payload, Located):
-                payload = payload.value
+            if isinstance(payload, bytes):
+                payload = _decoded(payload)
             values = payload.values() if isinstance(payload, dict) else (payload,)
             assert not any(isinstance(value, forbidden) for value in values), tier
 
@@ -827,6 +872,32 @@ def _write_sources(tmp_path, sources):
         path.write_text(text)
         paths.append(str(path))
     return paths
+
+
+def _deep_source():
+    """One function whose CFG chains 400 ``if`` statements."""
+    body = "".join(f"    if (x > {i}) {{ x = x + 1; }}\n" for i in range(400))
+    return ("int f(int x) {\n    int *p = malloc(8);\n" + body
+            + "    if (x > 9999) return -1;\n    free(p);\n    return x;\n}\n")
+
+
+def test_cli_caches_a_function_of_400_chained_blocks(tmp_path, capsys):
+    """Neither the module nor the outcome of a CFG that chains 400
+    blocks nests too deeply to store: a --cache rw re-run reuses both,
+    warns about nothing and prints what a cache-off run prints."""
+    paths = _write_sources(tmp_path, [("deep.c", _deep_source())])
+    stats = tmp_path / "stats.json"
+    args = ["check", "--all-checkers", "--cache", "rw", "--cache-dir",
+            str(tmp_path / "cache"), "--stats-json", str(stats), *paths]
+    for _ in range(2):
+        code = cli_main(args)
+        run = capsys.readouterr()
+        assert run.err == ""
+    warm = json.loads(stats.read_text())
+    assert warm["cache_misses"] == 0 and warm["entries_reanalyzed"] == 0
+    assert warm["cache_hits"] == 2
+    assert cli_main(["check", "--all-checkers", *paths]) == code == 1
+    assert capsys.readouterr().out == run.out
 
 
 def test_cli_cache_requires_dir(tmp_path, capsys):

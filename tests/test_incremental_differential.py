@@ -5,7 +5,7 @@ For every checker spec, a corpus analyzed **cold** (empty cache),
 dropped from each pack, so cached and freshly explored entries
 interleave) must produce byte-identical reports — and the deterministic
 stats totals must agree — at workers 1 and workers 4.  The mixed leg is the sharp edge: it
-exercises outcome rehydration, per-entry dedup reconciliation, and
+exercises outcome decoding, per-entry dedup reconciliation, and
 cross-entry race matching over a blend of cached and fresh SharedAccess
 tuples.  A cache populated with pruning on must not serve its P1.5 skip
 verdicts to a pruning-off run.
@@ -13,16 +13,25 @@ verdicts to a pruning-off run.
 Cached outcomes carry their bugs' P3 verdicts: a warm run translates
 and solves only the bugs of entries it explored (and the pair findings
 matched after the merge), and verdicts never cross P3 settings.
+
+On taintlab and firmlab, an edit ahead of cached race accesses and
+taint flows must leave race and cross-module matching as a cache-off
+run has it, and every stored outcome must be the codec's: no copy of a
+function or block inside.
 """
 
 import dataclasses
+import gc
+import pickle
 
 import pytest
 
 from repro import PATA, AnalysisConfig
-from repro.corpus import PROFILES_BY_NAME, generate
+from repro.corpus import CORPUS_PROFILES_BY_NAME, PROFILES_BY_NAME, generate
 from repro.incremental import compile_with_cache, open_store
-from repro.incremental.store import pack_paths, pack_records, write_pack
+from repro.incremental.coords import decode
+from repro.incremental.store import DIGEST_BYTES, pack_paths, pack_records, write_pack
+from repro.ir import BasicBlock, Function
 from repro.lang import compile_program
 
 SPECS = ["default", "all", "npd,uva", "race", "taint,npd"]
@@ -225,3 +234,52 @@ def test_verdicts_never_cross_p3_settings(corpus_sources, tmp_path, translations
     again = _run(corpus_sources, "all", 1, cache)
     assert again.stats.entries_reanalyzed == 0 and not translations
     assert again.stats.verdicts_cached == populated.stats.validated_paths
+
+
+LAB_SPEC = "taint,race,xtaint"
+
+
+@pytest.fixture(scope="module", params=["taintlab", "firmlab"])
+def lab_sources(request):
+    return generate(CORPUS_PROFILES_BY_NAME[request.param]).compiled_sources()
+
+
+def _ir_inside(value):
+    """A function or block reachable from ``value``, or None."""
+    stack, seen = [value], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (Function, BasicBlock)):
+            return obj
+        stack.extend(gc.get_referents(obj))
+    return None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lab_edit_differential(lab_sources, tmp_path, workers):
+    """A function appended to a lab's first file: the warm run equals
+    the cache-off run of the edited lab, and no stored outcome decodes
+    to an object that holds a function or a block."""
+    cache = str(tmp_path / "cache")
+    _run(lab_sources, LAB_SPEC, workers, cache)
+    (name, text), *rest = lab_sources
+    edited = [(name, text + "\nint lab_edit(int n) { int *p = malloc(8); "
+               "if (n > 2) return -1; free(p); return 0; }\n"), *rest]
+    warm = _run(edited, LAB_SPEC, workers, cache)
+    baseline = _run(edited, LAB_SPEC, workers)
+    assert warm.stats.entries_cached > 0
+    assert warm.stats.race_pairs_matched > 0
+    assert _text(warm) == _text(baseline)
+    for total in _DETERMINISTIC_TOTALS + ("taint_flows_recorded", "xtaint_pairs_matched"):
+        assert getattr(warm.stats, total) == getattr(baseline.stats, total), total
+    outcomes = 0
+    for path in pack_paths(cache):
+        for _, record in pack_records(path):
+            payload = pickle.loads(record[DIGEST_BYTES:])
+            if isinstance(payload, bytes):
+                outcomes += 1
+                assert _ir_inside(decode(payload, lambda name: name)) is None
+    assert outcomes >= warm.stats.entry_functions

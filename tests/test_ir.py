@@ -1,5 +1,7 @@
 """IR construction, verification and printing tests."""
 
+import pickle
+
 import pytest
 
 from repro import ir
@@ -162,3 +164,40 @@ def test_instruction_uids_unique():
     a = ir.Move(ir.Var("x", ir.INT), ir.const_int(1))
     b = ir.Move(ir.Var("x", ir.INT), ir.const_int(1))
     assert a.uid != b.uid
+
+
+
+def _chained_ifs(count):
+    """One function whose CFG chains ``count`` ``if`` statements."""
+    body = "".join(f"    if (x > {i}) {{ x = x + 1; }}\n" for i in range(count))
+    return f"int f(int x) {{\n{body}    return x;\n}}\n"
+
+
+def _round_trip(obj):
+    return pickle.loads(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+
+
+def test_function_pickle_depth_does_not_grow_with_its_cfg():
+    """A function pickles its blocks' terminators after all of its
+    blocks, so 1,000 chained ``if`` statements (400 overflowed the
+    pickler's stack before) pickle, and the round trip keeps the
+    function's canonical print and every parent link."""
+    from repro.lang import compile_source
+
+    func = compile_source(_chained_ifs(1000), "deep.c").functions["f"]
+    copy = _round_trip(func)
+    assert ir.canonical_function_print(copy) == ir.canonical_function_print(func)
+    blocks = set(map(id, copy.blocks))
+    for block in copy.blocks:
+        assert block.parent is copy
+        assert all(inst.parent is block for inst in block.instructions)
+        assert block.terminator.parent is block
+        assert all(id(succ) in blocks for succ in block.successors())
+
+
+def test_block_pickled_without_a_function_keeps_its_terminator():
+    block = ir.BasicBlock("lone")
+    block.set_terminator(ir.Ret(ir.const_int(0)))
+    copy = _round_trip(block)
+    assert isinstance(copy.terminator, ir.Ret)
+    assert copy.terminator.parent is copy

@@ -244,6 +244,60 @@ class TestSessionReuse:
         assert result.stats.entries_reanalyzed > 0  # cold again
 
 
+# -- heap# roots in cached outcomes ------------------------------------------
+
+# A file ahead of HEAP_RACE: growing ``pad`` shifts every later uid, so
+# the race's ``heap#N`` root changes while the racing entries' closures,
+# and so their cache keys, do not.
+PAD = """
+int pad(int n) {
+    return n + 1;
+}
+"""
+
+PAD_GROWN = """
+int pad(int n) {
+    int m = n * 2;
+    m = m + 3;
+    return m + n;
+}
+"""
+
+
+class TestHeapRootsAcrossUidShifts:
+    """A cached outcome's ``heap#<uid>`` roots are read back as the
+    current program's uids, through the disk cache and through a
+    session: the warm report after the edit is the cache-off one."""
+
+    def test_disk_cache(self, tmp_path, capsys):
+        pad = tmp_path / "a.c"
+        race = tmp_path / "race.c"
+        pad.write_text(PAD)
+        race.write_text(HEAP_RACE)
+        files = [str(pad), str(race)]
+        stats = tmp_path / "stats.json"
+        cached = ["check", "--checkers", "race", "--cache", "rw", "--cache-dir",
+                  str(tmp_path / "cache"), "--stats-json", str(stats), *files]
+        main(cached)
+        capsys.readouterr()
+        pad.write_text(PAD_GROWN)
+        main(cached)
+        warm = capsys.readouterr().out
+        assert json.loads(stats.read_text())["entries_cached"] > 0
+        main(["check", "--checkers", "race", *files])
+        assert warm == capsys.readouterr().out
+        assert "heap#" in warm
+
+    def test_session(self):
+        session = Session(checker_spec="race")
+        session.analyze([("a.c", PAD), ("race.c", HEAP_RACE)])
+        edited = [("a.c", PAD_GROWN), ("race.c", HEAP_RACE)]
+        warm = session.analyze(edited)
+        assert warm.stats.entries_cached > 0
+        assert check_output_text(warm) == one_shot_output(edited, checker_spec="race")
+        assert "heap#" in check_output_text(warm)
+
+
 # -- the module table (layer 0, live) ---------------------------------------
 
 # ``seq_hook`` is defined and called in one file that no step edits; a
@@ -364,7 +418,7 @@ class TestModuleTable:
 
 class TestResidentStore:
     def test_get_returns_fresh_copies(self):
-        """Pickle round-trip on purpose: in-place rehydration of a
+        """Pickle round-trip on purpose: what a request does to a
         fetched object must never mutate the resident copy."""
         store = ResidentStore()
         store.put("k", {"nested": [1, 2]})
