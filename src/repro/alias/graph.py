@@ -291,10 +291,6 @@ class AliasGraph:
         node = self._node_of.get(var.name)
         return node.out.get(DEREF) if node is not None else None
 
-    def field_node(self, var: Var, field: str) -> Optional[AliasNode]:
-        node = self._node_of.get(var.name)
-        return node.out.get(field) if node is not None else None
-
     def access_paths(self, node: AliasNode, max_depth: int = 3, max_paths: int = 16) -> List[str]:
         """Human-readable access paths reaching ``node`` (Example 1 of the
         paper): variables in the node itself (length 0) plus

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from ..cfg import CallGraph, dominators
 from ..ir import (
     BinOp,
     Branch,

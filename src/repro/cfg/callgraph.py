@@ -1,42 +1,138 @@
-"""Call graph construction and analysis-entry discovery.
+"""The program's one call graph, and analysis-entry discovery.
 
 PATA starts path exploration at *functions without explicit callers*
 (Fig. 6, AnalyzeCode): module-interface functions registered through
 function-pointer fields (Fig. 1) and any function never called directly.
-This module builds the name-resolved direct call graph over a
-:class:`~repro.ir.Program` and computes those entry points.
+:class:`CallGraph` computes those entry points, and it is the one answer
+to "which functions can an entry's exploration reach": the collector,
+the P1.5 event masks and sharpening closures, the P1.8 skip sets, the
+Steensgaard pass's indirect-call targets and the incremental cache's
+transitive keys all read the graph :meth:`repro.core.pata.PATA.analyze`
+builds once per run.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Iterator, List, Set
+from typing import Dict, FrozenSet, List, Set, Tuple, TypeVar
 
-from ..ir import Call, Function, Program
+from ..ir import Call, CallIndirect, Function, Program
+
+T = TypeVar("T")
 
 
 class CallGraph:
-    """Direct (name-resolved) call graph.  Indirect calls are recorded but
-    deliberately unresolved, mirroring PATA's limitation (§7)."""
+    """Name-resolved call graph over one program's defined functions.
 
-    def __init__(self, program: Program):
+    * ``callees[f]``: the defined functions ``f`` calls directly, sorted
+      (a self-call included); ``callers[g]`` the inverse;
+    * ``indirect``: the functions holding an indirect call site;
+    * ``pool``: the registration pool — defined registered functions, in
+      registration order, without duplicates: the conservative target
+      set of any indirect call (the engine resolves per (struct, field)
+      slot, so it can only pick a subset);
+    * ``components``: the strongly connected components of the direct
+      edges, children first; ``component_of[f]`` is ``f``'s index,
+      ``children[i]`` the other components component ``i`` calls into,
+      and ``reaches_indirect[i]`` whether an indirect call site lies
+      below it over direct edges.
+
+    An exploration of ``f`` can inline exactly :meth:`closure` ``(f)``:
+    what the direct edges reach and, with ``resolve_function_pointers``,
+    the whole pool's closure behind any indirect call site.  Building
+    the graph marks interface functions first, because entry discovery
+    and the fingerprints read the flag.
+    """
+
+    def __init__(self, program: Program, resolve_function_pointers: bool = False):
         self.program = program
-        self.callees: Dict[str, Set[str]] = defaultdict(set)
-        self.callers: Dict[str, Set[str]] = defaultdict(set)
-        self.indirect_call_sites: int = 0
-        self._build()
-
-    def _build(self) -> None:
-        for func in self.program.functions():
+        self.resolve_function_pointers = resolve_function_pointers
+        mark_interface_functions(program)
+        edges: Dict[str, Set[str]] = {func.name: set() for func in program.functions()}
+        indirect: Set[str] = set()
+        for func in program.functions():
+            out = edges[func.name]
             for inst in func.instructions():
                 if isinstance(inst, Call):
-                    self.callees[func.name].add(inst.callee)
-                    self.callers[inst.callee].add(func.name)
-                elif type(inst).__name__ == "CallIndirect":
-                    self.indirect_call_sites += 1
+                    if inst.callee in edges:
+                        out.add(inst.callee)
+                elif isinstance(inst, CallIndirect):
+                    indirect.add(func.name)
+        self.callees: Dict[str, Tuple[str, ...]] = {
+            name: tuple(sorted(out)) for name, out in edges.items()
+        }
+        self.callers: Dict[str, Set[str]] = {}
+        for name, out in self.callees.items():
+            for callee in out:
+                self.callers.setdefault(callee, set()).add(name)
+        self.indirect: FrozenSet[str] = frozenset(indirect)
+        self.pool: Tuple[str, ...] = tuple(dict.fromkeys(
+            reg.function for reg in program.registrations() if reg.function in edges
+        ))
+        self.components: List[Tuple[str, ...]] = self._condense()
+        self.component_of: Dict[str, int] = {
+            name: i for i, members in enumerate(self.components) for name in members
+        }
+        self.children: List[FrozenSet[int]] = []
+        self.reaches_indirect: List[bool] = []
+        for i, members in enumerate(self.components):
+            below = frozenset(
+                self.component_of[callee] for name in members for callee in self.callees[name]
+            ) - {i}
+            self.children.append(below)
+            self.reaches_indirect.append(
+                any(name in indirect for name in members)
+                or any(self.reaches_indirect[j] for j in below)
+            )
+        self._closures: Dict[str, FrozenSet[str]] = {}
 
-    def callees_of(self, name: str) -> Set[str]:
-        return self.callees.get(name, set())
+    def _condense(self) -> List[Tuple[str, ...]]:
+        """Tarjan's SCCs of the direct edges, emitted children first,
+        iteratively: corpus call chains can exceed the interpreter's
+        recursion limit."""
+        callees = self.callees
+        index: Dict[str, int] = {}
+        lowlink: Dict[str, int] = {}
+        on_stack: Set[str] = set()
+        stack: List[str] = []
+        components: List[Tuple[str, ...]] = []
+        for root in sorted(callees):
+            if root in index:
+                continue
+            index[root] = lowlink[root] = len(index)
+            stack.append(root)
+            on_stack.add(root)
+            work = [(root, iter(callees[root]))]
+            while work:
+                node, successors = work[-1]
+                for succ in successors:
+                    if succ not in index:
+                        index[succ] = lowlink[succ] = len(index)
+                        stack.append(succ)
+                        on_stack.add(succ)
+                        work.append((succ, iter(callees[succ])))
+                        break
+                    if succ in on_stack:
+                        lowlink[node] = min(lowlink[node], index[succ])
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        lowlink[parent] = min(lowlink[parent], lowlink[node])
+                    if lowlink[node] == index[node]:
+                        members: List[str] = []
+                        while True:
+                            member = stack.pop()
+                            on_stack.discard(member)
+                            members.append(member)
+                            if member == node:
+                                break
+                        components.append(tuple(members))
+        return components
+
+    # -- queries ---------------------------------------------------------------
+
+    def callees_of(self, name: str) -> Tuple[str, ...]:
+        return self.callees.get(name, ())
 
     def callers_of(self, name: str) -> Set[str]:
         return self.callers.get(name, set())
@@ -44,80 +140,59 @@ class CallGraph:
     def entry_functions(self) -> List[Function]:
         """Functions PATA analyzes top-down: interface functions plus any
         defined function with no direct caller in the program."""
-        entries: List[Function] = []
-        for func in self.program.functions():
-            if func.is_interface or not self.callers.get(func.name):
-                entries.append(func)
-        return entries
+        return [
+            func for func in self.program.functions()
+            if func.is_interface or not self.callers.get(func.name)
+        ]
 
-    def transitive_callees(self, name: str, limit: int = 10000) -> Set[str]:
-        seen: Set[str] = set()
-        work = [name]
-        while work and len(seen) < limit:
-            current = work.pop()
-            for callee in self.callees.get(current, ()):
-                if callee not in seen:
-                    seen.add(callee)
-                    work.append(callee)
-        return seen
+    def closure(self, name: str) -> FrozenSet[str]:
+        """``name`` and every defined function its exploration can
+        inline: the members of each component below it and, when it
+        reaches the pool, of each component below a pool member.
+        Memoized per name; a name the program does not define closes
+        over itself alone."""
+        closure = self._closures.get(name)
+        if closure is None:
+            start = self.component_of.get(name)
+            if start is None:
+                closure = frozenset((name,))
+            else:
+                roots = [start]
+                if self.resolve_function_pointers and self.reaches_indirect[start]:
+                    roots.extend(self.component_of[target] for target in self.pool)
+                seen: Set[int] = set()
+                members: List[str] = []
+                while roots:
+                    i = roots.pop()
+                    if i not in seen:
+                        seen.add(i)
+                        members.extend(self.components[i])
+                        roots.extend(self.children[i])
+                closure = frozenset(members)
+            self._closures[name] = closure
+        return closure
 
-    def recursive_functions(self) -> Set[str]:
-        """Functions that participate in a call cycle (incl. self-recursion).
-
-        Tarjan SCC over the direct call graph; any function inside a
-        multi-node SCC, or with a self edge, is recursive.
-        """
-        graph = self.callees
-        index_counter = [0]
-        stack: List[str] = []
-        lowlink: Dict[str, int] = {}
-        index: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        result: Set[str] = set()
-
-        def strongconnect(node: str) -> None:
-            work = [(node, iter(sorted(graph.get(node, ()))))]
-            index[node] = lowlink[node] = index_counter[0]
-            index_counter[0] += 1
-            stack.append(node)
-            on_stack.add(node)
-            while work:
-                current, it = work[-1]
-                advanced = False
-                for succ in it:
-                    if succ not in index:
-                        index[succ] = lowlink[succ] = index_counter[0]
-                        index_counter[0] += 1
-                        stack.append(succ)
-                        on_stack.add(succ)
-                        work.append((succ, iter(sorted(graph.get(succ, ())))))
-                        advanced = True
-                        break
-                    elif succ in on_stack:
-                        lowlink[current] = min(lowlink[current], index[succ])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[current])
-                if lowlink[current] == index[current]:
-                    component: List[str] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == current:
-                            break
-                    if len(component) > 1:
-                        result.update(component)
-                    elif component and component[0] in graph.get(component[0], ()):
-                        result.add(component[0])
-
-        for node in list(graph):
-            if node not in index:
-                strongconnect(node)
-        return result
+    def fold(self, own: Dict[str, T]) -> Dict[str, T]:
+        """name -> the ``|`` of ``own`` over :meth:`closure` ``(name)``,
+        for every defined function.  ``own`` maps each defined function
+        to a value of a join semilattice whose join is ``|`` (int masks,
+        frozensets); the fold runs once over the condensation, children
+        first, and adds the pool's value behind indirect call sites."""
+        values: List[T] = []
+        for members, children in zip(self.components, self.children):
+            value = own[members[0]]
+            for name in members[1:]:
+                value = value | own[name]
+            for j in children:
+                value = value | values[j]
+            values.append(value)
+        if self.resolve_function_pointers and self.pool:
+            pool = values[self.component_of[self.pool[0]]]
+            for name in self.pool[1:]:
+                pool = pool | values[self.component_of[name]]
+            values = [value | pool if self.reaches_indirect[i] else value
+                      for i, value in enumerate(values)]
+        return {name: values[i] for name, i in self.component_of.items()}
 
 
 def mark_interface_functions(program: Program) -> int:

@@ -106,6 +106,54 @@ class _ProfileNames:
         return iter(self._names())
 
 
+def _analysis_options() -> argparse.ArgumentParser:
+    """The analysis options ``check`` and ``serve`` share, as an
+    argparse parent parser; :func:`_analysis_config` reads them."""
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--all-checkers", action="store_true",
+                         help="enable double-lock / underflow / div-zero checkers too "
+                              "(shorthand for --checkers all)")
+    options.add_argument("--checkers", metavar="SPEC", default=None,
+                         help="comma-separated checker names and/or aliases, "
+                              "e.g. 'npd,ml,taint' or 'default,taint' "
+                              "(default: the 'default' alias; see check --list-checkers)")
+    options.add_argument("--max-paths", type=int, default=None,
+                         help="path budget per entry function")
+    options.add_argument("--workers", type=int, default=1, metavar="N",
+                         help="worker processes for entry analysis "
+                              "(1 = sequential, 0 = one per CPU)")
+    options.add_argument("--no-prune", action="store_true",
+                         help="disable the checker-relevance pre-analysis "
+                              "(P1.5) entry/path pruning")
+    options.add_argument("--alias-tier", choices=["off", "steens", "flow"],
+                         default="flow",
+                         help="alias precision tier: off (per-path graphs only), "
+                              "steens (P1.7 whole-program Steensgaard pre-pass "
+                              "and its singleton fast paths), flow (additionally "
+                              "the P1.8 per-entry skip sets); reports are "
+                              "byte-identical across tiers (default: flow)")
+    options.add_argument("--taint-borders", action="store_true",
+                         help="xtaint border-source inference: treat interface "
+                              "parameters of registered functions with no extern "
+                              "caller as tainted (off by default; only the "
+                              "xtaint checker consults it)")
+    return options
+
+
+def _analysis_config(args, **fields) -> Tuple[AnalysisConfig, str]:
+    """The :class:`AnalysisConfig` (with ``fields`` on top) and the
+    checker spec that the shared analysis options ask for."""
+    if args.all_checkers and args.checkers:
+        raise _UsageError("--all-checkers and --checkers are mutually exclusive")
+    _check_counts(args.workers, args.max_paths)
+    config = AnalysisConfig(workers=args.workers, prune=not args.no_prune,
+                            alias_tier=args.alias_tier,
+                            taint_borders=args.taint_borders, **fields)
+    if args.max_paths is not None:
+        config.max_paths_per_entry = args.max_paths
+    return config, "all" if args.all_checkers else (args.checkers or "default")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree."""
     parser = argparse.ArgumentParser(
@@ -114,16 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    analysis = _analysis_options()
 
-    check = sub.add_parser("check", help="analyze mini-C source files")
+    check = sub.add_parser("check", parents=[analysis], help="analyze mini-C source files")
     check.add_argument("files", nargs="*", help="mini-C source files")
-    check.add_argument("--all-checkers", action="store_true",
-                       help="enable double-lock / underflow / div-zero checkers too "
-                            "(shorthand for --checkers all)")
-    check.add_argument("--checkers", metavar="SPEC", default=None,
-                       help="comma-separated checker names and/or aliases, "
-                            "e.g. 'npd,ml,taint' or 'default,taint' "
-                            "(see --list-checkers)")
     check.add_argument("--list-checkers", action="store_true",
                        help="print every registered checker (name, FSM states, "
                             "presolve event masks) and exit")
@@ -132,26 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--na", action="store_true",
                        help="run the PATA-NA ablation (no alias relationships)")
     check.add_argument("--json", action="store_true", help="machine-readable output")
-    check.add_argument("--max-paths", type=int, default=None,
-                       help="path budget per entry function")
-    check.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="worker processes for entry analysis "
-                            "(1 = sequential, 0 = one per CPU)")
-    check.add_argument("--no-prune", action="store_true",
-                       help="disable the checker-relevance pre-analysis "
-                            "(P1.5) entry/path pruning")
-    check.add_argument("--alias-tier", choices=["off", "steens", "flow"],
-                       default="flow",
-                       help="alias precision tier: off (per-path graphs only), "
-                            "steens (P1.7 whole-program Steensgaard pre-pass "
-                            "and its singleton fast paths), flow (additionally "
-                            "the P1.8 per-entry skip sets); reports are "
-                            "byte-identical across tiers (default: flow)")
-    check.add_argument("--taint-borders", action="store_true",
-                       help="xtaint border-source inference: treat interface "
-                            "parameters of registered functions with no extern "
-                            "caller as tainted (off by default; only the "
-                            "xtaint checker consults it)")
     check.add_argument("--stats", action="store_true",
                        help="print a per-entry-function stats table")
     check.add_argument("--stats-json", metavar="FILE", default=None,
@@ -170,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "over adversarial inputs and tag confirmed bugs")
 
     serve = sub.add_parser(
-        "serve",
+        "serve", parents=[analysis],
         help="resident analysis daemon: keep compiled modules + all cache "
              "layers in RAM and answer check jobs over a local socket")
     serve.add_argument("files", nargs="+", help="root mini-C source files to serve")
@@ -181,21 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=0, metavar="N",
                        help="TCP port (default 0 = ephemeral; the bound "
                             "address is printed on startup)")
-    serve.add_argument("--checkers", metavar="SPEC", default=None,
-                       help="checker spec for every served request "
-                            "(default: the 'default' alias)")
-    serve.add_argument("--all-checkers", action="store_true",
-                       help="shorthand for --checkers all")
-    serve.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="worker processes per analysis (as in check)")
-    serve.add_argument("--alias-tier", choices=["off", "steens", "flow"],
-                       default="flow", help="alias precision tier (as in check)")
-    serve.add_argument("--no-prune", action="store_true",
-                       help="disable P1.5 pruning (as in check)")
-    serve.add_argument("--taint-borders", action="store_true",
-                       help="xtaint border-source inference (as in check)")
-    serve.add_argument("--max-paths", type=int, default=None,
-                       help="path budget per entry function (as in check)")
     serve.add_argument("--watch", action="store_true",
                        help="stat-poll the root files and re-analyze the "
                             "dirtied closure on change")
@@ -305,14 +312,12 @@ def cmd_check(args) -> int:
     if not args.files:
         print("error: no input files (or use --list-checkers)", file=sys.stderr)
         return 2
-    if args.all_checkers and args.checkers:
-        print("error: --all-checkers and --checkers are mutually exclusive", file=sys.stderr)
-        return 2
+    config, spec = _analysis_config(args, validate_paths=not args.no_validate,
+                                    cache_dir=args.cache_dir, cache_mode=args.cache)
     if args.json and args.stats_json == "-":
         print("error: --json and --stats-json - would both write to stdout; "
               "give --stats-json a FILE", file=sys.stderr)
         return 2
-    _check_counts(args.workers, args.max_paths)
     sources = _read_sources(args.files)
     if args.cache != "off" and not args.cache_dir:
         print("error: --cache ro/rw requires --cache-dir PATH", file=sys.stderr)
@@ -320,16 +325,8 @@ def cmd_check(args) -> int:
     if args.cache_dir and args.cache == "off":
         print("warning: --cache-dir given but --cache is off; caching disabled",
               file=sys.stderr)
-    config = AnalysisConfig(validate_paths=not args.no_validate, workers=args.workers,
-                            prune=not args.no_prune,
-                            alias_tier=args.alias_tier,
-                            taint_borders=args.taint_borders,
-                            cache_dir=args.cache_dir, cache_mode=args.cache)
-    if args.max_paths is not None:
-        config.max_paths_per_entry = args.max_paths
     if args.na:
         config = config.for_pata_na()
-    spec = "all" if args.all_checkers else (args.checkers or "default")
     try:
         pata = PATA(config=config, checker_spec=spec)
     except ValueError as exc:
@@ -462,20 +459,10 @@ def cmd_serve(args) -> int:
 
     from .serve import PataServer
 
-    _check_counts(args.workers, args.max_paths)
+    config, spec = _analysis_config(args)
     _check_seconds("--poll-interval", args.poll_interval)
     _check_seconds("--request-timeout", args.request_timeout)
     _read_sources(args.files)
-    if args.all_checkers and args.checkers:
-        print("error: --all-checkers and --checkers are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    config = AnalysisConfig(workers=args.workers, prune=not args.no_prune,
-                            alias_tier=args.alias_tier,
-                            taint_borders=args.taint_borders)
-    if args.max_paths is not None:
-        config.max_paths_per_entry = args.max_paths
-    spec = "all" if args.all_checkers else (args.checkers or "default")
     try:
         server = PataServer(
             roots=args.files, config=config, checker_spec=spec,

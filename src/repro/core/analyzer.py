@@ -186,7 +186,6 @@ class PathExplorer:
             alias_aware=self.config.alias_aware,
             report_fn=self._report,
             base_of_fn=lambda name: self.addr_defs.get(name),
-            known_function_fn=lambda name: self.program.lookup(name) is not None,
         )
 
         self.trace: List[Tuple] = []

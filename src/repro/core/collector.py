@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from ..cfg import CallGraph, mark_interface_functions
+from ..cfg import CallGraph
 from ..ir import Const, Function, Move, Program, Ret, Var
 
 
@@ -35,12 +35,13 @@ class FunctionInfo:
 class InformationCollector:
     """Builds the function database over a whole program, afresh every
     run: the may-return closure settles in its first round on every
-    corpus profile, so cached facts could not save a round."""
+    corpus profile, so cached facts could not save a round.  Entry
+    discovery and the xtaint border set read ``callgraph`` (the run's
+    graph, or the program's own with function-pointer resolution off)."""
 
-    def __init__(self, program: Program):
+    def __init__(self, program: Program, callgraph: Optional[CallGraph] = None):
         self.program = program
-        mark_interface_functions(program)
-        self.callgraph = CallGraph(program)
+        self.callgraph = callgraph if callgraph is not None else CallGraph(program)
         self.functions: Dict[str, FunctionInfo] = {}
         self._collect()
         self._close_return_facts()

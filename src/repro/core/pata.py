@@ -17,6 +17,7 @@ import logging
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..cfg import CallGraph
 from ..ir import Function, Program
 from ..lang import compile_program
 from ..typestate import Checker, checkers_from_spec, configure_checkers
@@ -97,10 +98,6 @@ class PATA:
             # renumber to keep uid-derived report text deterministic.
             program.__dict__.pop("_pata_fingerprints", None)
             renumber_program(program)
-        # Incremental cache (opt-in): fingerprint the program and open the
-        # outcome store.  `incr` stays None when caching is off or cannot
-        # apply (live checker objects, a function name defined in two
-        # files) — every later cache branch collapses to today's behaviour.
         duplicates = _duplicate_definitions(program)
         if duplicates:
             log.warning(
@@ -110,15 +107,12 @@ class PATA:
                 "; ".join(f"{name} ({', '.join(where)})"
                           for name, where in duplicates.items()),
             )
-        incr = None
-        if (self.config.cache_active() or self._store is not None) and not duplicates:
-            from ..incremental import open_incremental
-
-            incr = open_incremental(
-                program, self.config, self._checker_spec(), store=self._store
-            )
+        # P1: the run's one call graph (building it marks the interface
+        # functions) and the function database.  Entry discovery, the
+        # cache keys, P1.5, P1.7 and P1.8 all read this graph.
         phase_started = time.monotonic()
-        collector = InformationCollector(program)
+        callgraph = CallGraph(program, self.config.resolve_function_pointers)
+        collector = InformationCollector(program, callgraph)
         stats = AnalysisStats(
             analyzed_files=len(program.modules),
             analyzed_lines=program.total_source_lines(),
@@ -126,6 +120,18 @@ class PATA:
         entry_list = entries if entries is not None else collector.entry_functions()
         stats.entry_functions = len(entry_list)
         stats.time_collect_seconds = time.monotonic() - phase_started
+        # Incremental cache (opt-in): key every function over the graph
+        # and open the outcome store.  `incr` stays None when caching is
+        # off or cannot apply (live checker objects, a function name
+        # defined in two files) — every later cache branch collapses to
+        # today's behaviour.
+        incr = None
+        if (self.config.cache_active() or self._store is not None) and not duplicates:
+            from ..incremental import open_incremental
+
+            incr = open_incremental(
+                program, self.config, self._checker_spec(), callgraph, store=self._store
+            )
         checkers = self._resolve_checkers(collector)
 
         # P1.5: checker-relevance pre-analysis.  Entry pruning happens
@@ -157,7 +163,7 @@ class PATA:
                     may_return_negative=collector.may_return_negative,
                     may_return_zero=collector.may_return_zero,
                 ),
-                resolve_function_pointers=self.config.resolve_function_pointers,
+                callgraph=callgraph,
                 sharpen_shared=self.config.alias_tier_level() >= 1,
             )
             analyzed_list, live_skipped = relevance.partition_entries(analyzed_list)
@@ -178,7 +184,7 @@ class PATA:
             phase_started = time.monotonic()
             from ..pointsto.steensgaard import build_partition
 
-            partition = build_partition(program)
+            partition = build_partition(program, callgraph)
             stats.singletons_proven = len(partition.singletons)
             stats.alias_cells = partition.cell_count
             stats.time_unify_seconds = time.monotonic() - phase_started
@@ -195,9 +201,7 @@ class PATA:
             phase_started = time.monotonic()
             from ..pointsto.flow_tier import compute_flow_facts
 
-            flow_facts = compute_flow_facts(
-                program, partition, self.config.resolve_function_pointers
-            )
+            flow_facts = compute_flow_facts(program, partition, callgraph)
             stats.time_flow_seconds = time.monotonic() - phase_started
 
         # P2: explore every entry against one world — the program, the

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
+from ..cfg import CallGraph
 from ..ir import Function, Program
 from .coords import CoordIndex, StaleEntry, decode, encode, renumber_program
 from .fingerprint import TransitiveKeys, _sha, engine_config_fingerprint, spec_fingerprint
@@ -136,18 +137,15 @@ class IncrementalPlan:
 class IncrementalContext:
     """One analysis run's view of the cache (see module docstring)."""
 
-    def __init__(self, store: CacheStore, program: Program, config, checker_spec: str):
-        from ..cfg import mark_interface_functions
-
-        # Fingerprints print the `interface` flag, so the marking pass
-        # must run before key derivation (the collector re-runs it
-        # idempotently a moment later).
-        mark_interface_functions(program)
+    def __init__(self, store: CacheStore, program: Program, config, checker_spec: str,
+                 callgraph: CallGraph):
+        # Fingerprints print the `interface` flag: building `callgraph`
+        # marked the interfaces, so it must exist before the keys do.
         self.store = store
         self.keys = TransitiveKeys(
             program,
-            config.resolve_function_pointers,
             fingerprints=getattr(program, "_pata_fingerprints", None),
+            callgraph=callgraph,
         )
         self.spec_fp = spec_fingerprint(checker_spec)
         self.engine_fp = engine_config_fingerprint(config)
@@ -225,16 +223,18 @@ class IncrementalContext:
 
 
 def open_incremental(program: Program, config, checker_spec: Optional[str],
-                     store: Optional[CacheStore] = None):
+                     callgraph: CallGraph, store: Optional[CacheStore] = None):
     """The :class:`IncrementalContext` for one analysis, or ``None`` with
     a one-line warning when caching is configured but cannot apply
     (live checker objects, unopenable directory).  Mirrors the parallel fallback contract: degraded modes
     warn, they never crash and never change results.
 
-    ``store`` bypasses directory resolution with a caller-owned store
-    (any object speaking the :class:`~.store.CacheStore` surface — the
-    resident session's in-memory store rides this); the caller keeps
-    ownership and its commit discipline."""
+    ``callgraph`` is the run's :class:`~repro.cfg.CallGraph`; the keys
+    fold over it.  ``store`` bypasses directory resolution with a
+    caller-owned store (any object speaking the
+    :class:`~.store.CacheStore` surface — the resident session's
+    in-memory store rides this); the caller keeps ownership and its
+    commit discipline."""
     if store is None and not getattr(config, "cache_dir", None):
         return None
     if checker_spec is None:
@@ -248,7 +248,7 @@ def open_incremental(program: Program, config, checker_spec: Optional[str],
     if store is None:
         return None
     try:
-        return IncrementalContext(store, program, config, checker_spec)
+        return IncrementalContext(store, program, config, checker_spec, callgraph)
     except Exception as exc:
         log.warning("incremental cache disabled: %s", exc)
         return None

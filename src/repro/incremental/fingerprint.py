@@ -8,16 +8,16 @@ Three levels of key:
   module's environment (struct layouts, globals, registrations): the
   function's *own* content.
 * **transitive key** — the function's fingerprint folded with the
-  fingerprints of its whole callgraph closure, computed over the SCC
-  condensation of the direct call graph (components fold their sorted
-  member fingerprints, then their sorted child-component keys).  Any
-  reachable function's edit changes the key; nothing else does.
+  fingerprints of its whole callgraph closure, computed over the run's
+  :class:`~repro.cfg.CallGraph` condensation (components fold their
+  sorted member fingerprints, then their sorted child-component keys).
+  Any reachable function's edit changes the key; nothing else does.
 * **indirect-dispatch salt** — when function-pointer resolution is on,
-  a function whose closure contains an indirect call site may dispatch
-  into the registration pool (the same conservative link P1.5's
-  :class:`~repro.presolve.summary.EventSummaryIndex` makes), so its
-  transitive key additionally folds the *pool stamp*: every
-  registration tuple plus every registered target's own closure key.
+  a function that reaches an indirect call site may dispatch into the
+  registration pool (the graph's :meth:`~repro.cfg.CallGraph.closure`
+  takes the pool there, and so do P1.5 and P1.8), so its transitive
+  key additionally folds the *pool stamp*: every registration tuple
+  plus every registered target's own closure key.
   Adding a function to the pool — or editing anything a pool member can
   reach — invalidates exactly the entries that may dispatch into it.
 
@@ -28,9 +28,10 @@ strings, stable across processes and hash seeds (uids never participate).
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
-from ..ir import CallIndirect, Function, Program
+from ..cfg import CallGraph
+from ..ir import Program
 from ..ir.printer import canonical_function_print, canonical_module_environment
 
 
@@ -65,90 +66,20 @@ def function_fingerprints(program: Program) -> Dict[str, str]:
     return fps
 
 
-def _direct_call_edges(program: Program) -> Tuple[Dict[str, List[str]], Set[str]]:
-    """(name -> sorted defined direct callees, names with an indirect
-    call site).  Calls to undefined functions need no edge: the callee
-    name is already part of the caller's printing, and an *undefined →
-    defined* flip adds an edge (and so changes the closure key)."""
-    defined = {func.name for func in program.functions()}
-    edges: Dict[str, List[str]] = {}
-    indirect: Set[str] = set()
-    for func in program.functions():
-        callees: Set[str] = set()
-        for inst in func.instructions():
-            callee = getattr(inst, "callee", None)
-            if callee is not None and callee in defined and callee != func.name:
-                callees.add(callee)
-            if isinstance(inst, CallIndirect):
-                indirect.add(func.name)
-        edges[func.name] = sorted(callees)
-    return edges, indirect
-
-
-def _condensed_components(edges: Dict[str, List[str]]) -> List[List[str]]:
-    """Tarjan SCCs of the direct call graph, emitted children-first
-    (reverse topological order), iteratively — corpus call chains can
-    exceed the interpreter recursion limit."""
-    index: Dict[str, int] = {}
-    lowlink: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    stack: List[str] = []
-    counter = [0]
-    components: List[List[str]] = []
-
-    for root in sorted(edges):
-        if root in index:
-            continue
-        work: List[Tuple[str, Iterable[str]]] = [(root, iter(edges[root]))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in index:
-                    index[succ] = lowlink[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(edges[succ])))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component: List[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
-    return components
-
-
 class TransitiveKeys:
     """Closure keys for every defined function of one program.
 
     ``key(name)`` is the function's transitive cache key; it changes iff
-    the canonical content of some function its exploration can possibly
-    inline changed (direct callees transitively; plus the whole
-    registration pool when an indirect call site is reachable and
-    resolution is enabled).
+    the canonical content of some function in its
+    :meth:`~repro.cfg.CallGraph.closure` changed, that is, some function
+    its exploration can possibly inline.  ``callgraph`` is the run's
+    graph (the program's own, resolution off, when omitted).
     """
 
-    def __init__(self, program: Program, resolve_function_pointers: bool = False,
-                 fingerprints: Optional[Dict[str, str]] = None):
+    def __init__(self, program: Program, fingerprints: Optional[Dict[str, str]] = None,
+                 callgraph: Optional[CallGraph] = None):
         self.program = program
+        self.callgraph = callgraph if callgraph is not None else CallGraph(program)
         # `fingerprints` lets a caller reuse prints computed at module-
         # cache time (they exclude uids, so they survive renumbering);
         # anything that doesn't cover exactly the defined functions is
@@ -159,41 +90,23 @@ class TransitiveKeys:
             self.fingerprints = fingerprints
         else:
             self.fingerprints = function_fingerprints(program)
-        edges, self._indirect_sites = _direct_call_edges(program)
-        self._closure_keys: Dict[str, str] = {}
-        self._closure_indirect: Dict[str, bool] = {}
-        self._fold(edges)
+        self._component_keys = self._fold()
         self.pool_stamp = ""
-        if resolve_function_pointers:
+        if self.callgraph.resolve_function_pointers:
             self.pool_stamp = self._pool_stamp()
 
-    def _fold(self, edges: Dict[str, List[str]]) -> None:
-        comp_of: Dict[str, int] = {}
-        components = _condensed_components(edges)
-        for i, members in enumerate(components):
-            for name in members:
-                comp_of[name] = i
-        comp_key: Dict[int, str] = {}
-        comp_indirect: Dict[int, bool] = {}
-        # children-first order: every successor component is already keyed
-        for i, members in enumerate(components):
-            child_keys: Set[str] = set()
-            indirect = any(name in self._indirect_sites for name in members)
-            for name in members:
-                for callee in edges[name]:
-                    j = comp_of[callee]
-                    if j != i:
-                        child_keys.add(comp_key[j])
-                        indirect = indirect or comp_indirect[j]
-            member_fps = sorted(
-                f"{name}={self.fingerprints[name]}" for name in members
-            )
-            comp_key[i] = _sha("scc", *member_fps, *sorted(child_keys))
-            comp_indirect[i] = indirect
-        for name in edges:
-            i = comp_of[name]
-            self._closure_keys[name] = comp_key[i]
-            self._closure_indirect[name] = comp_indirect[i]
+    def _fold(self) -> List[str]:
+        """One key per component, children first: every child component
+        is already keyed when its parent folds it.  Calls to undefined
+        functions need no edge: the callee name is already part of the
+        caller's printing, and an *undefined → defined* flip adds an
+        edge (and so changes the key)."""
+        keys: List[str] = []
+        for i, members in enumerate(self.callgraph.components):
+            member_fps = sorted(f"{name}={self.fingerprints[name]}" for name in members)
+            child_keys = sorted({keys[j] for j in self.callgraph.children[i]})
+            keys.append(_sha("scc", *member_fps, *child_keys))
+        return keys
 
     def _pool_stamp(self) -> str:
         """One stamp over the whole indirect-dispatch pool: every
@@ -205,20 +118,18 @@ class TransitiveKeys:
         parts: List[str] = []
         for reg in self.program.registrations():
             struct = reg.struct_type.name if reg.struct_type is not None else "?"
-            target_key = self._closure_keys.get(reg.function, "undefined")
+            i = self.callgraph.component_of.get(reg.function)
+            target_key = "undefined" if i is None else self._component_keys[i]
             parts.append(f"{struct}.{reg.field}={reg.function}:{target_key}")
         return _sha("pool", *sorted(parts))
-
-    def closure_has_indirect_call(self, name: str) -> bool:
-        return self._closure_indirect.get(name, False)
 
     def key(self, name: str) -> str:
         """The transitive cache key of ``name`` (raises KeyError for
         undefined functions — those have no content to address)."""
-        base = self._closure_keys[name]
-        if self.pool_stamp and self._closure_indirect[name]:
-            return _sha("tk", base, self.pool_stamp)
-        return base
+        i = self.callgraph.component_of[name]
+        if self.pool_stamp and self.callgraph.reaches_indirect[i]:
+            return _sha("tk", self._component_keys[i], self.pool_stamp)
+        return self._component_keys[i]
 
 
 def spec_fingerprint(checker_spec: str) -> str:

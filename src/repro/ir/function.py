@@ -89,6 +89,9 @@ class Function:
         self.is_interface = False
         self.blocks: List[BasicBlock] = []
         self._block_names: Dict[str, BasicBlock] = {}
+        #: base name -> the next ``.N`` suffix :meth:`add_block` tries;
+        #: every lower suffix is taken (so it is cleared when blocks go)
+        self._block_suffix: Dict[str, int] = {}
 
     @property
     def type(self) -> FunctionType:
@@ -105,18 +108,18 @@ class Function:
         return not self.blocks
 
     def add_block(self, name: str) -> BasicBlock:
-        unique = name
-        counter = 1
+        """A new block named ``name``, or ``name.N`` for the lowest free
+        ``N`` from 2.  Each base name keeps the suffix to try next, so a
+        block costs amortized O(1) name probes however many same-named
+        blocks precede it."""
+        unique, counter = name, self._block_suffix.get(name, 2)
         while unique in self._block_names:
-            counter += 1
-            unique = f"{name}.{counter}"
+            unique, counter = f"{name}.{counter}", counter + 1
+        self._block_suffix[name] = counter
         block = BasicBlock(unique, parent=self)
         self.blocks.append(block)
         self._block_names[unique] = block
         return block
-
-    def get_block(self, name: str) -> BasicBlock:
-        return self._block_names[name]
 
     def instructions(self) -> Iterator[Instruction]:
         for block in self.blocks:
@@ -128,12 +131,16 @@ class Function:
     def __getstate__(self):
         # Each block's terminator goes after all of the blocks, so every
         # successor link is a memo hit and the pickle's depth does not
-        # grow with the length of a chain of blocks.
-        return self.__dict__, [block.terminator for block in self.blocks]
+        # grow with the length of a chain of blocks.  The suffix memo
+        # stays behind: an empty one is always correct.
+        attrs = self.__dict__.copy()
+        del attrs["_block_suffix"]
+        return attrs, [block.terminator for block in self.blocks]
 
     def __setstate__(self, state) -> None:
         attrs, terminators = state
         self.__dict__.update(attrs)
+        self._block_suffix = {}
         for block, terminator in zip(self.blocks, terminators):
             block.terminator = terminator
 

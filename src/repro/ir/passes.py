@@ -138,6 +138,7 @@ def remove_unreachable_blocks(func: Function) -> int:
         func.blocks = [b for b in func.blocks if b.uid in reachable]
         for block in removed:
             func._block_names.pop(block.name, None)
+        func._block_suffix.clear()
     return len(removed)
 
 

@@ -20,14 +20,8 @@ class Type:
     def is_pointer(self) -> bool:
         return isinstance(self, PointerType)
 
-    def is_integer(self) -> bool:
-        return isinstance(self, IntType)
-
     def is_struct(self) -> bool:
         return isinstance(self, StructType)
-
-    def is_array(self) -> bool:
-        return isinstance(self, ArrayType)
 
     def is_void(self) -> bool:
         return isinstance(self, VoidType)
@@ -92,9 +86,6 @@ class StructType(Type):
     @property
     def is_complete(self) -> bool:
         return self._complete
-
-    def field_names(self) -> Tuple[str, ...]:
-        return tuple(self.fields)
 
     def field_type(self, name: str) -> Type:
         return self.fields[name]

@@ -193,6 +193,3 @@ class AndersenPointsTo:
         if a == b:
             return True
         return bool(self.pts.get(a, set()) & self.pts.get(b, set()))
-
-    def total_entries(self) -> int:
-        return self._entries

@@ -12,12 +12,13 @@ graph state (the rules table above the walk, verified against every
 
 One exact walk over the program records, per function, the names its
 instructions mention (*occurrences*) and the names they subject to a
-state-dependent graph operation (*disqualifications*), plus the direct
-callgraph and the registration pool.  :class:`MustAliasFacts` holds
-that walk and answers :meth:`MustAliasFacts.skip_names_for_entry`:
-closure occurrences minus closure disqualifications, with the partition
-singletons that occur unioned in, so each skip set is a superset of
-what the ``steens`` tier skips.  Consumers only ever *skip predictable
+state-dependent graph operation (*disqualifications*).
+:class:`MustAliasFacts` holds that walk and the run's call graph, and
+answers :meth:`MustAliasFacts.skip_names_for_entry`: occurrences minus
+disqualifications over the entry's
+:meth:`~repro.cfg.CallGraph.closure`, with the partition singletons
+that occur unioned in, so each skip set is a superset of what the
+``steens`` tier skips.  Consumers only ever *skip predictable
 work* with these sets, so reports stay byte-identical across the whole
 ``off``/``steens``/``flow`` ladder.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..cfg import CallGraph
 from ..ir import (
     AddrOf,
     Alloc,
@@ -50,8 +52,8 @@ _EMPTY: FrozenSet[str] = frozenset()
 
 class MustAliasFacts:
     """The P1.8 output: per-function occurrence/disqualification sets
-    and the embedded callgraph needed to resolve entry closures without
-    a presolve (warm cache runs never build one).
+    and the call graph whose closures the skip sets are taken over (a
+    warm-cache run builds no presolve, but always builds the graph).
 
     ``skip_names_for_entry`` is the consumer surface: the set of names
     the per-path alias graph may skip for one entry — sound because no
@@ -59,68 +61,24 @@ class MustAliasFacts:
     graph operation on them.
     """
 
-    __slots__ = (
-        "occurs", "disq", "callees", "indirect", "pool", "resolve_fp",
-        "base_singletons", "_closure_memo", "_skip_memo",
-    )
+    __slots__ = ("occurs", "disq", "callgraph", "base_singletons", "_skip_memo")
 
     def __init__(
         self,
         occurs: Dict[str, FrozenSet[str]],
         disq: Dict[str, FrozenSet[str]],
-        callees: Dict[str, Tuple[str, ...]],
-        indirect: FrozenSet[str],
-        pool: Tuple[str, ...],
-        resolve_fp: bool,
+        callgraph: CallGraph,
         base_singletons: FrozenSet[str],
     ):
         #: function -> non-global names occurring in its instructions
         self.occurs = occurs
         #: function -> names its instructions disqualify from skipping
         self.disq = disq
-        #: function -> defined direct callees (the closure skeleton —
-        #: embedded so warm-cache runs need no presolve to resolve it)
-        self.callees = callees
-        #: functions containing an indirect call
-        self.indirect = indirect
-        #: defined registration-pool functions (indirect-call targets)
-        self.pool = pool
-        self.resolve_fp = resolve_fp
+        self.callgraph = callgraph
         #: whole-program Steensgaard singletons, unioned into every skip
         #: set so the flow tier skips at least what the steens tier does
         self.base_singletons = base_singletons
-        self._closure_memo: Dict[str, FrozenSet[str]] = {}
         self._skip_memo: Dict[FrozenSet[str], FrozenSet[str]] = {}
-
-    # -- closures ---------------------------------------------------------------
-
-    def closure_of(self, entry_name: str) -> FrozenSet[str]:
-        """Defined functions the explorer can reach from ``entry_name``
-        — mirrors the presolve closure (direct defined call edges, plus
-        the whole registration pool once behind any indirect call when
-        resolution is enabled), but self-contained: warm-cache runs have
-        no :class:`RelevancePreAnalysis` to ask."""
-        cached = self._closure_memo.get(entry_name)
-        if cached is not None:
-            return cached
-        names = {entry_name}
-        work = [entry_name]
-        pool_added = False
-        while work:
-            current = work.pop()
-            for callee in self.callees.get(current, ()):
-                if callee not in names:
-                    names.add(callee)
-                    work.append(callee)
-            if current in self.indirect and self.resolve_fp and not pool_added:
-                pool_added = True
-                for target in self.pool:
-                    if target not in names:
-                        names.add(target)
-                        work.append(target)
-        closure = frozenset(names)
-        self._closure_memo[entry_name] = closure
-        return closure
 
     def skip_names_for_entry(self, entry_name: str) -> FrozenSet[str]:
         """Names the per-path alias graph may skip while exploring
@@ -128,7 +86,7 @@ class MustAliasFacts:
         disqualification, plus the whole-program singletons that occur.
         Memoized per closure — entries sharing a helper subtree share
         one union."""
-        closure = self.closure_of(entry_name)
+        closure = self.callgraph.closure(entry_name)
         cached = self._skip_memo.get(closure)
         if cached is not None:
             return cached
@@ -195,9 +153,8 @@ def _walk_tag(cls) -> Optional[int]:
 
 def _walk_occurs_disq(
     program: Program,
-    resolve_function_pointers: bool,
-) -> Tuple[Dict[str, FrozenSet[str]], Dict[str, FrozenSet[str]],
-           Dict[str, Tuple[str, ...]], FrozenSet[str], Tuple[str, ...]]:
+    callgraph: CallGraph,
+) -> Tuple[Dict[str, FrozenSet[str]], Dict[str, FrozenSet[str]]]:
     defined: Dict[str, Function] = {f.name: f for f in program.functions()}
     may_ret_var: Dict[str, bool] = {}
     for func in program.functions():
@@ -205,13 +162,8 @@ def _walk_occurs_disq(
             isinstance(b.terminator, Ret) and isinstance(b.terminator.value, Var)
             for b in func.blocks
         )
-    pool_names: List[str] = []
-    seen_pool: Set[str] = set()
-    for reg in program.registrations():
-        if reg.function in defined and reg.function not in seen_pool:
-            seen_pool.add(reg.function)
-            pool_names.append(reg.function)
-    pool = tuple(pool_names)
+    resolve_function_pointers = callgraph.resolve_function_pointers
+    pool = callgraph.pool
     pool_params: List[str] = [
         p.name for name in pool for p in defined[name].params
     ]
@@ -219,16 +171,12 @@ def _walk_occurs_disq(
 
     occurs: Dict[str, FrozenSet[str]] = {}
     disq: Dict[str, FrozenSet[str]] = {}
-    callees: Dict[str, Tuple[str, ...]] = {}
-    indirect: Set[str] = set()
     tags = _WALK_TAGS
 
     for func in program.functions():
         occ: Set[str] = set()
         dis: Set[str] = set(p.name for p in func.params)
         occ_add, dis_add = occ.add, dis.add
-        direct: List[str] = []
-        seen_callees: Set[str] = set()
         for block in func.blocks:
             for inst in block.instructions:
                 defined_var = inst.defined_var()
@@ -274,9 +222,6 @@ def _walk_occurs_disq(
                             dis_add(arg.name)
                     callee = defined.get(inst.callee)
                     if callee is not None:
-                        if inst.callee not in seen_callees:
-                            seen_callees.add(inst.callee)
-                            direct.append(inst.callee)
                         for arg in inst.args:
                             if isinstance(arg, Var):
                                 dis_add(arg.name)
@@ -285,7 +230,6 @@ def _walk_occurs_disq(
                         if inst.dst is not None and may_ret_var.get(inst.callee, False):
                             dis_add(inst.dst.name)
                 elif tag == _T_CALLIND:
-                    indirect.add(func.name)
                     if resolve_function_pointers:
                         for arg in inst.args:
                             if isinstance(arg, Var):
@@ -299,9 +243,7 @@ def _walk_occurs_disq(
                 dis_add(term.value.name)
         occurs[func.name] = frozenset(n for n in occ if not n.startswith("@"))
         disq[func.name] = frozenset(dis)
-        if direct:
-            callees[func.name] = tuple(direct)
-    return occurs, disq, callees, frozenset(indirect), pool
+    return occurs, disq
 
 
 # -- the P1.8 entry point -------------------------------------------------------
@@ -310,20 +252,13 @@ def _walk_occurs_disq(
 def compute_flow_facts(
     program: Program,
     partition,
-    resolve_function_pointers: bool = False,
+    callgraph: Optional[CallGraph] = None,
 ) -> MustAliasFacts:
     """Build the :class:`MustAliasFacts` for one program: the exact
-    occurrence/disqualification walk, with ``partition``'s whole-program
-    singletons kept for the skip-set union."""
-    occurs, disq, callees, indirect, pool = _walk_occurs_disq(
-        program, resolve_function_pointers
-    )
-    return MustAliasFacts(
-        occurs=occurs,
-        disq=disq,
-        callees=callees,
-        indirect=indirect,
-        pool=pool,
-        resolve_fp=resolve_function_pointers,
-        base_singletons=partition.singletons,
-    )
+    occurrence/disqualification walk over ``callgraph`` (the program's
+    own, resolution off, when omitted), with ``partition``'s
+    whole-program singletons kept for the skip-set union."""
+    if callgraph is None:
+        callgraph = CallGraph(program)
+    occurs, disq = _walk_occurs_disq(program, callgraph)
+    return MustAliasFacts(occurs, disq, callgraph, partition.singletons)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from ..cfg import CallGraph
 from ..ir import (
     AddrOf,
     Alloc,
@@ -176,7 +177,8 @@ class SteensgaardPointsTo:
     function of the closure's contents — exactly what a cached skip
     verdict relies on); the default is the whole program (the P1.7 global
     partition).  ``defined`` is the program's name -> defined function
-    map, for a caller that solves many closures of one program.
+    map, for a caller that solves many closures of one program, and
+    ``callgraph`` the run's call graph (the program's own when omitted).
     """
 
     def __init__(
@@ -184,8 +186,14 @@ class SteensgaardPointsTo:
         program: Program,
         functions: Optional[Iterable[Function]] = None,
         defined: Optional[Dict[str, Function]] = None,
+        callgraph: Optional[CallGraph] = None,
     ):
         self.program = program
+        #: the run's call graph; its registration pool is every
+        #: indirect call's target set (the engine resolves by (struct,
+        #: field); over-unifying is the safe direction), whether or not
+        #: the run resolves function pointers
+        self.callgraph = callgraph if callgraph is not None else CallGraph(program)
         self._functions: List[Function] = (
             list(functions) if functions is not None else list(program.functions())
         )
@@ -195,7 +203,6 @@ class SteensgaardPointsTo:
         self._flags: Dict[int, int] = {}             # root -> flag bits
         self._ret_cells: Dict[str, int] = {}         # function name -> element
         self._name_order: List[str] = []             # first-seen walk order
-        self._indirect_pool: Optional[List[Function]] = None
         #: name -> defined function, resolved once — call bindings hit
         #: this for every call site and a per-module scan is too slow
         self._defined: Dict[str, Function] = (
@@ -317,24 +324,6 @@ class SteensgaardPointsTo:
         if dst is not None:
             self._unify(self._id_of(dst.name), self._ret_cell(callee.name))
 
-    def _pool(self) -> List[Function]:
-        """Every function reachable through an interface registration —
-        the conservative target set of any indirect call (the engine
-        resolves by (struct, field); over-unifying is the safe
-        direction)."""
-        if self._indirect_pool is None:
-            pool: List[Function] = []
-            seen: Set[str] = set()
-            for reg in self.program.registrations():
-                if reg.function in seen:
-                    continue
-                seen.add(reg.function)
-                func = self._defined.get(reg.function)
-                if func is not None:
-                    pool.append(func)
-            self._indirect_pool = pool
-        return self._indirect_pool
-
     def _gen_function(self, func: Function) -> None:
         gen = _GEN_DISPATCH
         for param in func.params:
@@ -448,9 +437,8 @@ class SteensgaardPointsTo:
         self._havoc_pointer_args(inst.args)
 
     def _gen_call_indirect(self, inst) -> None:
-        for target in self._pool():
-            if not target.is_declaration:
-                self._gen_call_binding(target, inst.dst, inst.args)
+        for name in self.callgraph.pool:
+            self._gen_call_binding(self._defined[name], inst.dst, inst.args)
         if inst.dst is not None:
             self._id_of(inst.dst.name)
         self._havoc_pointer_args(inst.args)
@@ -675,9 +663,9 @@ _GEN_DISPATCH = {
 }
 
 
-def build_partition(program: Program) -> MayAliasPartition:
+def build_partition(program: Program, callgraph: Optional[CallGraph] = None) -> MayAliasPartition:
     """The P1.7 entry point: solve the whole program and finalize."""
-    return SteensgaardPointsTo(program).solve().partition()
+    return SteensgaardPointsTo(program, callgraph=callgraph).solve().partition()
 
 
 def defined_functions(program: Program) -> Dict[str, Function]:
@@ -688,6 +676,7 @@ def defined_functions(program: Program) -> Dict[str, Function]:
 def shared_reaching_names(
     program: Program,
     functions: Iterable[Function],
+    callgraph: CallGraph,
     defined: Optional[Dict[str, Function]] = None,
 ) -> FrozenSet[str]:
     """Closure-local shared-state reachability for the P1.5 sharpening.
@@ -695,7 +684,9 @@ def shared_reaching_names(
     Solved over exactly ``functions`` so the answer is a deterministic
     function of the closure contents — cached skip verdicts keyed by
     the entry's transitive closure stay sound."""
-    solver = SteensgaardPointsTo(program, functions=functions, defined=defined).solve()
+    solver = SteensgaardPointsTo(
+        program, functions=functions, defined=defined, callgraph=callgraph
+    ).solve()
     marked = solver._component_marks()
     return frozenset(
         name for name in solver._name_order

@@ -12,12 +12,12 @@ Modules
 -------
 - :mod:`repro.presolve.events` — the abstract event-kind lattice
 - :mod:`repro.presolve.scan` — per-instruction/per-block direct scan
-- :mod:`repro.presolve.summary` — call-graph fixpoint over summaries
+- :mod:`repro.presolve.summary` — summaries folded over the call graph
 - :mod:`repro.presolve.prune` — entry pruning + backward CFG liveness
 """
 
 from .events import ALL_EVENTS, NEGATIVE_RETURN_HINTS, EventKind, event_names, iter_kinds
-from .scan import ScanContext, ScanResult, block_events, function_direct_events
+from .scan import ScanContext, ScanResult, block_events
 from .summary import EventSummaryIndex
 from .prune import RelevancePreAnalysis
 
@@ -30,7 +30,6 @@ __all__ = [
     "ScanContext",
     "ScanResult",
     "block_events",
-    "function_direct_events",
     "EventSummaryIndex",
     "RelevancePreAnalysis",
 ]

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from ..cfg import CallGraph
 from ..ir import Function, Program, Ret
 from .events import EventKind
 from .scan import ScanContext
@@ -52,7 +53,9 @@ class RelevancePreAnalysis:
     ``checkers`` are the live checker objects the explorer will run;
     their declarative ``trigger_events``/``sink_events`` masks drive both
     pruning layers.  ``scan_ctx`` carries the collector's may-return
-    facts (see :class:`~repro.presolve.scan.ScanContext`).
+    facts (see :class:`~repro.presolve.scan.ScanContext`), and
+    ``callgraph`` the run's call graph (the program's own, resolution
+    off, when omitted).
     """
 
     def __init__(
@@ -60,17 +63,14 @@ class RelevancePreAnalysis:
         program: Program,
         checkers: Sequence,
         scan_ctx: Optional[ScanContext] = None,
-        resolve_function_pointers: bool = False,
+        callgraph: Optional[CallGraph] = None,
         sharpen_shared: bool = False,
     ):
         self.program = program
         self.checkers = list(checkers)
         self.scan_ctx = scan_ctx or ScanContext()
-        self.index = EventSummaryIndex(
-            program,
-            scan_ctx=self.scan_ctx,
-            resolve_function_pointers=resolve_function_pointers,
-        )
+        self.index = EventSummaryIndex(program, scan_ctx=self.scan_ctx, callgraph=callgraph)
+        self.callgraph = self.index.callgraph
         #: P1.7 sharpening: intersect pointer-access relevance with the
         #: entry closure's shared-reaching cells (see module docstring of
         #: :mod:`repro.pointsto.steensgaard`).  Computed *per entry
@@ -109,7 +109,6 @@ class RelevancePreAnalysis:
             if (trigger | sink) & _SHARED
         ]
         self._dead_blocks: Dict[str, FrozenSet[int]] = {}
-        self._closures: Dict[str, FrozenSet[str]] = {}
         self._shared_by_closure: Dict[FrozenSet[str], FrozenSet[str]] = {}
         self._shared_by_entry: Dict[str, FrozenSet[str]] = {}
         self._function_index: Optional[Dict[str, Function]] = None
@@ -117,39 +116,6 @@ class RelevancePreAnalysis:
         self._armed_names: Dict[str, FrozenSet[str]] = {}
 
     # -- P1.7 sharpening -----------------------------------------------------
-
-    def _entry_closure(self, entry: Function) -> FrozenSet[str]:
-        """Defined functions the explorer can reach from ``entry`` —
-        direct call edges plus, behind an indirect call with resolution
-        enabled, every registered function (the engine's per-site
-        resolution picks a subset of those)."""
-        cached = self._closures.get(entry.name)
-        if cached is not None:
-            return cached
-        names = {entry.name}
-        work = [entry.name]
-        pool_added = False
-        while work:
-            result = self.index.direct.get(work.pop())
-            if result is None:
-                continue
-            for callee in result.callees:
-                if callee in self.index.direct and callee not in names:
-                    names.add(callee)
-                    work.append(callee)
-            if (
-                result.has_indirect_call
-                and self.index.resolve_function_pointers
-                and not pool_added
-            ):
-                pool_added = True
-                for reg in self.program.registrations():
-                    if reg.function in self.index.direct and reg.function not in names:
-                        names.add(reg.function)
-                        work.append(reg.function)
-        closure = frozenset(names)
-        self._closures[entry.name] = closure
-        return closure
 
     def _closure_functions(self, closure: FrozenSet[str]) -> List[Function]:
         """The defined functions named in ``closure``.  The name index
@@ -174,13 +140,15 @@ class RelevancePreAnalysis:
             return None
         shared = self._shared_by_entry.get(entry.name)
         if shared is None:
-            closure = self._entry_closure(entry)
+            closure = self.callgraph.closure(entry.name)
             shared = self._shared_by_closure.get(closure)
             if shared is None:
                 from ..pointsto.steensgaard import shared_reaching_names
 
                 functions = self._closure_functions(closure)
-                shared = shared_reaching_names(self.program, functions, self._function_index)
+                shared = shared_reaching_names(
+                    self.program, functions, self.callgraph, self._function_index
+                )
                 self._shared_by_closure[closure] = shared
             self._shared_by_entry[entry.name] = shared
         return shared.__contains__
@@ -302,7 +270,7 @@ class RelevancePreAnalysis:
             for callee in result.callees:
                 callee_mask = callee_memo.get(callee)
                 if callee_mask is None:
-                    callee_mask = index.callee_region_events_mask(callee, reaches)
+                    callee_mask = index.region_events_mask(callee, reaches)
                     callee_memo[callee] = callee_mask
                 mask |= callee_mask
             if result.has_indirect_call:

@@ -9,9 +9,9 @@ sensitivity is exactly what the expensive phase adds.
 
 Call instructions contribute in two ways:
 
-* a *call edge* for the summary fixpoint (the callee's transitive kinds
-  flow into the caller), recorded by :func:`block_events` in
-  ``ScanResult.callees``;
+* a *call edge* for the P1.5 dead-block walk (the callee's transitive
+  kinds flow into the calling block), recorded by :func:`block_events`
+  in ``ScanResult.callees``;
 * their *havoc kinds* directly: any call — even to a defined function —
   may be handled externally at exploration time (inline depth exceeded,
   blocked recursion), in which case the explorer dispatches
@@ -38,7 +38,6 @@ from ..ir import (
     Const,
     DeclLocal,
     Free,
-    Function,
     Gep,
     Jump,
     Load,
@@ -77,10 +76,10 @@ class ScanResult:
 
     events: EventKind = EventKind.NONE
     #: the same kinds as a plain-int bit mask — the form the summary
-    #: fixpoint and the prune walks compute with (enum bit-ops route
+    #: fold and the prune walks compute with (enum bit-ops route
     #: through ``Flag.__or__`` and are far slower than int ops)
     events_mask: int = 0
-    #: names of directly called functions (fixpoint edges)
+    #: names of directly called functions
     callees: List[str] = field(default_factory=list)
     #: True when the block contains an indirect call (resolved separately)
     has_indirect_call: bool = False
@@ -382,15 +381,6 @@ def _scan_fallback(inst, ctx, result) -> int:
     return 0
 
 
-def instruction_events(inst, ctx: ScanContext, result: ScanResult) -> None:
-    """Fold one instruction's possible event kinds into ``result``."""
-    handler = _SCAN_DISPATCH.get(inst.__class__, _scan_fallback)
-    mask = handler(inst, ctx, result)
-    if mask:
-        result.events_mask |= mask
-        result.events = _as_kinds(result.events_mask)
-
-
 def _terminator_mask(term) -> int:
     if isinstance(term, Ret):
         kinds = _RETURN
@@ -427,22 +417,6 @@ def block_events(block: BasicBlock, ctx: ScanContext) -> ScanResult:
         mask |= handler(inst, ctx, result)
     if block.terminator is not None:
         mask |= _terminator_mask(block.terminator)
-    result.events_mask = mask
-    result.events = _as_kinds(mask)
-    return result
-
-
-def function_direct_events(func: Function, ctx: ScanContext) -> ScanResult:
-    """Kinds (and call edges) ``func``'s own body can generate, before
-    closing over callees."""
-    result = ScanResult()
-    mask = 0
-    for block in func.blocks:
-        block_result = block_events(block, ctx)
-        mask |= block_result.events_mask
-        result.callees.extend(block_result.callees)
-        result.has_indirect_call = result.has_indirect_call or block_result.has_indirect_call
-        result.shared_ptrs.extend(block_result.shared_ptrs)
     result.events_mask = mask
     result.events = _as_kinds(mask)
     return result

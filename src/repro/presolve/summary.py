@@ -1,30 +1,31 @@
-"""Per-function typestate-event summaries and their call-graph fixpoint.
+"""Per-function typestate-event summaries, folded over the call graph.
 
 ``EventSummaryIndex`` computes, for every defined function, the set of
 event kinds the function can trigger *directly* (its own instructions,
-:mod:`repro.presolve.scan`) and *transitively* (closing the direct sets
-over the call graph with a worklist fixpoint).  The lattice is the
+:mod:`repro.presolve.scan`) and *transitively*: the union of the direct
+sets over the function's :meth:`~repro.cfg.CallGraph.closure`, folded
+once over the graph's condensation, children first.  The lattice is the
 powerset of :class:`~repro.presolve.events.EventKind` ordered by
-inclusion — finite height, monotone union transfer, so the fixpoint
-terminates in at most ``|kinds| × |functions|`` edge relaxations.
+inclusion.
 
-Call edges:
+Call edges are the graph's:
 
 * **direct calls** — an edge to the callee by name; calls to *unknown*
   functions (no definition in the program) have no body to summarize,
   and their havoc kinds are already part of the caller's direct set;
 * **indirect calls** — when the engine is configured to resolve function
-  pointers, any function registered to an interface slot may be invoked,
-  so an indirect call site conservatively links to *every* registered
-  function (the engine's per-site (struct, field) resolution can only
+  pointers, any function in the registration pool may be invoked, so a
+  function that reaches an indirect call site folds in the whole pool's
+  region (the engine's per-site (struct, field) resolution can only
   pick a subset of those).  With resolution off the engine havocs the
   call, which the direct scan already covers.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Callable, Dict, FrozenSet, Optional
 
+from ..cfg import CallGraph
 from ..ir import Function, Program
 from .events import EventKind
 from .scan import ScanContext, ScanResult, _as_kinds, block_events
@@ -34,39 +35,48 @@ _SHARED = EventKind.SHARED_ACCESS.value
 
 
 class EventSummaryIndex:
-    """Direct and transitive event summaries for one program.
-
-    ``registered_functions`` are the possible indirect-call targets
-    (interface registrations); only consulted when
-    ``resolve_function_pointers`` is True, matching the engine.
-    """
+    """Direct and transitive event summaries for one program, over
+    ``callgraph`` (the program's own, resolution off, when omitted)."""
 
     def __init__(
         self,
         program: Program,
         scan_ctx: Optional[ScanContext] = None,
-        resolve_function_pointers: bool = False,
+        callgraph: Optional[CallGraph] = None,
     ):
         self.program = program
         self.scan_ctx = scan_ctx or ScanContext()
-        self.resolve_function_pointers = resolve_function_pointers
-        #: per-function direct scan results (events + call edges)
-        self.direct: Dict[str, ScanResult] = {}
-        #: per-function transitive event masks (the fixpoint), as plain
-        #: int bit masks.  NOTE: excludes the pointer-conditional
-        #: SHARED_ACCESS bit; query methods fold it back from
-        #: ``_trans_ptrs`` (see :meth:`region_events`).
-        self.transitive: Dict[str, int] = {}
-        #: per-function transitive pointer names of Load/Store/MemSet
-        #: accesses — the conditional SHARED_ACCESS contributors
-        self._trans_ptrs: Dict[str, FrozenSet[str]] = {}
+        self.callgraph = callgraph if callgraph is not None else CallGraph(program)
         #: per-block direct scan results, keyed by block uid.  The P1.5
         #: dead-block walk re-reads the same per-block kinds the summary
         #: build already computed; sharing the ScanResult (it is never
         #: mutated after construction) avoids a second instruction scan
         #: over every analyzed entry.
         self.block_results: Dict[int, ScanResult] = {}
-        self._build()
+        #: per-function direct scan results (kinds + shared-access pointers)
+        self.direct: Dict[str, ScanResult] = {
+            func.name: self._function_events(func) for func in program.functions()
+        }
+        #: per-function transitive event masks, as plain int bit masks.
+        #: NOTE: excludes the pointer-conditional SHARED_ACCESS bit;
+        #: query methods fold it back from ``_trans_ptrs`` (see
+        #: :meth:`region_events`).
+        self.transitive: Dict[str, int] = self.callgraph.fold(
+            {name: result.events_mask for name, result in self.direct.items()}
+        )
+        #: per-function transitive pointer names of Load/Store/MemSet
+        #: accesses — the conditional SHARED_ACCESS contributors
+        self._trans_ptrs: Dict[str, FrozenSet[str]] = self.callgraph.fold(
+            {name: frozenset(result.shared_ptrs) for name, result in self.direct.items()}
+        )
+        #: what an indirect call can reach: the pool's region (nothing
+        #: with function-pointer resolution off)
+        self.indirect_pool = 0
+        self.indirect_pool_ptrs = _EMPTY_NAMES
+        if self.callgraph.resolve_function_pointers:
+            for name in self.callgraph.pool:
+                self.indirect_pool |= self.transitive[name]
+                self.indirect_pool_ptrs |= self._trans_ptrs[name]
 
     # -- construction --------------------------------------------------------
 
@@ -81,121 +91,15 @@ class EventSummaryIndex:
         return result
 
     def _function_events(self, func: Function) -> ScanResult:
-        """Like :func:`~repro.presolve.scan.function_direct_events`, but
-        populating the per-block cache as it goes."""
+        """The kinds and shared-access pointers of ``func``'s own body,
+        caching each block's scan (call edges are the call graph's)."""
         result = ScanResult()
-        mask = 0
         for block in func.blocks:
             block_result = self.block_result(block)
-            mask |= block_result.events_mask
-            result.callees.extend(block_result.callees)
-            result.has_indirect_call = (
-                result.has_indirect_call or block_result.has_indirect_call
-            )
+            result.events_mask |= block_result.events_mask
             result.shared_ptrs.extend(block_result.shared_ptrs)
-        result.events_mask = mask
-        result.events = _as_kinds(mask)
+        result.events = _as_kinds(result.events_mask)
         return result
-
-    def _build(self) -> None:
-        functions: List[Function] = list(self.program.functions())
-        for func in functions:
-            self.direct[func.name] = self._function_events(func)
-
-        indirect_pool = 0
-        registered: Set[str] = set()
-        if self.resolve_function_pointers:
-            registered = {
-                reg.function
-                for reg in self.program.registrations()
-                if self.program.lookup(reg.function) is not None
-            }
-
-        # Reverse edges: callee -> callers, to relax only affected nodes.
-        # Direct pointer sets are frozen once here — the fixpoint below
-        # re-reads them every relaxation.
-        callers: Dict[str, List[str]] = {}
-        direct_ptrs: Dict[str, FrozenSet[str]] = {}
-        for name, result in self.direct.items():
-            self.transitive[name] = result.events_mask
-            direct_ptrs[name] = frozenset(result.shared_ptrs)
-            self._trans_ptrs[name] = direct_ptrs[name]
-            for callee in result.callees:
-                if callee in self.direct:
-                    callers.setdefault(callee, []).append(name)
-
-        # Worklist fixpoint over direct call edges, relaxing the event
-        # masks and the conditional shared-pointer sets together (same
-        # lattice shape: finite powersets, monotone union transfer).
-        work: List[str] = list(self.direct)
-        in_work: Set[str] = set(work)
-        while work:
-            name = work.pop()
-            in_work.discard(name)
-            mask = self.direct[name].events_mask
-            ptrs = direct_ptrs[name]
-            for callee in self.direct[name].callees:
-                mask |= self.transitive.get(callee, 0)
-                ptrs |= self._trans_ptrs.get(callee, _EMPTY_NAMES)
-            if mask != self.transitive[name] or ptrs != self._trans_ptrs[name]:
-                self.transitive[name] = mask
-                self._trans_ptrs[name] = ptrs
-                for caller in callers.get(name, ()):
-                    if caller not in in_work:
-                        in_work.add(caller)
-                        work.append(caller)
-
-        # Indirect calls: a second, outer fixpoint.  The pool of kinds an
-        # indirect call can trigger is the union over registered targets,
-        # and feeding the pool into a function with an indirect call can
-        # enlarge the pool (a registered function may itself make
-        # indirect calls) — iterate until stable.
-        indirect_pool_ptrs: FrozenSet[str] = _EMPTY_NAMES
-        if registered:
-            while True:
-                pool = 0
-                pool_ptrs: FrozenSet[str] = _EMPTY_NAMES
-                for target in registered:
-                    pool |= self.transitive.get(target, 0)
-                    pool_ptrs |= self._trans_ptrs.get(target, _EMPTY_NAMES)
-                changed = False
-                for name, result in self.direct.items():
-                    if not result.has_indirect_call:
-                        continue
-                    merged = self.transitive[name] | pool
-                    merged_ptrs = self._trans_ptrs[name] | pool_ptrs
-                    if merged != self.transitive[name] or merged_ptrs != self._trans_ptrs[name]:
-                        self.transitive[name] = merged
-                        self._trans_ptrs[name] = merged_ptrs
-                        changed = True
-                if not changed:
-                    break
-                # Re-close over direct edges so callers of
-                # indirect-calling functions see the enlarged masks.
-                self._close_direct_edges(callers)
-            indirect_pool = pool
-            indirect_pool_ptrs = pool_ptrs
-        self.indirect_pool = indirect_pool
-        self.indirect_pool_ptrs = indirect_pool_ptrs
-
-    def _close_direct_edges(self, callers: Dict[str, List[str]]) -> None:
-        work: List[str] = list(self.direct)
-        in_work: Set[str] = set(work)
-        while work:
-            name = work.pop()
-            in_work.discard(name)
-            mask = self.transitive[name]
-            ptrs = self._trans_ptrs[name]
-            for callee in self.direct[name].callees:
-                mask |= self.transitive.get(callee, 0)
-                ptrs |= self._trans_ptrs.get(callee, _EMPTY_NAMES)
-            if mask != self.transitive[name] or ptrs != self._trans_ptrs[name]:
-                self.transitive[name] = mask
-                self._trans_ptrs[name] = ptrs
-                for caller in callers.get(name, ()):
-                    if caller not in in_work:
-                        in_work.add(caller)
-                        work.append(caller)
 
     # -- queries -------------------------------------------------------------
 
@@ -241,25 +145,9 @@ class EventSummaryIndex:
     def region_events(self, name: str, reaches_shared=None) -> EventKind:
         return _as_kinds(self.region_events_mask(name, reaches_shared))
 
-    def callee_region_events_mask(self, callee: str, reaches_shared=None) -> int:
-        """Kinds a call to ``callee`` can trigger: its transitive region
-        when defined, nothing extra otherwise (the call site's own havoc
-        kinds are part of the *caller's* direct set)."""
-        return self._restore_shared(
-            self.transitive.get(callee, 0),
-            self._trans_ptrs.get(callee, _EMPTY_NAMES),
-            reaches_shared,
-        )
-
-    def callee_region_events(self, callee: str, reaches_shared=None) -> EventKind:
-        return _as_kinds(self.callee_region_events_mask(callee, reaches_shared))
-
     def pool_events_mask(self, reaches_shared=None) -> int:
         """Kinds an indirect call can trigger through the registration
         pool (0 with function-pointer resolution off)."""
         return self._restore_shared(
             self.indirect_pool, self.indirect_pool_ptrs, reaches_shared
         )
-
-    def pool_events(self, reaches_shared=None) -> EventKind:
-        return _as_kinds(self.pool_events_mask(reaches_shared))

@@ -46,9 +46,6 @@ class TaintSpec:
     def is_buffer_source(self, callee: str) -> bool:
         return any(hint in callee for hint in self.buffer_sources)
 
-    def is_source(self, callee: str) -> bool:
-        return self.is_return_source(callee) or self.is_buffer_source(callee)
-
     def covered_by_hints(self) -> bool:
         """Whether every source this spec matches is also matched by the
         P1.5 scan's :data:`~repro.presolve.events.TAINT_SOURCE_HINTS`.

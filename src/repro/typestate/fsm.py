@@ -44,9 +44,6 @@ class FSM:
         """δ(state, symbol); unspecified pairs self-loop."""
         return self.transitions.get((state, symbol), state)
 
-    def is_error(self, state: str) -> bool:
-        return state == self.error
-
     def run(self, symbols: Iterable[str], start: Optional[str] = None) -> str:
         """Fold a symbol sequence from ``start`` (default S0); useful for
         property tests and documentation examples."""

@@ -131,14 +131,12 @@ class TrackerContext:
         alias_aware: bool,
         report_fn: Callable[[PossibleBug], None],
         base_of_fn: Callable[[str], Optional[Tuple[Var, str]]],
-        known_function_fn: Callable[[str], bool],
     ):
         self.graph = graph
         self.store = store
         self.alias_aware = alias_aware
         self._report = report_fn
         self._base_of = base_of_fn
-        self._known_function = known_function_fn
         self.frame_id = 0
         self.entry_function = ""
         #: engine hook for shared-access recording (the race checker's
@@ -195,28 +193,12 @@ class TrackerContext:
     def set_key(self, checker: str, key: Hashable, value: Any, fanout: int = 1) -> None:
         self.store.set(checker, key, value, fanout)
 
-    # -- FSM helper ----------------------------------------------------------------
-
-    def step_fsm(self, checker: "Checker", var: Var, symbol: str) -> Tuple[str, str]:
-        """Apply one δ step on ``var``'s alias-set state for ``checker``'s
-        FSM; returns (old_state, new_state)."""
-        old = self.get(checker.name, var, checker.fsm.initial)
-        if isinstance(old, tuple):  # (state, source inst) pairs
-            old_state = old[0]
-        else:
-            old_state = old
-        new_state = checker.fsm.step(old_state, symbol)
-        return old_state, new_state
-
     # -- environment -----------------------------------------------------------------
 
     def base_of(self, addr_var: Var) -> Optional[Tuple[Var, str]]:
         """For an address computed by ``a = &b->f`` on this path, return
         (b, 'f'); None when ``addr_var`` is not a known field address."""
         return self._base_of(addr_var.name)
-
-    def is_known_function(self, name: str) -> bool:
-        return self._known_function(name)
 
     def report(self, bug: PossibleBug) -> None:
         bug.entry_function = self.entry_function

@@ -36,10 +36,6 @@ class ModuleSummary:
     #: (informational; see module docstring)
     confirmed_shared: int = 0
 
-    @property
-    def flow_count(self) -> int:
-        return len(self.exports) + len(self.imports) + len(self.relays)
-
 
 def _root_confirmed(root: str, partition) -> bool:
     """Whether a canonical shared root sits in the partition's

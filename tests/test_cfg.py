@@ -1,5 +1,7 @@
 """CFG utilities: predecessors, orderings, dominators, paths, call graph."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro import ir
 from repro.cfg import (
     CallGraph,
@@ -154,13 +156,84 @@ def test_recursive_functions_detected():
          "int plain(int n) { return n; }"),
     ])
     cg = CallGraph(program)
-    rec = cg.recursive_functions()
+    rec = {
+        name for name, i in cg.component_of.items()
+        if len(cg.components[i]) > 1 or name in cg.callees_of(name)
+    }
     assert "fact" in rec
     assert {"even", "odd"} <= rec
     assert "plain" not in rec
+    assert cg.component_of["even"] == cg.component_of["odd"]
 
 
 def test_transitive_callees():
     program = _two_file_program()
     cg = CallGraph(program)
-    assert "helper" in cg.transitive_callees("top")
+    assert "helper" in cg.closure("top")
+    assert cg.closure("helper") == frozenset({"helper"})
+
+
+@st.composite
+def call_programs(draw):
+    """Mini-C source of a random call graph: direct calls (self-loops,
+    cycles and calls to undefined functions included), indirect call
+    sites through a global ops pointer, and a registration pool naming
+    defined functions, repeats and a function nobody defines."""
+    names = [f"f{i}" for i in range(draw(st.integers(1, 7)))]
+    lines = ["struct ops { int (*run)(int n); };", "struct ops *g_ops;",
+             "int ext(int n);", *(f"int {name}(int n);" for name in names)]
+    for name in names:
+        calls = draw(st.lists(st.sampled_from(names + ["ext"]), max_size=4))
+        body = [f"s = s + {callee}(n);" for callee in calls]
+        if draw(st.booleans()):
+            body.append("s = s + g_ops->run(n);")
+        lines.append(f"int {name}(int n) {{ int s = 0; {' '.join(body)} return s; }}")
+    pool = draw(st.lists(st.sampled_from(names + ["ghost"]), max_size=4))
+    lines += [f"static struct ops reg{i} = {{ .run = {name} }};" for i, name in enumerate(pool)]
+    return "\n".join(lines)
+
+
+def _reference_closure(program, name, resolve):
+    """Plain BFS: direct calls to defined functions and, with
+    resolution, every registered defined function behind an indirect
+    call site."""
+    defined = {func.name: func for func in program.functions()}
+    pool = [reg.function for reg in program.registrations() if reg.function in defined]
+    seen, work = {name}, [name]
+    while work:
+        for inst in defined[work.pop()].instructions():
+            targets = []
+            if isinstance(inst, ir.Call) and inst.callee in defined:
+                targets = [inst.callee]
+            elif isinstance(inst, ir.CallIndirect) and resolve:
+                targets = pool
+            for target in targets:
+                if target not in seen:
+                    seen.add(target)
+                    work.append(target)
+    return frozenset(seen)
+
+
+@settings(max_examples=80, deadline=None)
+@given(source=call_programs(), resolve=st.booleans())
+def test_property_graph_closures_folds_and_components(source, resolve):
+    program = compile_program([("g.c", source)])
+    cg = CallGraph(program, resolve_function_pointers=resolve)
+    names = sorted(func.name for func in program.functions())
+    closures = {name: _reference_closure(program, name, resolve) for name in names}
+    bits = {name: 1 << i for i, name in enumerate(names)}
+    masks = cg.fold(bits)
+    sets = cg.fold({name: frozenset((name,)) for name in names})
+    for name in names:
+        assert cg.closure(name) == closures[name]
+        assert masks[name] == sum(bits[member] for member in closures[name])
+        assert sets[name] == closures[name]
+    direct = {name: _reference_closure(program, name, False) for name in names}
+    for i, members in enumerate(cg.components):
+        assert all(j < i for j in cg.children[i])  # children first
+        for name in members:
+            assert set(members) == {
+                other for other in names
+                if other in direct[name] and name in direct[other]
+            }
+    assert cg.closure("ext") == frozenset({"ext"})

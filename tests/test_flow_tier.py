@@ -13,7 +13,7 @@ Three layers of evidence:
 * **Andersen-coarsening cross-check** — on every corpus profile, the
   flow states must refine (never leave) the Andersen sets, so every
   Andersen must-not-alias verdict survives at every program point;
-* **skip-set pins** — closures embed the callgraph, skip sets are
+* **skip-set pins** — closures come from the run's call graph, skip sets are
   supersets of the P1.7 singleton fast path, and globals never skip.
 """
 
@@ -246,8 +246,8 @@ void entry_b(void) {
 
 def test_closure_embeds_callgraph():
     _, _, facts = _facts_fixture()
-    assert facts.closure_of("entry_a") == frozenset({"entry_a", "helper"})
-    assert facts.closure_of("entry_b") == frozenset({"entry_b"})
+    assert facts.callgraph.closure("entry_a") == frozenset({"entry_a", "helper"})
+    assert facts.callgraph.closure("entry_b") == frozenset({"entry_b"})
 
 
 def test_skip_names_superset_of_base_singletons():
@@ -258,7 +258,7 @@ def test_skip_names_superset_of_base_singletons():
     for entry in ("entry_a", "entry_b"):
         skip = facts.skip_names_for_entry(entry)
         occ = set()
-        for func in facts.closure_of(entry):
+        for func in facts.callgraph.closure(entry):
             occ |= facts.occurs.get(func, frozenset())
         assert part.singletons & occ <= skip
     # entry_b touches no memory at all: everything it names is skippable

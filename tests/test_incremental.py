@@ -32,6 +32,7 @@ import sys
 import pytest
 
 from repro import PATA, AnalysisConfig
+from repro.cfg import CallGraph
 from repro.cli import main as cli_main
 from repro.corpus import PROFILES_BY_NAME, generate
 from repro.incremental import (
@@ -668,6 +669,58 @@ int ping(int n) { if (n > 0) return pong(n - 1); return 1; }
     assert keys.key("pong") == again.key("pong")
 
 
+KEYS_SOURCE = r"""
+struct ops { int (*run)(int n); };
+int ext(int n);
+int ping(int n);
+int pong(int n) { if (n > 0) return ping(n - 1); return ext(n); }
+int ping(int n) { if (n > 0) return pong(n - 1); return 1; }
+int self_loop(int n) { if (n > 0) return self_loop(n - 1); return 0; }
+int top(int n) { return ping(n) + self_loop(n); }
+static int handler(int n) { return leaf(n); }
+static struct ops o = { .run = handler, .run = missing };
+int leaf(int n) { return ext(n) + 1; }
+int dispatch(struct ops *p, int n) { return p->run(n); }
+int outer(struct ops *p, int n) { return dispatch(p, n) + top(n); }
+"""
+
+#: transitive keys of KEYS_SOURCE (mutual recursion, a self-loop, calls
+#: to an undefined function, an indirect call site, a pool registering
+#: an undefined function), as each key was first derived; a change here
+#: invalidates every populated cache directory
+PINNED_KEYS = {
+    "dispatch": "a9790ae67b1f34cab2ca9b995b7f7d1c68ecf746c17d3b3f26f865dd043f4ea7",
+    "handler": "41bec4a33fc5b99cbbfd32ed0f03f10a0d2a66287c8a2b9de9ce77899b25d1ce",
+    "leaf": "3d80af4a533d7078ff61a3e0fde10a900887c0709c6b02cc85041612c1f3128d",
+    "outer": "52f33adebc82517a46344db1ce89571dbc521ced7b85987e8ff6ff2960169d61",
+    "ping": "ddccf62263fa6ea9cd1578e7536f1e981cdb13464de08ca800be6f3a84c67ce7",
+    "pong": "ddccf62263fa6ea9cd1578e7536f1e981cdb13464de08ca800be6f3a84c67ce7",
+    "self_loop": "98f13654f07ee0903cdbd49f14271dd254502ad15c3b8cb38746535950462089",
+    "top": "5cc4ec8c9d2a98ab9074728bc50bf6054626c739895914d8f08aff6d982be9e0",
+}
+#: with function-pointer resolution, the keys that reach the indirect
+#: call site fold the pool stamp; the others stay as above
+PINNED_POOL_KEYS = {
+    "dispatch": "23818cf470bd16b617c5b4dba865091e2f16150dfe46a30500f83f41eccb225f",
+    "outer": "64df48c324f77728bd024ed6caea3362036b65f205d3e09155a38755695151b3",
+}
+
+
+def test_transitive_keys_are_pinned():
+    program = compile_program([("k.c", KEYS_SOURCE)])
+    keys = TransitiveKeys(program)
+    assert {name: keys.key(name) for name in PINNED_KEYS} == PINNED_KEYS
+    resolved = TransitiveKeys(
+        program, callgraph=CallGraph(program, resolve_function_pointers=True)
+    )
+    assert resolved.pool_stamp == (
+        "c8eabd870f590f1f7486671e55a92b172ad5fbf697b2f6d2c7387144da8b2a88"
+    )
+    assert {name: resolved.key(name) for name in PINNED_KEYS} == {
+        **PINNED_KEYS, **PINNED_POOL_KEYS
+    }
+
+
 DISPATCH = r"""
 struct msg { int len; };
 struct handler_ops { int (*consume)(struct msg *m); };
@@ -698,8 +751,10 @@ static struct handler_ops2 safe_ops = { .consume2 = checked_consume };
 def test_pool_addition_invalidates_only_indirect_dispatchers():
     base = [("d.c", DISPATCH), ("b.c", OTHER)]
     grown = base + [("e.c", EXTRA_REGISTRATION)]
-    keys_base = TransitiveKeys(compile_program(base), resolve_function_pointers=True)
-    keys_grown = TransitiveKeys(compile_program(grown), resolve_function_pointers=True)
+    keys_base, keys_grown = (
+        TransitiveKeys(program, callgraph=CallGraph(program, resolve_function_pointers=True))
+        for program in (compile_program(base), compile_program(grown))
+    )
     assert keys_base.pool_stamp != keys_grown.pool_stamp
     assert keys_base.key("dispatch") != keys_grown.key("dispatch")
     assert keys_base.key("other") == keys_grown.key("other")

@@ -83,6 +83,90 @@ def test_block_names_deduplicated():
     assert b1.name != b2.name
 
 
+def _probing_add_block(self, name):
+    """``Function.add_block`` as it was before the suffix memo: every
+    call probes ``name``, ``name.2``, ``name.3``, ... from the start."""
+    unique = name
+    counter = 1
+    while unique in self._block_names:
+        counter += 1
+        unique = f"{name}.{counter}"
+    block = ir.BasicBlock(unique, parent=self)
+    self.blocks.append(block)
+    self._block_names[unique] = block
+    return block
+
+
+BLOCK_NAMES_SOURCE = """
+int f(int a, int b) {
+    int s = 0;
+    if (a > 0) { if (b > 0) { s = 1; } else { s = 2; } }
+    if (a > 1) { s = s + 1; } else if (a > 2) { s = s + 2; } else { s = 3; }
+    while (a > 0) {
+        if (b > a) { b = b - 1; }
+        while (b > 0) { b = b - 2; if (b == 3) { s = s + 1; } }
+        switch (a) { case 1: s = 1; break; case 2: s = 2; break; default: s = 0; }
+        a = a - 1;
+    }
+    switch (b) {
+    case 0: if (a > 5) { s = 4; } break;
+    case 1: while (s > 9) { s = s - 1; } break;
+    default: s = 5;
+    }
+    return s;
+}
+int g(int n) {
+    while (n > 0) { if (n == 2) { n = n - 2; } n = n - 1; }
+    return n;
+}
+"""
+
+
+def test_block_names_equal_probing_from_two(monkeypatch):
+    """Block names reach the fingerprints: the suffix memo must name
+    every block of nested and chained if/while/switch statements as
+    probing from 2 on every call did, and after a pass drops blocks."""
+    from repro.lang import compile_source
+
+    def names():
+        module = compile_source(BLOCK_NAMES_SOURCE)
+        func = ir.Function("h", [], ir.VOID)
+        blocks = [func.add_block("a") for _ in range(4)]
+        for block in blocks:
+            block.set_terminator(ir.Ret())
+        blocks[0].terminator = ir.Jump(blocks[2])
+        ir.remove_unreachable_blocks(func)
+        func.add_block("a")
+        func.add_block("a")
+        functions = [*module.defined_functions(), func]
+        return {fn.name: [block.name for block in fn.blocks] for fn in functions}
+
+    memo = names()
+    assert "if.then.4" in memo["f"] and "while.body.3" in memo["f"]
+    assert memo["h"] == ["a", "a.3", "a.2", "a.4"]
+    monkeypatch.setattr(ir.Function, "add_block", _probing_add_block)
+    assert names() == memo
+
+
+class _CountingNames(dict):
+    """A block-name table that counts membership probes."""
+
+    probes = 0
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
+
+
+def test_same_named_blocks_take_linear_name_probes():
+    func = ir.Function("f", [], ir.VOID)
+    func._block_names = table = _CountingNames()
+    for _ in range(2000):
+        func.add_block("if.then")
+    assert len({block.name for block in func.blocks}) == 2000
+    assert table.probes < 2 * 2000  # probing from 2 each time made ~2,000,000
+
+
 def test_module_duplicate_definition_rejected():
     module = ir.Module("m")
 

@@ -29,7 +29,6 @@ def make_context(alias_aware=True):
         alias_aware=alias_aware,
         report_fn=reports.append,
         base_of_fn=lambda name: None,
-        known_function_fn=lambda name: False,
     )
     return ctx, trail, reports
 

@@ -16,6 +16,7 @@ import json
 import pytest
 
 from repro import PATA, AnalysisConfig
+from repro.cfg import CallGraph
 from repro.cli import main as cli_main
 from repro.core import InformationCollector, PathExplorer
 from repro.corpus import PROFILES_BY_NAME, generate
@@ -116,7 +117,8 @@ def test_indirect_pool_only_with_resolution_enabled():
     collector = InformationCollector(program)
     off = EventSummaryIndex(program, scan_ctx=_ctx(collector))
     on = EventSummaryIndex(
-        program, scan_ctx=_ctx(collector), resolve_function_pointers=True
+        program, scan_ctx=_ctx(collector),
+        callgraph=CallGraph(program, resolve_function_pointers=True),
     )
     assert off.indirect_pool == EventKind.NONE
     assert on.indirect_pool & EventKind.ALLOC_HEAP
