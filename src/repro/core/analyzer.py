@@ -282,18 +282,15 @@ class PathExplorer:
         else:
             self._dead_blocks = frozenset()
         self.blocks_pruned = len(self._dead_blocks)
-        # P1.7 per-entry checker arming: dispatch only checkers whose
+        # P1.5 per-entry checker arming: dispatch only checkers whose
         # trigger *and* sink kinds occur in this entry's region (the
-        # per-checker refinement of P1.5's entry pruning — an unarmed
-        # checker provably cannot report here, and its cross-entry
-        # recordings fire only at events the region does not contain).
-        # `--alias-tier off` restores today's dispatch-everything.
-        armed = None
-        if self.config.alias_tier != "off" and self.relevance is not None:
-            armed_of = getattr(self.relevance, "armed_names", None)
-            if armed_of is not None:
-                armed = armed_of(entry)
-        self.manager.set_active(armed)
+        # per-checker refinement of entry pruning — an unarmed checker
+        # provably cannot report here, and its cross-entry recordings
+        # fire only at events the region does not contain).  Without
+        # pruning (`--no-prune`) every checker is dispatched.
+        self.manager.set_active(
+            self.relevance.armed_names(entry) if self.relevance is not None else None
+        )
         # P1.8 per-entry skip set: between entries the graph is empty
         # (the trail unwinds it fully), so reassigning skip_names here is
         # safe — and sound, because the set is derived from exactly the
@@ -519,22 +516,7 @@ class PathExplorer:
 
     def _exec_simple(self, inst: Instruction, frame: _Frame) -> None:
         self.trace.append(("inst", inst))
-        handler = _EXEC_DISPATCH.get(inst.__class__)
-        if handler is not None:
-            handler(self, inst)
-        else:
-            self._exec_fallback(inst)
-
-    def _exec_fallback(self, inst: Instruction) -> None:
-        """Instruction subclasses outside the exact-type table: resolve by
-        the original isinstance walk; a truly unknown instruction still
-        gets its alias-graph maintenance (and no events), as before."""
-        for cls, handler in _EXEC_FALLBACK_ORDER:
-            if isinstance(inst, cls):
-                handler(self, inst)
-                return
-        if self.graph is not None:
-            apply_instruction(self.graph, inst)
+        _EXEC_DISPATCH[inst.__class__](self, inst)
 
     def _exec_move(self, inst: Move) -> None:
         src = inst.src
@@ -849,10 +831,10 @@ class PathExplorer:
         return group if group else None
 
 
-#: exact-type dispatch for the hot instruction loop — the per-step
-#: isinstance chain was a measurable share of exploration time; the
-#: entries keep the chain's order so the fallback walk (used for
-#: instruction subclasses) resolves identically
+#: exact-type dispatch for the hot instruction loop (the per-step
+#: isinstance chain was a measurable share of exploration time): a row
+#: for every instruction class but ``Call``, which the walk handles
+#: before it reaches :meth:`PathExplorer._exec_simple`
 _EXEC_DISPATCH = {
     Move: PathExplorer._exec_move,
     Load: PathExplorer._exec_load,
@@ -869,8 +851,6 @@ _EXEC_DISPATCH = {
     LockOp: PathExplorer._exec_lockop,
     CallIndirect: PathExplorer._exec_call_indirect,
 }
-
-_EXEC_FALLBACK_ORDER = tuple(_EXEC_DISPATCH.items())
 
 
 def _stored_pseudo_var(inst: Store) -> Var:

@@ -64,14 +64,13 @@ class AnalysisConfig:
     #: candidate targets explored per indirect call site when resolving
     max_indirect_targets: int = 4
     #: alias precision-tier ladder: ``"off"`` (per-path graphs only),
-    #: ``"steens"`` (the P1.7 whole-program Steensgaard pre-pass and its
-    #: three sound consumers: the per-path singleton fast path, trace
-    #: translation over partition cells, and shared-access sharpening of
-    #: the relevance masks), or ``"flow"`` (additionally the P1.8
-    #: occurrence walk: per-entry-closure skip sets for the per-path
-    #: graph and for trace translation, each a superset of the P1.7
-    #: singletons).  Reports are byte-identical across all tiers; only
-    #: speed changes.
+    #: ``"steens"`` (the P1.7 Steensgaard pre-pass and its two sound
+    #: consumers: the per-path singleton fast path, and shared-access
+    #: sharpening of the relevance masks), or ``"flow"`` (additionally
+    #: the P1.8 occurrence walk: per-entry-closure skip sets for P2's
+    #: per-path graphs, each a superset of the P1.7 singletons).  P3
+    #: replays every trace on an unskipped graph at every tier.  Reports
+    #: are byte-identical across all tiers; only speed changes.
     alias_tier: str = "flow"
     #: run the checker-relevance pre-analysis (P1.5) and its two sound
     #: pruning layers: skip entry functions whose transitive region holds

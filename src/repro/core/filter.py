@@ -62,41 +62,14 @@ class BugFilter:
         validate_paths: bool = True,
         solver_max_search_nodes: int = 20000,
         alias_aware: bool = True,
-        partition=None,
-        flow_facts=None,
     ):
         self.validate_paths = validate_paths
         self.alias_aware = alias_aware
-        #: P1.7 partition: lets the translators keep proven singletons
-        #: node-free during trace replay (same constraints up to symbol
-        #: renaming; see :class:`repro.smt.translate.PathTranslator`)
-        self.partition = partition
-        #: P1.8 facts: per-bug-entry skip sets — a strict superset of
-        #: the partition singletons, resolved from the bug's entry
-        #: closure (memoized; pair bugs resolve each trace's own entry)
-        self.flow_facts = flow_facts
-        self._skip_memo: dict = {}
         self.solver = Solver(max_search_nodes=solver_max_search_nodes)
         #: alias-aware pair replays (see :func:`translate_trace_pair`)
         self._replays: dict = {}
         #: rank-renamed constraint system -> feasible
         self._verdicts: dict = {}
-
-    def _skip_for(self, entry_name: str):
-        """The per-entry skip set for trace replay, or ``None`` to fall
-        back to the partition's whole-program singletons (unknown entry
-        names — defensive; every bug's entry is a program function)."""
-        if self.flow_facts is None:
-            return None
-        if entry_name in self._skip_memo:
-            return self._skip_memo[entry_name]
-        skip = (
-            self.flow_facts.skip_names_for_entry(entry_name)
-            if entry_name in self.flow_facts.occurs
-            else None
-        )
-        self._skip_memo[entry_name] = skip
-        return skip
 
     def run(self, possible_bugs: List[PossibleBug]) -> FilterResult:
         result = FilterResult()
@@ -117,25 +90,17 @@ class BugFilter:
         elif bug.second_trace:
             # Pair finding (race or cross-module taint matches): both
             # paths must be jointly feasible — a guard contradiction
-            # across them discharges it.  The matcher encodes both
-            # entries as "<a> vs <b>"; each trace replays under its own
-            # entry's skip set.  A P2.6 pair additionally carries the
-            # sink's out-of-range atom, interpreted on the second
-            # (sink-side) trace — race pairs carry None here.
-            entry_a, sep, entry_b = bug.entry_function.partition(" vs ")
+            # across them discharges it.  A P2.6 pair additionally
+            # carries the sink's out-of-range atom, interpreted on the
+            # second (sink-side) trace — race pairs carry None here.
             translation = translate_trace_pair(
                 bug.trace, bug.second_trace, alias_aware=self.alias_aware,
-                partition=self.partition,
-                skip_names_a=self._skip_for(entry_a) if sep else None,
-                skip_names_b=self._skip_for(entry_b) if sep else None,
                 extra_requirement_b=bug.extra_requirement,
                 replays=self._replays)
             feasible, aware, unaware = self._solve(translation, stats)
         else:
             translation = translate_trace(
-                bug.trace, bug.extra_requirement, alias_aware=self.alias_aware,
-                partition=self.partition,
-                skip_names=self._skip_for(bug.entry_function))
+                bug.trace, bug.extra_requirement, alias_aware=self.alias_aware)
             feasible, aware, unaware = bug.verdict = self._solve(translation, stats)
         stats.constraints_aware += aware
         stats.constraints_unaware += unaware

@@ -172,13 +172,11 @@ class PATA:
         stats.time_presolve_seconds = time.monotonic() - phase_started
 
         # P1.7: tiered may-alias pre-pass.  One whole-program Steensgaard
-        # unification produces the over-approximate may-alias partition
-        # and its proven singletons; the explorer, the trace translators,
-        # and (through `sharpen_shared` above) the relevance masks all
-        # consume it, each provably report-preserving — `--alias-tier
-        # off` reproduces today's behaviour byte for byte.  Every run
-        # builds it: it depends on every function, so no cache key
-        # could survive an edit.
+        # unification proves the singletons the explorer's per-path
+        # graphs keep node-free (shared-access sharpening, above, solves
+        # each entry closure on its own).  Report-preserving: `--alias-tier
+        # off` gives the same reports.  Every run builds it: it depends
+        # on every function, so no cache key could survive an edit.
         partition = None
         if self.config.alias_tier_level() >= 1 and self.config.alias_aware:
             phase_started = time.monotonic()
@@ -193,9 +191,8 @@ class PATA:
         # the names its instructions mention and the names they put
         # through a state-dependent alias-graph operation; the explorer
         # resolves a per-entry skip set from it (closure occurrences
-        # minus disqualifications, plus the P1.7 singletons that occur)
-        # and the trace translators reuse that set per bug entry.  Built
-        # every run, like the partition.
+        # minus disqualifications, plus the P1.7 singletons that occur).
+        # Built every run, like the partition.
         flow_facts = None
         if partition is not None and self.config.alias_tier_level() >= 2:
             phase_started = time.monotonic()
@@ -292,7 +289,7 @@ class PATA:
         if taint_flows:
             from ..xtaint import build_summaries, match_cross_module
 
-            summaries = build_summaries(taint_flows, partition=partition)
+            summaries = build_summaries(taint_flows)
             xtaint_bugs = match_cross_module(summaries)
             stats.taint_flows_recorded = len(taint_flows)
             stats.xtaint_pairs_matched = len(xtaint_bugs)
@@ -311,8 +308,6 @@ class PATA:
             self.config.validate_paths,
             self.config.solver_max_search_nodes,
             alias_aware=self.config.alias_aware,
-            partition=partition,
-            flow_facts=flow_facts,
         )
         filtered = bug_filter.run(possible_bugs)
         stats.dropped_false_bugs = filtered.stats.dropped_false

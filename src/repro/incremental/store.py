@@ -68,8 +68,10 @@ log = logging.getLogger("repro.incremental")
 #: module-summary layers; 8: cached outcomes' bugs carry P3 verdicts,
 #: and outcome keys fold the P3 knobs; 9: an outcome is stored as the
 #: codec's bytes, its instructions named by coordinate, and a function
-#: pickles its blocks' terminators after all of its blocks)
-CACHE_FORMAT = 9
+#: pickles its blocks' terminators after all of its blocks; 10: P2 arms
+#: checkers per entry at every alias tier, so an ``off`` outcome's
+#: work counters change)
+CACHE_FORMAT = 10
 #: most packs a commit may leave behind; past it the commit merges
 PACK_LIMIT = 8
 PACK_DIR = "packs"

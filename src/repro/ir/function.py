@@ -230,8 +230,9 @@ class Program:
         return module
 
     def functions(self) -> Iterator[Function]:
-        for module in self.modules:
-            yield from module.defined_functions()
+        """The defined functions :meth:`lookup` resolves: the first
+        definition of each name, in module order."""
+        return iter(self._defined().values())
 
     def _defined(self) -> Dict[str, Function]:
         """Name → defined function, built once per module set.  Lookups

@@ -1,4 +1,4 @@
-"""P1.8: the per-entry skip sets the explorer and the P3 translators read.
+"""P1.8: the per-entry skip sets P2's per-path alias graphs read.
 
 The P1.7 Steensgaard partition proves whole-program *singletons*: names
 the per-path alias graph may leave node-free because no graph operation
@@ -18,9 +18,10 @@ answers :meth:`MustAliasFacts.skip_names_for_entry`: occurrences minus
 disqualifications over the entry's
 :meth:`~repro.cfg.CallGraph.closure`, with the partition singletons
 that occur unioned in, so each skip set is a superset of what the
-``steens`` tier skips.  Consumers only ever *skip predictable
+``steens`` tier skips.  The explorer only ever *skips predictable
 work* with these sets, so reports stay byte-identical across the whole
-``off``/``steens``/``flow`` ladder.
+``off``/``steens``/``flow`` ladder.  P3 reads none of them: it replays
+every trace on a fresh, unskipped alias graph.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from ..ir import (
     Alloc,
     Call,
     CallIndirect,
-    Function,
     Gep,
     Load,
     LockOp,
@@ -103,7 +103,7 @@ class MustAliasFacts:
 # -- the exact-occurrence walk --------------------------------------------------
 #
 # Why each rule, against the AliasGraph handlers and every resolution
-# site in the explorer/checkers/translator:
+# site in the explorer and the checkers:
 #
 #   Move v,v       both: handle_move links src and dst nodes
 #   Move v,const   none: detach(dst) is state-independent
@@ -112,7 +112,7 @@ class MustAliasFacts:
 #   Store const    ptr: handle_store_fresh materializes the pointee
 #   Gep            dst+base: field edge from base's node
 #   AddrOf         dst+var: detach(dst) feeds _set_edge — dst must exist
-#   Malloc/Alloc   dst: translator's handle_fresh_object syms the node
+#   Malloc/Alloc   dst: allocation events and heap registration key the node
 #   MemSet         ptr: the race checker resolves the written node
 #   LockOp         lock: lock identity resolves the node
 #   Free           none: matches the untracked steens treatment
@@ -143,19 +143,10 @@ _WALK_TAGS = {
 }
 
 
-def _walk_tag(cls) -> Optional[int]:
-    """Tag for ``cls``, honoring subclasses outside the exact table."""
-    for base, tag in _WALK_TAGS.items():
-        if issubclass(cls, base):
-            return tag
-    return None
-
-
 def _walk_occurs_disq(
     program: Program,
     callgraph: CallGraph,
 ) -> Tuple[Dict[str, FrozenSet[str]], Dict[str, FrozenSet[str]]]:
-    defined: Dict[str, Function] = {f.name: f for f in program.functions()}
     may_ret_var: Dict[str, bool] = {}
     for func in program.functions():
         may_ret_var[func.name] = any(
@@ -165,7 +156,7 @@ def _walk_occurs_disq(
     resolve_function_pointers = callgraph.resolve_function_pointers
     pool = callgraph.pool
     pool_params: List[str] = [
-        p.name for name in pool for p in defined[name].params
+        p.name for name in pool for p in program.lookup(name).params
     ]
     pool_may_ret = any(may_ret_var.get(name, False) for name in pool)
 
@@ -185,11 +176,7 @@ def _walk_occurs_disq(
                 for operand in inst.operands():
                     if isinstance(operand, Var):
                         occ_add(operand.name)
-                cls = inst.__class__
-                tag = tags.get(cls, -1)
-                if tag == -1:
-                    tag = _walk_tag(cls)
-                    tags[cls] = tag
+                tag = tags.get(inst.__class__)
                 if tag is None:
                     continue
                 if tag == _T_MOVE:
@@ -220,7 +207,7 @@ def _walk_occurs_disq(
                     for arg in inst.args:
                         if isinstance(arg, Var) and isinstance(arg.type, PointerType):
                             dis_add(arg.name)
-                    callee = defined.get(inst.callee)
+                    callee = program.lookup(inst.callee)
                     if callee is not None:
                         for arg in inst.args:
                             if isinstance(arg, Var):

@@ -1,23 +1,23 @@
 """Whole-program unification-based (Steensgaard-style) points-to pass.
 
-This is the *cheap tier* of the tiered alias analysis (ROADMAP: "Tiered
-alias analysis for raw speed at scale").  One near-linear union-find pass
-over the whole IR computes a :class:`MayAliasPartition` — an
-over-approximate "may **ever** alias" equivalence relation over variable
-names — before any path is explored (phase P1.7).  The per-path alias
-graphs of §3.1 remain the precision tier; the partition only licenses
-*skipping* work whose outcome it can predict:
+This is the *cheap tier* of the tiered alias analysis.  One near-linear
+union-find pass over the whole IR computes a :class:`MayAliasPartition`
+before any path is explored (phase P1.7).  The per-path alias graphs of
+§3.1 remain the precision tier; the pass only licenses *skipping* work
+whose outcome it can predict.  It has two consumers:
 
 * a variable whose cell provably contains no other variable, carries no
   edges, and is never pointed to can never share a per-path alias node
-  with anything — the engine skips node creation/updates for it entirely
-  (the singleton fast path, ``AliasGraph.skip_names``);
-* the SMT translator replays traces with plain per-name symbols for such
-  variables instead of alias-graph nodes;
+  with anything — P2's per-path graphs skip node creation/updates for it
+  entirely (the singleton fast path, ``AliasGraph.skip_names``; P1.8
+  widens the set per entry);
 * the P1.5 relevance pre-analysis drops shared-access relevance for
   loads/stores whose pointer cell cannot reach any shared root (global /
-  heap allocation), computed *closure-locally* so cached masks stay
-  keyed by the entry's transitive closure alone.
+  heap allocation), solved *closure-locally* (:func:`shared_reaching_names`)
+  so cached masks stay keyed by the entry's transitive closure alone.
+
+P3 reads neither: it replays every trace on a fresh, unskipped alias
+graph (:mod:`repro.smt.translate`).
 
 Soundness is by construction: every per-path operation that can ever put
 two variables in one alias node (MOVE / LOAD / GEP join, parameter
@@ -31,7 +31,6 @@ singleton, behavior is exactly the untiered engine's.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..cfg import CallGraph
@@ -114,59 +113,18 @@ class UnionFind:
 
 
 class MayAliasPartition:
-    """The solved partition: plain data, built once per run in the
-    parent and inherited by forked workers.
+    """The solved whole-program partition, as P2 and the stats read it:
+    plain data, built once per run in the parent and inherited by forked
+    workers."""
 
-    ``cell_ids`` assigns each variable name a dense, deterministic cell
-    id (first-seen order over a canonical program walk), so equal
-    programs always produce byte-equal partitions.
-    """
+    __slots__ = ("singletons", "cell_count")
 
-    __slots__ = ("cell_ids", "singletons", "cell_count", "shared_reaching")
-
-    def __init__(
-        self,
-        cell_ids: Dict[str, int],
-        singletons: FrozenSet[str],
-        cell_count: int,
-        shared_reaching: FrozenSet[str],
-    ):
-        self.cell_ids = cell_ids
+    def __init__(self, singletons: FrozenSet[str], cell_count: int):
+        #: names alone in a cell with no flags and no edges (the
+        #: per-path graphs' fast path)
         self.singletons = singletons
+        #: number of distinct cells (the ``alias_cells`` stat)
         self.cell_count = cell_count
-        #: names whose cell can reach (through any chain of field/deref
-        #: edges, in either direction) a shared root — a global or a heap
-        #: allocation site.  An access through a pointer *outside* this
-        #: set can never resolve to a shared key in the race detector.
-        self.shared_reaching = shared_reaching
-
-    # -- queries ---------------------------------------------------------------
-
-    def may_alias(self, a: str, b: str) -> bool:
-        """Over-approximate "may ever alias": same cell, ever.  Names the
-        walk never saw are vacuously singleton."""
-        if a == b:
-            return True
-        ca = self.cell_ids.get(a)
-        cb = self.cell_ids.get(b)
-        return ca is not None and ca == cb
-
-    def is_singleton(self, name: str) -> bool:
-        return name in self.singletons
-
-    def stamp(self) -> str:
-        """Content hash of the partition, for diagnostics and for
-        comparing two solves."""
-        h = hashlib.sha256()
-        for name in sorted(self.cell_ids):
-            h.update(f"{name}={self.cell_ids[name]};".encode())
-        h.update(b"|singletons|")
-        for name in sorted(self.singletons):
-            h.update(name.encode() + b";")
-        h.update(b"|shared|")
-        for name in sorted(self.shared_reaching):
-            h.update(name.encode() + b";")
-        return h.hexdigest()
 
 
 class SteensgaardPointsTo:
@@ -176,16 +134,15 @@ class SteensgaardPointsTo:
     P1.5 sharpening solves per entry closure so the result is a pure
     function of the closure's contents — exactly what a cached skip
     verdict relies on); the default is the whole program (the P1.7 global
-    partition).  ``defined`` is the program's name -> defined function
-    map, for a caller that solves many closures of one program, and
-    ``callgraph`` the run's call graph (the program's own when omitted).
+    partition).  ``callgraph`` is the run's call graph (the program's own
+    when omitted).  Calls bind the definition :meth:`Program.lookup`
+    resolves, as the explorer does.
     """
 
     def __init__(
         self,
         program: Program,
         functions: Optional[Iterable[Function]] = None,
-        defined: Optional[Dict[str, Function]] = None,
         callgraph: Optional[CallGraph] = None,
     ):
         self.program = program
@@ -203,11 +160,6 @@ class SteensgaardPointsTo:
         self._flags: Dict[int, int] = {}             # root -> flag bits
         self._ret_cells: Dict[str, int] = {}         # function name -> element
         self._name_order: List[str] = []             # first-seen walk order
-        #: name -> defined function, resolved once — call bindings hit
-        #: this for every call site and a per-module scan is too slow
-        self._defined: Dict[str, Function] = (
-            defined if defined is not None else defined_functions(program)
-        )
         self.solved = False
 
     # -- cell helpers -----------------------------------------------------------
@@ -330,18 +282,13 @@ class SteensgaardPointsTo:
             self._id_of(param.name)
         for block in func.blocks:
             for inst in block.instructions:
-                handler = gen.get(inst.__class__)
-                if handler is not None:
-                    handler(self, inst)
-                else:
-                    self._gen_instruction(inst)
+                gen[inst.__class__](self, inst)
             term = block.terminator
             if isinstance(term, Ret) and isinstance(term.value, Var):
                 self._unify(self._id_of(term.value.name), self._ret_cell(func.name))
 
     # Per-instruction constraint generators — bound through the exact-type
-    # dispatch table below (IR subclasses, if any ever appear, resolve
-    # through the isinstance fallback in :meth:`_gen_instruction`).
+    # dispatch table below, which has a row for every instruction class.
 
     # The hot generators below open-code _id_of's already-interned fast
     # path (one dict probe, no call) — the constraint walk spends most
@@ -426,8 +373,8 @@ class SteensgaardPointsTo:
         self._flag(self._id_of(inst.lock.name), LOCK_ID)
 
     def _gen_call(self, inst) -> None:
-        callee = self._defined.get(inst.callee)
-        if callee is not None and not callee.is_declaration:
+        callee = self.program.lookup(inst.callee)
+        if callee is not None:
             self._gen_call_binding(callee, inst.dst, inst.args)
         elif inst.dst is not None:
             self._id_of(inst.dst.name)
@@ -438,16 +385,10 @@ class SteensgaardPointsTo:
 
     def _gen_call_indirect(self, inst) -> None:
         for name in self.callgraph.pool:
-            self._gen_call_binding(self._defined[name], inst.dst, inst.args)
+            self._gen_call_binding(self.program.lookup(name), inst.dst, inst.args)
         if inst.dst is not None:
             self._id_of(inst.dst.name)
         self._havoc_pointer_args(inst.args)
-
-    def _gen_other(self, inst) -> None:
-        # Unknown/rare instruction kinds: intern names so the partition
-        # covers them, no unification.
-        for operand in self._operand_vars(inst):
-            self._id_of(operand)
 
     def _gen_binop(self, inst) -> None:
         ids = self._ids
@@ -479,41 +420,6 @@ class SteensgaardPointsTo:
         value = inst.ptr
         if isinstance(value, Var) and value.name not in self._ids:
             self._id_of(value.name)
-
-    def _gen_instruction(self, inst) -> None:
-        if isinstance(inst, Move):
-            self._gen_move(inst)
-        elif isinstance(inst, Load):
-            self._gen_load(inst)
-        elif isinstance(inst, Store):
-            self._gen_store(inst)
-        elif isinstance(inst, Gep):
-            self._gen_gep(inst)
-        elif isinstance(inst, AddrOf):
-            self._gen_addr_of(inst)
-        elif isinstance(inst, Malloc):
-            self._gen_malloc(inst)
-        elif isinstance(inst, Alloc):
-            self._gen_alloc(inst)
-        elif isinstance(inst, MemSet):
-            self._gen_memset(inst)
-        elif isinstance(inst, LockOp):
-            self._gen_lock(inst)
-        elif isinstance(inst, Call):
-            self._gen_call(inst)
-        elif isinstance(inst, CallIndirect):
-            self._gen_call_indirect(inst)
-        else:
-            self._gen_other(inst)
-
-    @staticmethod
-    def _operand_vars(inst) -> List[str]:
-        names = []
-        for attr in ("dst", "src", "var", "lhs", "rhs", "ptr", "cond"):
-            value = getattr(inst, attr, None)
-            if isinstance(value, Var):
-                names.append(value.name)
-        return names
 
     # -- solving -----------------------------------------------------------------
 
@@ -591,12 +497,6 @@ class SteensgaardPointsTo:
         """Finalize into a :class:`MayAliasPartition`."""
         if not self.solved:
             self.solve()
-        marked = self._component_marks()
-        dense: Dict[int, int] = {}
-        cell_ids: Dict[str, int] = {}
-        singletons: Set[str] = set()
-        shared_names: List[str] = []
-        find = self._uf.find
         ids = self._ids
         flags = self._flags
         out = self._out
@@ -622,22 +522,11 @@ class SteensgaardPointsTo:
             for root, count in counts.items()
             if count == 1 and not flags.get(root, 0) and not out.get(root)
         }
-        for name, root in zip(name_order, roots):
-            cell = dense.get(root)
-            if cell is None:
-                cell = len(dense)
-                dense[root] = cell
-            cell_ids[name] = cell
-            if root in singleton_roots:
-                singletons.add(name)
-            if root in marked:
-                shared_names.append(name)
-        shared = frozenset(shared_names)
         return MayAliasPartition(
-            cell_ids=cell_ids,
-            singletons=frozenset(singletons),
-            cell_count=len(dense),
-            shared_reaching=shared,
+            singletons=frozenset(
+                name for name, root in zip(name_order, roots) if root in singleton_roots
+            ),
+            cell_count=len(counts),
         )
 
 
@@ -668,25 +557,21 @@ def build_partition(program: Program, callgraph: Optional[CallGraph] = None) -> 
     return SteensgaardPointsTo(program, callgraph=callgraph).solve().partition()
 
 
-def defined_functions(program: Program) -> Dict[str, Function]:
-    """Name -> defined function, the last definition winning."""
-    return {func.name: func for func in program.functions()}
-
-
 def shared_reaching_names(
     program: Program,
     functions: Iterable[Function],
     callgraph: CallGraph,
-    defined: Optional[Dict[str, Function]] = None,
 ) -> FrozenSet[str]:
-    """Closure-local shared-state reachability for the P1.5 sharpening.
+    """Closure-local shared-state reachability for the P1.5 sharpening:
+    the names whose cell can reach (through any chain of field/deref
+    edges, in either direction) a shared root — a global or a heap
+    allocation site.  An access through a pointer outside this set can
+    never resolve to a shared key in the race detector.
 
     Solved over exactly ``functions`` so the answer is a deterministic
     function of the closure contents — cached skip verdicts keyed by
     the entry's transitive closure stay sound."""
-    solver = SteensgaardPointsTo(
-        program, functions=functions, defined=defined, callgraph=callgraph
-    ).solve()
+    solver = SteensgaardPointsTo(program, functions=functions, callgraph=callgraph).solve()
     marked = solver._component_marks()
     return frozenset(
         name for name in solver._name_order

@@ -111,24 +111,10 @@ class RelevancePreAnalysis:
         self._dead_blocks: Dict[str, FrozenSet[int]] = {}
         self._shared_by_closure: Dict[FrozenSet[str], FrozenSet[str]] = {}
         self._shared_by_entry: Dict[str, FrozenSet[str]] = {}
-        self._function_index: Optional[Dict[str, Function]] = None
         self._armed: Dict[str, List] = {}
         self._armed_names: Dict[str, FrozenSet[str]] = {}
 
     # -- P1.7 sharpening -----------------------------------------------------
-
-    def _closure_functions(self, closure: FrozenSet[str]) -> List[Function]:
-        """The defined functions named in ``closure``.  The name index
-        is built once and shared with every closure solve."""
-        if self._function_index is None:
-            from ..pointsto.steensgaard import defined_functions
-
-            self._function_index = defined_functions(self.program)
-        return [
-            self._function_index[name]
-            for name in closure
-            if name in self._function_index
-        ]
 
     def _reaches_shared(self, entry: Function):
         """The per-entry shared-reaching predicate for mask queries, or
@@ -145,9 +131,8 @@ class RelevancePreAnalysis:
             if shared is None:
                 from ..pointsto.steensgaard import shared_reaching_names
 
-                functions = self._closure_functions(closure)
                 shared = shared_reaching_names(
-                    self.program, functions, self.callgraph, self._function_index
+                    self.program, map(self.program.lookup, closure), self.callgraph
                 )
                 self._shared_by_closure[closure] = shared
             self._shared_by_entry[entry.name] = shared

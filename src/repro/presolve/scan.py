@@ -350,8 +350,8 @@ def _scan_call_indirect(inst, ctx, result) -> int:
     return kinds
 
 
-#: exact-type dispatch for the hot scan loop; instruction subclasses not
-#: listed here fall back to the ordered isinstance walk below
+#: exact-type dispatch for the hot scan loop: a row for every
+#: instruction class
 _SCAN_DISPATCH = {
     Move: _scan_move,
     Load: _scan_load,
@@ -369,16 +369,6 @@ _SCAN_DISPATCH = {
     Call: _scan_call,
     CallIndirect: _scan_call_indirect,
 }
-
-#: same handlers in the match order of the original isinstance chain
-_SCAN_FALLBACK_ORDER = tuple(_SCAN_DISPATCH.items())
-
-
-def _scan_fallback(inst, ctx, result) -> int:
-    for cls, handler in _SCAN_FALLBACK_ORDER:
-        if isinstance(inst, cls):
-            return handler(inst, ctx, result)
-    return 0
 
 
 def _terminator_mask(term) -> int:
@@ -411,10 +401,7 @@ def block_events(block: BasicBlock, ctx: ScanContext) -> ScanResult:
     dispatch = _SCAN_DISPATCH
     mask = 0
     for inst in block.instructions:
-        handler = dispatch.get(inst.__class__)
-        if handler is None:
-            handler = _scan_fallback
-        mask |= handler(inst, ctx, result)
+        mask |= dispatch[inst.__class__](inst, ctx, result)
     if block.terminator is not None:
         mask |= _terminator_mask(block.terminator)
     result.events_mask = mask

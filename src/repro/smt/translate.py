@@ -6,7 +6,9 @@ so every variable in one alias set shares one symbol and the explicit
 ``R'(p)==R'(q)`` constraints (and the per-field implicit ones) of Fig. 9(b)
 are never materialized.  The translator replays the path on a fresh alias
 graph; strong updates naturally give SSA-style fresh symbols because an
-assigned variable moves to a new node.
+assigned variable moves to a new node.  The replay graph skips no name:
+the P1.7/P1.8 skip sets feed P2's per-path graphs only, so a bug's
+constraint system does not depend on the ``--alias-tier`` rung.
 
 The trace consumed here is produced by the engine as a sequence of tagged
 tuples:
@@ -31,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..alias import AliasGraph
-from ..alias.graph import _node_ids
 from ..ir import (
     AddrOf,
     Alloc,
@@ -66,28 +67,11 @@ class Translation:
 
 
 class PathTranslator:
-    """Replays one trace, building constraints.  Single use.
+    """Replays one trace on a fresh alias graph, building constraints.
+    Single use."""
 
-    With a P1.7 ``partition``, proven-singleton variables never
-    materialize replay nodes: each gets a symbol id per *strong-update
-    generation*, allocated from the shared node-id counter at exactly
-    the points where the unskipped replay would create their nodes.
-    The resulting constraint system is the same up to a consistent
-    symbol renaming, and every Table 5 counter is preserved — a
-    singleton's node is always isolated (out-degree 0), so the
-    unaware-translation accounting cannot observe the difference.
-    """
-
-    def __init__(self, partition=None, skip_names=None):
-        # ``skip_names`` overrides the partition's whole-program
-        # singleton set — the P1.8 flow tier resolves a per-entry skip
-        # set from its must-alias facts (any set sound for the trace's
-        # instructions yields an identical constraint system, because
-        # the skip machinery allocates symbol ids from the shared node
-        # counter at exactly the unskipped replay's creation points).
-        if skip_names is None:
-            skip_names = partition.singletons if partition is not None else None
-        self.graph = AliasGraph(skip_names=skip_names)
+    def __init__(self):
+        self.graph = AliasGraph()
         self.result = Translation()
         #: comparison definitions: node uid -> (op, lhs term, rhs term)
         self._cmp_defs: Dict[int, Tuple[str, Term, Term]] = {}
@@ -96,8 +80,6 @@ class PathTranslator:
         #: §5.2 — re-encounters of one branch add no constraint)
         self._seen_branches: set = set()
         self._symbols: set = set()
-        #: (skipped name, generation) -> allocated symbol id
-        self._skip_ids: Dict[Tuple[str, int], int] = {}
 
     # -- term helpers ------------------------------------------------------------
 
@@ -105,34 +87,14 @@ class PathTranslator:
         self._symbols.add(node.uid)
         return Sym(node.uid)
 
-    def _skip_uid(self, name: str) -> int:
-        """Symbol id for the current generation of a skipped singleton —
-        the stand-in for the node uid the unskipped replay would use."""
-        key = (name, self.graph.skip_generation(name))
-        uid = self._skip_ids.get(key)
-        if uid is None:
-            uid = next(_node_ids)
-            self._skip_ids[key] = uid
-        return uid
-
-    def _skip_sym(self, name: str) -> Sym:
-        uid = self._skip_uid(name)
-        self._symbols.add(uid)
-        return Sym(uid)
-
     def _detach_sym(self, dst: Var) -> Sym:
         """Strong-update ``dst`` and return the symbol of its new version."""
-        node = self.graph.detach(dst)
-        if node is None:  # skipped singleton: generation already bumped
-            return self._skip_sym(dst.name)
-        return self._sym(node)
+        return self._sym(self.graph.detach(dst))
 
     def term_of(self, value: Value) -> Term:
         if isinstance(value, Const):
             return Num(value.value)
         assert isinstance(value, Var)
-        if value.name in self.graph.skip_names:
-            return self._skip_sym(value.name)
         return self._sym(self.graph.node_of(value))
 
     def _emit(self, atom: Atom) -> None:
@@ -145,10 +107,7 @@ class PathTranslator:
         implicit equality per known field of the source's class."""
         self.result.unaware_constraints += 1
         if isinstance(src, Var):
-            if src.name in self.graph.skip_names:
-                return  # a singleton's class has no fields (out-degree 0)
-            node = self.graph.node_of(src)
-            self.result.unaware_constraints += len(node.out)
+            self.result.unaware_constraints += len(self.graph.node_of(src).out)
 
     # -- step dispatch ------------------------------------------------------------
 
@@ -205,14 +164,14 @@ class PathTranslator:
             node = self.graph.handle_fresh_object(inst.dst)
             self._emit(Atom("ne", self._sym(node), Num(0)))
         elif isinstance(inst, DeclLocal):
-            self._detach_quiet(inst.var)
+            self.graph.detach(inst.var)
         elif isinstance(inst, (Call, CallIndirect)):
             if isinstance(inst, Call) and any(
                 hint in inst.callee for hint in TAINT_SOURCE_HINTS
             ):
                 self._havoc_source_pointees(inst)
             if inst.dst is not None:
-                self._detach_quiet(inst.dst)  # unknown return value
+                self.graph.detach(inst.dst)  # unknown return value
         # Free / MemSet / LockOp constrain nothing.
 
     def _havoc_source_pointees(self, inst: Call) -> None:
@@ -236,19 +195,10 @@ class PathTranslator:
                 for name in list(pointee.vars):
                     self.graph._move_var(name, pointee, fresh)
 
-    def _detach_quiet(self, dst: Var) -> None:
-        """Strong update with no constraint.  For a skipped singleton the
-        fresh symbol id is still claimed so the id sequence (and thus the
-        relative symbol order the solver sees) matches the unskipped
-        replay, where ``detach`` consumes one node id here."""
-        if self.graph.detach(dst) is None:
-            self._skip_uid(dst.name)
-
     def _step_binop(self, inst: BinOp) -> None:
         lhs = self.term_of(inst.lhs)
         rhs = self.term_of(inst.rhs)
-        node = self.graph.detach(inst.dst)
-        uid = node.uid if node is not None else self._skip_uid(inst.dst.name)
+        uid = self.graph.detach(inst.dst).uid
         if inst.is_comparison:
             # The comparison constrains nothing by itself; the branch that
             # consumes it will (Tstm(brt/brf) of Table 3).
@@ -266,10 +216,7 @@ class PathTranslator:
         cond = branch.cond
         if isinstance(cond, Const):
             return
-        if cond.name in self.graph.skip_names:
-            uid = self._skip_uid(cond.name)
-        else:
-            uid = self.graph.node_of(cond).uid
+        uid = self.graph.node_of(cond).uid
         cmp_def = self._cmp_defs.get(uid)
         if cmp_def is not None:
             op, lhs, rhs = cmp_def
@@ -290,16 +237,9 @@ class PathTranslator:
             self.step(entry)
         if extra_requirement is not None:
             op, var_name, const = extra_requirement
-            if var_name in self.graph.skip_names:
-                # "Bound on this replay" for a skipped singleton: it was
-                # strong-updated (generation > 0) or read at least once.
-                gen = self.graph.skip_generation(var_name)
-                if gen > 0 or (var_name, 0) in self._skip_ids:
-                    self._emit(Atom(op, self._skip_sym(var_name), Num(const)))
-            else:
-                node = self.graph.node_of_name(var_name)
-                if node is not None:
-                    self._emit(Atom(op, self._sym(node), Num(const)))
+            node = self.graph.node_of_name(var_name)
+            if node is not None:
+                self._emit(Atom(op, self._sym(node), Num(const)))
             # An unseen variable is unconstrained: requirement trivially
             # satisfiable, nothing to emit.
         self.result.symbols_used = len(self._symbols)
@@ -412,14 +352,10 @@ def translate_trace(
     trace: Sequence[Tuple],
     extra_requirement: Optional[Tuple[str, str, int]] = None,
     alias_aware: bool = True,
-    partition=None,
-    skip_names=None,
 ) -> Translation:
     """Translate one recorded path into SMT-lite constraints."""
     if alias_aware:
-        return PathTranslator(partition=partition, skip_names=skip_names).translate(
-            trace, extra_requirement
-        )
+        return PathTranslator().translate(trace, extra_requirement)
     return NaPathTranslator().translate(trace, extra_requirement)
 
 
@@ -455,8 +391,8 @@ class _Replay:
     bridgeable: Dict[str, Sym]
 
 
-def _replay(trace, partition, skip_names, extra_requirement) -> _Replay:
-    translator = PathTranslator(partition=partition, skip_names=skip_names)
+def _replay(trace, extra_requirement) -> _Replay:
+    translator = PathTranslator()
     translation = translator.translate(trace, extra_requirement)
     binds = Counter(name for name in translator.graph.journal if name.startswith("@"))
     defined = _trace_defined_globals(trace)
@@ -472,9 +408,6 @@ def translate_trace_pair(
     trace_a: Sequence[Tuple],
     trace_b: Sequence[Tuple],
     alias_aware: bool = True,
-    partition=None,
-    skip_names_a=None,
-    skip_names_b=None,
     extra_requirement_b=None,
     replays: Optional[dict] = None,
 ) -> Translation:
@@ -507,32 +440,26 @@ def translate_trace_pair(
     sink discharges the pair exactly like the single-trace case.
 
     ``replays`` is a memo of alias-aware replays the caller keeps for
-    the pairs of one run, all under one ``partition``.  It is keyed by
-    the trace object's identity, its skip set's identity and the extra
-    requirement, and holds the trace and the skip set so neither
-    identity is reused while it lives.  A memoized replay keeps its
+    the pairs of one run.  It is keyed by the trace object's identity
+    and the extra requirement, and holds the trace so its identity is
+    not reused while it lives.  A memoized replay keeps its
     symbols, so two pairs sharing a trace get constraint systems equal
     up to renaming to what fresh replays give; the symbol spaces of one
     pair's two replays stay disjoint, except for a trace paired with
     itself, which therefore replays afresh.
     """
     if alias_aware:
-        # Per-trace skip sets (each trace may come from a different
-        # entry whose closure proves different names skippable).  Globals
-        # are never skipped under any tier, so every ``@`` name a replay
-        # binds has a node to bridge either way.
-        def replay(trace, skip_names, extra):
+        def replay(trace, extra):
             if replays is None or trace_a is trace_b:
-                return _replay(trace, partition, skip_names, extra)
-            key = (id(trace), id(skip_names), extra)
+                return _replay(trace, extra)
+            key = (id(trace), extra)
             hit = replays.get(key)
             if hit is None:
-                hit = replays[key] = (trace, skip_names,
-                                      _replay(trace, partition, skip_names, extra))
-            return hit[2]
+                hit = replays[key] = (trace, _replay(trace, extra))
+            return hit[1]
 
-        first = replay(trace_a, skip_names_a, None)
-        second = replay(trace_b, skip_names_b, extra_requirement_b)
+        first = replay(trace_a, None)
+        second = replay(trace_b, extra_requirement_b)
         result_a, result_b = first.translation, second.translation
         bridges = [
             Atom("eq", sym, second.bridgeable[name])

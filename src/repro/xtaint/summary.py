@@ -7,19 +7,14 @@ keys its entries *export* taint into, the keys whose values reach its
 summary is plain data built from the merged per-entry flow records
 every run; the records themselves cache per entry inside each
 ``EntryOutcome``, so a warm run condenses the same flows a cold one
-does.
-
-When the Steensgaard partition is available (``--alias-tier`` above
-``off``) each summary also counts how many of its exported roots the
-partition confirms as shared-reaching (GLOBAL/SHARED_ROOT cells).  The
-count is strictly informational — it never gates matching, which keeps
-reports byte-identical across the tier ladder.
+does.  Summaries read no alias-tier product, so matching is the same on
+every ``--alias-tier`` rung.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from .records import EXPORT, IMPORT, RELAY, TaintFlow
 
@@ -32,25 +27,9 @@ class ModuleSummary:
     exports: List[TaintFlow] = field(default_factory=list)
     imports: List[TaintFlow] = field(default_factory=list)
     relays: List[TaintFlow] = field(default_factory=list)
-    #: exported roots the may-alias partition confirms as shared
-    #: (informational; see module docstring)
-    confirmed_shared: int = 0
 
 
-def _root_confirmed(root: str, partition) -> bool:
-    """Whether a canonical shared root sits in the partition's
-    shared-reaching set.  Heap sites are shared by construction (only
-    escaping allocation sites are ever registered)."""
-    if root.startswith("heap#"):
-        return True
-    name = root.lstrip("*").split(".", 1)[0]
-    return name in partition.shared_reaching
-
-
-def build_summaries(
-    flows: Iterable[TaintFlow],
-    partition=None,
-) -> Dict[str, ModuleSummary]:
+def build_summaries(flows: Iterable[TaintFlow]) -> Dict[str, ModuleSummary]:
     """Group merged flow records into per-module summaries.
 
     Deterministic: modules in sorted order, flows inside each module in
@@ -70,11 +49,5 @@ def build_summaries(
                 summary.imports.append(flow)
             elif flow.direction == RELAY:
                 summary.relays.append(flow)
-        if partition is not None:
-            roots = sorted({f.key[0] for f in summary.exports}
-                           | {f.dst_key[0] for f in summary.relays
-                              if f.dst_key is not None})
-            summary.confirmed_shared = sum(
-                1 for root in roots if _root_confirmed(root, partition))
         summaries[module] = summary
     return summaries

@@ -1,12 +1,12 @@
 """Tier-ladder differential: no rung of ``--alias-tier`` changes a byte.
 
-The P1.7 partition licenses three skip paths (per-path singleton fast
-path, cell-level trace translation, shared-access sharpening of the
-relevance masks); the P1.8 flow tier generalizes the first two to
-per-entry closure skip sets in graph and translator.  All of them claim
-soundness *by construction* — so
-the whole suite is one assertion repeated across every axis that could
-break it:
+The P1.7 partition licenses two skip paths in P2: the per-path
+singleton fast path, and shared-access sharpening of the relevance
+masks; the P1.8 flow tier generalizes the first to per-entry closure
+skip sets.  P3 reads none of them: it replays every trace on an
+unskipped alias graph.  All of them claim soundness *by construction* —
+so the whole suite is one assertion repeated across every axis that
+could break it:
 
 * the full tier ladder ``off`` × ``steens`` × ``flow``;
 * every checker-spec string (each checker consumes different events);
@@ -14,6 +14,9 @@ break it:
 * cold and warm incremental cache (both are cached layers, and cached
   entry results must not leak tier-dependent state);
 * the linux corpus profile, the shape the benchmark workloads run.
+  Under spec ``all`` no checker's arming hinges on shared-access
+  sharpening, so there every rung also does the same work: checker
+  arming and pruning read P1.5 alone.
 """
 
 import pytest
@@ -79,7 +82,22 @@ def _assert_ladder_identical(program, spec):
     for tier in TIERS:
         assert _render(results[tier]) == baseline
         _assert_engagement(results[tier], tier)
-    return baseline
+    return results
+
+
+#: stats a rung may move: its own P1.7 products (and the clocks)
+_RUNG_PRODUCTS = {"singletons_proven", "alias_cells"}
+
+
+def _work(result):
+    """Every counter but the clocks and the rung's own products, and
+    the per-entry rows without their wall times."""
+    stats = result.stats.to_dict()
+    rows = [{k: v for k, v in row.items() if k != "wall_seconds"}
+            for row in stats.pop("per_entry")]
+    counters = {k: v for k, v in stats.items()
+                if k not in _RUNG_PRODUCTS and not k.startswith("time_")}
+    return counters, rows
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -90,7 +108,12 @@ def test_tier_ladder_byte_identical_per_spec(mixed_program, spec):
 def test_tier_ladder_byte_identical_on_linux():
     linux = generate(PROFILES_BY_NAME["linux"].scaled(0.2))
     program = compile_program(linux.compiled_sources())
-    assert _assert_ladder_identical(program, "all")  # vacuous otherwise
+    results = _assert_ladder_identical(program, "all")
+    assert _render(results["off"])  # vacuous otherwise
+    counters, rows = _work(results["off"])
+    assert counters["typestates_aware"] and counters["validated_paths"]
+    for tier in TIERS:
+        assert _work(results[tier]) == (counters, rows), tier
 
 
 @pytest.mark.parametrize("workers", [1, 4])

@@ -158,6 +158,27 @@ def test_duplicate_function_name_warning_names_the_files(tmp_path, capsys, caplo
     assert f"f ({b}, {c})" in warnings[0]
 
 
+@pytest.mark.parametrize("tier", ["off", "steens", "flow"])
+@pytest.mark.parametrize("order,expected", [
+    (("b.c", "c.c"), "NULL-POINTER DEREFERENCE"),
+    (("c.c", "b.c"), "MEMORY LEAK"),
+], ids=["bc", "cb"])
+def test_duplicate_function_name_prunes_the_body_it_runs(tmp_path, capsys, order,
+                                                         expected, tier):
+    """A name defined twice resolves to its first definition everywhere:
+    the explorer inlines that body, and P1.5 arms and prunes from the
+    same one.  So pruning prints what ``--no-prune`` prints, in either
+    file order and at every alias tier."""
+    (tmp_path / "b.c").write_text(STATIC_F_NPD)
+    (tmp_path / "c.c").write_text(STATIC_F_LEAK)
+    args = ["check", "--alias-tier", tier, *(str(tmp_path / name) for name in order)]
+    unpruned_code = main([*args, "--no-prune"])
+    unpruned = capsys.readouterr().out
+    assert expected in unpruned  # the first file's bug: vacuous otherwise
+    assert main(args) == unpruned_code
+    assert capsys.readouterr().out == unpruned
+
+
 def test_same_file_twice_with_cache_matches_cache_off(tmp_path, monkeypatch, capsys,
                                                       caplog):
     """``a.c ./a.c`` defines every function twice.  Every cache layer

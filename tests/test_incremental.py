@@ -259,13 +259,15 @@ def test_store_pre_bump_format_heals_on_commit(tmp_path, caplog):
     5 -> 6: one pack file per commit; 6 -> 7: partition, flow-facts and
     module-summary layers dropped; 7 -> 8: cached outcomes carry P3
     verdicts; 8 -> 9: outcomes stored as the codec's bytes, instructions
-    named by coordinate): a directory stamped with the pre-bump format
-    must read as all-misses, stay usable, and be re-stamped with the
-    current format by the next commit — no manual cache wipe needed."""
-    assert CACHE_FORMAT == 9  # update the pre-bump fixture when bumping again
-    # A format-8 cache: its header stamp plus a pack holding an outcome
-    # (pickled by value beside a coordinate table) under the key only
-    # the format-8 derivation could produce.
+    named by coordinate; 9 -> 10: checker arming at every alias tier
+    changes an ``off`` outcome's counters): a directory stamped with the
+    pre-bump format must read as all-misses, stay usable, and be
+    re-stamped with the current format by the next commit — no manual
+    cache wipe needed."""
+    assert CACHE_FORMAT == 10  # update the pre-bump fixture when bumping again
+    # A format-9 cache: its header stamp plus a pack holding an outcome
+    # (the codec's bytes) under the key only the format-9 derivation
+    # could produce.
     stale = _pre_bump_key("outcome", "spec", "cfg", "entry", "closure")
     (tmp_path / PACK_DIR).mkdir()
     with open(tmp_path / PACK_DIR / f"{1:020d}-stale{PACK_SUFFIX}", "wb") as out:
@@ -295,7 +297,7 @@ def test_store_pre_bump_format_heals_on_commit(tmp_path, caplog):
 
 
 def test_engine_heals_pre_bump_cache_directory(tmp_path, monkeypatch):
-    """End to end: analyzing over a format-8 cache directory, populated
+    """End to end: analyzing over a pre-bump-format cache directory, populated
     by a full run, matches the uncached run byte for byte with no hit,
     re-stamps the header, and leaves a warm cache behind."""
     import repro.incremental.store as store_module

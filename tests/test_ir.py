@@ -285,3 +285,24 @@ def test_block_pickled_without_a_function_keeps_its_terminator():
     copy = _round_trip(block)
     assert isinstance(copy.terminator, ir.Ret)
     assert copy.terminator.parent is copy
+
+
+def test_exact_type_handler_tables_cover_every_instruction_class():
+    """P2, P1.5 and P1.7 dispatch on ``inst.__class__`` with no
+    isinstance fallback, so each table must hold every instruction class
+    the IR defines — a new class fails here, not mid-analysis.  The
+    explorer handles ``Call`` before its table."""
+    from repro.core.analyzer import _EXEC_DISPATCH
+    from repro.ir import instructions
+    from repro.pointsto.steensgaard import _GEN_DISPATCH
+    from repro.presolve.scan import _SCAN_DISPATCH
+
+    classes = {
+        obj for obj in vars(instructions).values()
+        if isinstance(obj, type) and issubclass(obj, ir.Instruction)
+        and obj is not ir.Instruction
+    }
+    assert len(classes) == 15
+    assert set(_SCAN_DISPATCH) == classes
+    assert set(_GEN_DISPATCH) == classes
+    assert set(_EXEC_DISPATCH) == classes - {ir.Call}

@@ -57,16 +57,11 @@ def _recorded(monkeypatch):
 def _fresh_translation(bug_filter, bug):
     """The bug's translation as P3 makes it, without the replay memo."""
     if bug.second_trace:
-        entry_a, sep, entry_b = bug.entry_function.partition(" vs ")
         return translate_trace_pair(
             bug.trace, bug.second_trace, alias_aware=bug_filter.alias_aware,
-            partition=bug_filter.partition,
-            skip_names_a=bug_filter._skip_for(entry_a) if sep else None,
-            skip_names_b=bug_filter._skip_for(entry_b) if sep else None,
             extra_requirement_b=bug.extra_requirement)
     return translate_trace(
-        bug.trace, bug.extra_requirement, alias_aware=bug_filter.alias_aware,
-        partition=bug_filter.partition, skip_names=bug_filter._skip_for(bug.entry_function))
+        bug.trace, bug.extra_requirement, alias_aware=bug_filter.alias_aware)
 
 
 def _stats(result):
@@ -109,27 +104,22 @@ def test_memos_answer_as_fresh_translations_and_solves(corpus, monkeypatch, alia
 
 @pytest.fixture(scope="module")
 def pair_bugs():
-    """Every pair finding of firmlab and racelab, with the filter that
-    validated it."""
+    """Every pair finding of firmlab and racelab."""
     pairs = []
     with pytest.MonkeyPatch.context() as monkeypatch:
         seen = _recorded(monkeypatch)
         for profile in (FIRMLAB, RACELAB):
             _analyze(generate(profile).compiled_sources(), LAB_SPEC, True)
-    for bug_filter, bug, _ in seen:
+    for _, bug, _ in seen:
         if bug.second_trace:
-            pairs.append((bug_filter, bug))
+            pairs.append(bug)
     assert pairs
     return pairs
 
 
-def _pair(bug_filter, bug, trace_b=None, replays=None):
-    entry_a, _, entry_b = bug.entry_function.partition(" vs ")
+def _pair(bug, trace_b=None, replays=None):
     return translate_trace_pair(
         bug.trace, bug.second_trace if trace_b is None else trace_b,
-        partition=bug_filter.partition,
-        skip_names_a=bug_filter._skip_for(entry_a),
-        skip_names_b=bug_filter._skip_for(entry_a if trace_b is not None else entry_b),
         extra_requirement_b=bug.extra_requirement, replays=replays)
 
 
@@ -147,23 +137,21 @@ def _same_up_to_renaming(memo, fresh):
     assert [_is_bridge(a) for a in memo.atoms] == [_is_bridge(a) for a in fresh.atoms]
 
 
-def _swapped(bug_filter, bug, replays=None):
+def _swapped(bug, replays=None):
     """The pair the other way round: the sink-side trace replays first,
     without the requirement it carried as the second."""
-    entry_a, _, entry_b = bug.entry_function.partition(" vs ")
     return translate_trace_pair(
-        bug.second_trace, bug.trace, partition=bug_filter.partition,
-        skip_names_a=bug_filter._skip_for(entry_b), skip_names_b=bug_filter._skip_for(entry_a),
+        bug.second_trace, bug.trace,
         extra_requirement_b=bug.extra_requirement, replays=replays)
 
 
 def test_shared_replays_translate_pairs_as_fresh_replays(pair_bugs):
     replays = {}
-    for bug_filter, bug in pair_bugs:
-        _same_up_to_renaming(_pair(bug_filter, bug, replays=replays), _pair(bug_filter, bug))
-        _same_up_to_renaming(_swapped(bug_filter, bug, replays=replays), _swapped(bug_filter, bug))
+    for bug in pair_bugs:
+        _same_up_to_renaming(_pair(bug, replays=replays), _pair(bug))
+        _same_up_to_renaming(_swapped(bug, replays=replays), _swapped(bug))
     assert len(replays) < 4 * len(pair_bugs), "no trace was shared: the memo is untested"
-    assert any(bug.extra_requirement for _, bug in pair_bugs)
+    assert any(bug.extra_requirement for bug in pair_bugs)
 
 
 def test_a_global_either_path_writes_is_never_bridged():
@@ -181,10 +169,10 @@ def test_a_trace_paired_with_itself_replays_afresh(pair_bugs):
     holds the trace, so a global it reads bridges two symbols."""
     replays = {}
     bridged = 0
-    for bug_filter, bug in pair_bugs:
-        _pair(bug_filter, bug, replays=replays)  # the memo holds both traces now
-        fresh = _pair(bug_filter, bug, trace_b=bug.trace)
-        memo = _pair(bug_filter, bug, trace_b=bug.trace, replays=replays)
+    for bug in pair_bugs:
+        _pair(bug, replays=replays)  # the memo holds both traces now
+        fresh = _pair(bug, trace_b=bug.trace)
+        memo = _pair(bug, trace_b=bug.trace, replays=replays)
         _same_up_to_renaming(memo, fresh)
         for atom in memo.atoms:
             assert not (atom.op == "eq" and atom.lhs == atom.rhs), atom

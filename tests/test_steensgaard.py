@@ -17,6 +17,7 @@ Three layers, mirroring the module's structure:
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cfg import CallGraph
 from repro.corpus import ALL_PROFILES, generate
 from repro.lang import compile_program
 from repro.pointsto import (
@@ -24,6 +25,7 @@ from repro.pointsto import (
     SteensgaardPointsTo,
     UnionFind,
     build_partition,
+    shared_reaching_names,
 )
 
 
@@ -217,8 +219,7 @@ def test_field_edges_unify_per_label():
 def test_plain_scalars_are_singletons():
     program, _ = _solved("void f(void) { int a = 1; int b = 2; }")
     part = build_partition(program)
-    assert part.is_singleton("f.a")
-    assert part.is_singleton("f.b")
+    assert {"f.a", "f.b"} <= part.singletons
 
 
 def test_computed_value_shares_a_cell_with_its_temp():
@@ -227,38 +228,39 @@ def test_computed_value_shares_a_cell_with_its_temp():
     # while the purely-read operand stays singleton.
     program, _ = _solved("void f(void) { int a = 1; int b = a + 2; }")
     part = build_partition(program)
-    assert part.is_singleton("f.a")
-    assert not part.is_singleton("f.b")
+    assert "f.a" in part.singletons
+    assert "f.b" not in part.singletons
 
 
 def test_unified_variables_are_not_singletons():
     program, _ = _solved("void f(void) { char *p = malloc(8); char *q = p; }")
     part = build_partition(program)
-    assert not part.is_singleton("f.p")
-    assert not part.is_singleton("f.q")
+    assert "f.p" not in part.singletons
+    assert "f.q" not in part.singletons
 
 
 def test_address_taken_disqualifies_both_sides():
     program, _ = _solved("void f(void) { int a = 1; int *p = &a; }")
     part = build_partition(program)
-    assert not part.is_singleton("f.a")   # pointed-to: loads can join into it
-    assert not part.is_singleton("f.p")   # carries a deref edge
+    assert "f.a" not in part.singletons   # pointed-to: loads can join into it
+    assert "f.p" not in part.singletons   # carries a deref edge
 
 
 def test_globals_are_never_singletons_and_root_shared_state():
     program, _ = _solved("int g;\nvoid f(void) { g = 1; int a = 2; }")
     part = build_partition(program)
-    assert not part.is_singleton("@g")
-    assert "@g" in part.shared_reaching
-    assert part.is_singleton("f.a")
-    assert "f.a" not in part.shared_reaching
+    assert "@g" not in part.singletons
+    assert "f.a" in part.singletons
+    shared = shared_reaching_names(program, program.functions(), CallGraph(program))
+    assert "@g" in shared
+    assert "f.a" not in shared
 
 
 def test_heap_pointer_reaches_shared():
     program, _ = _solved("void f(void) { char *p = malloc(8); }")
     part = build_partition(program)
-    assert not part.is_singleton("f.p")
-    assert "f.p" in part.shared_reaching
+    assert "f.p" not in part.singletons
+    assert "f.p" in shared_reaching_names(program, program.functions(), CallGraph(program))
 
 
 # -- partition object --------------------------------------------------------
@@ -272,15 +274,17 @@ def test_partition_is_deterministic():
     )
     one = build_partition(compile_program([("t.c", source)]))
     two = build_partition(compile_program([("t.c", source)]))
-    assert one.cell_ids == two.cell_ids
     assert one.singletons == two.singletons
-    assert one.stamp() == two.stamp()
+    assert one.cell_count == two.cell_count
 
 
-def test_partition_stamp_tracks_content():
+def test_partition_tracks_content():
     a = build_partition(compile_program([("t.c", "void f(void) { int a = 1; }")]))
     b = build_partition(compile_program([("t.c", "void f(void) { int a = 1; int *p = &a; }")]))
-    assert a.stamp() != b.stamp()
+    assert a.singletons == {"f.a"} and a.cell_count == 1
+    # ``&a`` lowers ``a`` to a stack slot that ``p`` copies: one flagged
+    # cell, so no singleton
+    assert not b.singletons and b.cell_count == 1
 
 
 # -- coarsening contract vs Andersen -----------------------------------------
