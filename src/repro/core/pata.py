@@ -119,7 +119,6 @@ class PATA:
         )
         entry_list = entries if entries is not None else collector.entry_functions()
         stats.entry_functions = len(entry_list)
-        stats.time_collect_seconds = time.monotonic() - phase_started
         # Incremental cache (opt-in): key every function over the graph
         # and open the outcome store.  `incr` stays None when caching is
         # off or cannot apply (live checker objects, a function name
@@ -132,7 +131,10 @@ class PATA:
             incr = open_incremental(
                 program, self.config, self._checker_spec(), callgraph, store=self._store
             )
+        # Checker construction is P1 work too: the race and xtaint
+        # checkers compute the shared-heap universe here.
         checkers = self._resolve_checkers(collector)
+        stats.time_collect_seconds = time.monotonic() - phase_started
 
         # P1.5: checker-relevance pre-analysis.  Entry pruning happens
         # here, *before* dispatch, so skipped entries never reach a

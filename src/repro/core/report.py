@@ -127,8 +127,10 @@ class AnalysisStats:
     blocks_pruned: int = 0
     paths_pruned: int = 0
     time_seconds: float = 0.0
-    #: per-phase wall-clock breakdown of ``time_seconds``: P1 collector,
-    #: P1.5 relevance pre-analysis (incl. the cache plan), P2 entry
+    #: per-phase wall-clock breakdown of ``time_seconds``: P1 collector
+    #: (call graph, function database, cache keys and checker
+    #: construction, which for race and xtaint includes the shared-heap
+    #: analysis), P1.5 relevance pre-analysis (incl. the cache plan), P2 entry
     #: exploration (the parallelizable phase), P2.5 race matching, and
     #: P3 validation.  These are the honest denominators for any speedup
     #: claim — only ``time_explore_seconds`` scales with workers

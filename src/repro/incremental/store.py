@@ -70,8 +70,9 @@ log = logging.getLogger("repro.incremental")
 #: codec's bytes, its instructions named by coordinate, and a function
 #: pickles its blocks' terminators after all of its blocks; 10: P2 arms
 #: checkers per entry at every alias tier, so an ``off`` outcome's
-#: work counters change)
-CACHE_FORMAT = 10
+#: work counters change; 11: IR values and types are slotted and pickle
+#: by constructor)
+CACHE_FORMAT = 11
 #: most packs a commit may leave behind; past it the commit merges
 PACK_LIMIT = 8
 PACK_DIR = "packs"

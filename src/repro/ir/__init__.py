@@ -20,6 +20,7 @@ from .types import (
     PointerType,
     StructType,
     Type,
+    TypeTable,
     VOID,
     VOID_PTR,
     VoidType,
@@ -72,7 +73,7 @@ from .passes import (
 
 __all__ = [
     "ArrayType", "FunctionType", "I8", "I64", "INT", "IntType", "PointerType",
-    "StructType", "Type", "VOID", "VOID_PTR", "VoidType", "pointer_to",
+    "StructType", "Type", "TypeTable", "VOID", "VOID_PTR", "VoidType", "pointer_to",
     "NULL", "Const", "SourceLoc", "UNKNOWN_LOC", "Value", "Var", "const_int",
     "is_null_const",
     "AddrOf", "Alloc", "BinOp", "Branch", "Call", "CallIndirect", "CMP_OPS", "DeclLocal",

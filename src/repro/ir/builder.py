@@ -33,15 +33,18 @@ from .instructions import (
     UnOp,
     Unreachable,
 )
-from .types import INT, IntType, PointerType, Type, VOID_PTR
+from .types import INT, PointerType, Type, TypeTable, VOID_PTR
 from .values import Const, SourceLoc, UNKNOWN_LOC, Value, Var
 
 
 class IRBuilder:
-    """Incremental construction of one function's blocks and instructions."""
+    """Incremental construction of one function's blocks and instructions.
+    Pointer types come from ``types``, the compilation unit's table (a
+    fresh one when the builder stands alone)."""
 
-    def __init__(self, function: Function):
+    def __init__(self, function: Function, types: Optional[TypeTable] = None):
         self.function = function
+        self.types = types if types is not None else TypeTable()
         self.block: Optional[BasicBlock] = None
         self._temp_ids = itertools.count(1)
         self.loc: SourceLoc = UNKNOWN_LOC
@@ -97,7 +100,7 @@ class IRBuilder:
         return dst
 
     def addr_of(self, var: Var, ty: Optional[Type] = None) -> Var:
-        dst = self.temp(ty or PointerType(var.type), "adr")
+        dst = self.temp(ty or self.types.pointer(var.type), "adr")
         self._emit(AddrOf(dst, var, self.loc))
         return dst
 
@@ -122,7 +125,7 @@ class IRBuilder:
         return dst
 
     def alloc(self, allocated_type: Type, zeroed: bool = False, hint: str = "slot") -> Var:
-        dst = self.temp(PointerType(allocated_type), hint)
+        dst = self.temp(self.types.pointer(allocated_type), hint)
         self._emit(Alloc(dst, allocated_type, zeroed, self.loc))
         return dst
 

@@ -8,7 +8,7 @@ so that forward references between structs work naturally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 
 @dataclass
@@ -272,6 +272,9 @@ class FunctionDef(Node):
     body: Optional[Block] = None  # None for prototypes
     is_static: bool = False
     variadic: bool = False
+    #: every ``name`` the body takes the address of as ``&name``; the
+    #: parser records them, and lowering gives those locals memory slots
+    address_taken: Set[str] = field(default_factory=set)
 
 
 @dataclass

@@ -101,6 +101,9 @@ class UnitLowerer:
         self.unit = unit
         self.module = Module(unit.filename)
         self.module.source_lines = unit.source_lines
+        #: the unit's derived types and source locations, each built once
+        self.types = ir.TypeTable()
+        self._locs: Dict[int, SourceLoc] = {}
         self.typedefs: Dict[str, ast.TypeRef] = {}
         self.enum_constants: Dict[str, int] = {}
         self.function_defs: Dict[str, ast.FunctionDef] = {}
@@ -114,14 +117,21 @@ class UnitLowerer:
         if depth > 32:
             raise SemaError(f"cyclic typedef {ref.base!r}", self.unit.filename, ref.line)
         if ref.func_params is not None:
-            base: ir.Type = ir.FunctionType(self._resolve_base(ref, depth), ())
+            base: ir.Type = self.types.function(self._resolve_base(ref, depth))
         else:
             base = self._resolve_base(ref, depth)
         for _ in range(ref.pointer_depth):
-            base = PointerType(base)
+            base = self.types.pointer(base)
         for dim in reversed(ref.array_dims):
-            base = ir.ArrayType(base, dim)
+            base = self.types.array(base, dim)
         return base
+
+    def loc(self, line: int) -> SourceLoc:
+        """The unit's source location for ``line``."""
+        loc = self._locs.get(line)
+        if loc is None:
+            loc = self._locs[line] = SourceLoc(self.unit.filename, line)
+        return loc
 
     def _resolve_base(self, ref: ast.TypeRef, depth: int) -> ir.Type:
         name = ref.base
@@ -206,7 +216,7 @@ class UnitLowerer:
         ctype = self.resolve_type(d.type)
         if isinstance(ctype, (StructType, ir.ArrayType)):
             # Aggregates are referenced through their address.
-            var = Var(f"@{d.name}", PointerType(ctype), source_name=d.name,
+            var = Var(f"@{d.name}", self.types.pointer(ctype), source_name=d.name,
                       is_global=True, is_aggregate=True)
             self.global_aggregates.add(d.name)
         else:
@@ -219,7 +229,7 @@ class UnitLowerer:
                 if isinstance(expr, ast.Name) and self._is_function_name(expr.ident):
                     self.module.add_registration(
                         ir.InterfaceRegistration(
-                            d.name, ctype, field_name, expr.ident, SourceLoc(self.unit.filename, field_init.line)
+                            d.name, ctype, field_name, expr.ident, self.loc(field_init.line)
                         )
                     )
 
@@ -244,19 +254,21 @@ class FunctionLowerer:
         self.unit = unit
         self.fdef = fdef
         self.func = unit.module.functions[fdef.name]
-        self.builder = IRBuilder(self.func)
+        self.types = unit.types
+        self.builder = IRBuilder(self.func, unit.types)
         self.scopes: List[Dict[str, _Local]] = [{}]
         self.labels: Dict[str, ir.BasicBlock] = {}
         self.loop_stack: List[_LoopTargets] = []
         self.switch_breaks: List[ir.BasicBlock] = []
-        self.address_taken: Set[str] = set()
+        #: locals whose address is taken (``&name``): they get memory slots
+        self.address_taken: Set[str] = fdef.address_taken
         self._sc_ids = itertools.count(1)
         #: per-source-name declaration counter: a shadowing declaration in
         #: a nested scope must be a distinct IR variable
         self._decl_counts: Dict[str, int] = {}
 
     def _loc(self, node: ast.Node) -> SourceLoc:
-        return SourceLoc(self.unit.unit.filename, node.line)
+        return self.unit.loc(node.line)
 
     def error(self, message: str, node: ast.Node) -> SemaError:
         return SemaError(message, self.unit.unit.filename, node.line)
@@ -280,15 +292,14 @@ class FunctionLowerer:
     # -- entry ------------------------------------------------------------------
 
     def lower(self) -> None:
-        self._collect_address_taken(self.fdef.body)
         entry = self.builder.new_block("entry")
         self.builder.position_at(entry)
-        self.builder.set_loc(SourceLoc(self.unit.unit.filename, self.fdef.line))
+        self.builder.set_loc(self.unit.loc(self.fdef.line))
         for param, pdecl in zip(self.func.params, self.fdef.params):
             ctype = self.unit.resolve_type(pdecl.type)
             if isinstance(ctype, ir.ArrayType):
                 # Arrays decay to pointers.
-                ctype = PointerType(ctype.element)
+                ctype = self.types.pointer(ctype.element)
             if pdecl.name in self.address_taken:
                 slot = self.builder.alloc(ctype, hint=f"slot.{pdecl.name}")
                 self.builder.store(slot, param)
@@ -304,28 +315,6 @@ class FunctionLowerer:
                     self.builder.ret()
                 else:
                     self.builder.ret(Const(0, self.func.return_type))
-
-    def _collect_address_taken(self, node) -> None:
-        """Pre-pass: find ``&name`` so those locals get memory slots."""
-        if node is None:
-            return
-        if isinstance(node, ast.Unary) and node.op == "&" and isinstance(node.operand, ast.Name):
-            self.address_taken.add(node.operand.ident)
-        for value in vars(node).values():
-            if isinstance(value, ast.Node):
-                self._collect_address_taken(value)
-            elif isinstance(value, list):
-                for item in value:
-                    if isinstance(item, ast.Node):
-                        self._collect_address_taken(item)
-                    elif isinstance(item, tuple):
-                        for sub in item:
-                            if isinstance(sub, ast.Node):
-                                self._collect_address_taken(sub)
-                            elif isinstance(sub, list):
-                                for s2 in sub:
-                                    if isinstance(s2, ast.Node):
-                                        self._collect_address_taken(s2)
 
     # -- statements ---------------------------------------------------------------
 
@@ -582,7 +571,7 @@ class FunctionLowerer:
         if isinstance(expr, ast.CharLit):
             return Const(ord(expr.value[0]) if expr.value else 0, IntType(8))
         if isinstance(expr, ast.StrLit):
-            return Const(next(_string_ids), PointerType(IntType(8)))
+            return Const(next(_string_ids), self.types.pointer(ir.I8))
         if isinstance(expr, ast.NullLit):
             return Const(0, ir.VOID_PTR)
         if isinstance(expr, ast.Name):
@@ -675,7 +664,7 @@ class FunctionLowerer:
             inner = self._expr_ctype(expr.operand)
             return inner.pointee or ir.INT if isinstance(inner, PointerType) else ir.INT
         if isinstance(expr, ast.Unary) and expr.op == "&":
-            return PointerType(self._expr_ctype(expr.operand))
+            return self.types.pointer(self._expr_ctype(expr.operand))
         if isinstance(expr, ast.IndexExpr):
             base = self._expr_ctype(expr.base)
             if isinstance(base, ir.ArrayType):
@@ -857,7 +846,7 @@ class FunctionLowerer:
             else:
                 base = self.lower_addr(expr.base)
             field_ty = self._member_type(expr)
-            return self.builder.gep(base, expr.field_name, PointerType(field_ty))
+            return self.builder.gep(base, expr.field_name, self.types.pointer(field_ty))
         if isinstance(expr, ast.IndexExpr):
             base_ty = self._expr_ctype(expr.base)
             if isinstance(base_ty, ir.ArrayType):
@@ -869,7 +858,7 @@ class FunctionLowerer:
             elem_ty = base_ty.element if isinstance(base_ty, ir.ArrayType) else (
                 base_ty.pointee if isinstance(base_ty, PointerType) and base_ty.pointee else ir.INT
             )
-            return self.builder.gep(base, label, PointerType(elem_ty), index=index)
+            return self.builder.gep(base, label, self.types.pointer(elem_ty), index=index)
         if isinstance(expr, ast.Unary) and expr.op == "*":
             return self._as_var(self.lower_expr(expr.operand))
         if isinstance(expr, ast.Cast):

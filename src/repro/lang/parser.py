@@ -81,6 +81,9 @@ class Parser:
         #: since the innermost open chain started
         self._expr_depth = 0
         self._expr_peak = 0
+        #: names taken as ``&name`` in the function body being parsed
+        #: (None outside a body)
+        self._address_taken: Optional[Set[str]] = None
 
     # -- token helpers ------------------------------------------------------
 
@@ -337,9 +340,12 @@ class Parser:
                         break
         self._expect("punct", ")")
         body: Optional[ast.Block] = None
+        taken: Set[str] = set()
         if not self._accept("punct", ";"):
+            self._address_taken = taken
             body = self._parse_block()
-        return ast.FunctionDef(line, decl.name, decl.type, params, body, is_static, variadic)
+            self._address_taken = None
+        return ast.FunctionDef(line, decl.name, decl.type, params, body, is_static, variadic, taken)
 
     def _parse_global_rest(self, first: ast.Declarator, is_static: bool, line: int) -> ast.Node:
         decls = [first]
@@ -594,7 +600,10 @@ class Parser:
         tok = self._peek()
         if tok.kind == "punct" and tok.text in ("-", "~", "!", "*", "&", "++", "--"):
             self._next()
-            return ast.Unary(tok.line, tok.text, self._parse_operand())
+            operand = self._parse_operand()
+            if tok.text == "&" and self._address_taken is not None and isinstance(operand, ast.Name):
+                self._address_taken.add(operand.ident)
+            return ast.Unary(tok.line, tok.text, operand)
         if tok.kind == "kw" and tok.text == "sizeof":
             self._next()
             if self._at("punct", "(") and self._starts_type(1):

@@ -129,6 +129,25 @@ class AndersenPointsTo:
                     for receiver in self._returns.get(func.name, ()):
                         self._copy_edges[term.value.name].add(receiver)
 
+        # Each complex constraint is indexed by the node whose points-to
+        # set it reads, so a worklist node visits only its own.
+        loads_by_ptr: Dict[Node, List[Node]] = defaultdict(list)
+        for dst, ptr in self._loads:
+            loads_by_ptr[ptr].append(dst)
+        stores_by_ptr: Dict[Node, List[Node]] = defaultdict(list)
+        stores_by_src: Dict[Node, List[Node]] = defaultdict(list)
+        for ptr, src in self._stores:
+            stores_by_ptr[ptr].append(src)
+            stores_by_src[src].append(ptr)
+        geps_by_base: Dict[Node, List[Tuple[Node, str]]] = defaultdict(list)
+        for dst, base, fieldname in self._geps:
+            geps_by_base[base].append((dst, fieldname))
+        # object -> the load pointers seen pointing to it.  Every node
+        # whose set grows is queued, and a queued load pointer is
+        # registered here when it is visited, so a pointer missing from
+        # this map is one still waiting in the queue.
+        loaders: Dict[Obj, Set[Node]] = defaultdict(set)
+
         work: deque = deque(self.pts.keys())
         in_work: Set[Node] = set(work)
 
@@ -136,6 +155,14 @@ class AndersenPointsTo:
             if node not in in_work:
                 work.append(node)
                 in_work.add(node)
+
+        def store(ptr: Node, src: Node) -> None:
+            for obj in list(self.pts.get(ptr, ())):
+                for value in list(self.pts.get(src, ())):
+                    if self._add_contents(obj, value):
+                        # Loads from obj must be reconsidered.
+                        for loader in loaders.get(obj, ()):
+                            enqueue(loader)
 
         max_rounds = 0
         while work:
@@ -151,31 +178,24 @@ class AndersenPointsTo:
                     changed |= self._add_pts(succ, obj)
                 if changed:
                     enqueue(succ)
-            # Complex constraints touching this node.
-            for dst, ptr in self._loads:
-                if ptr != node:
-                    continue
+            load_dsts = loads_by_ptr.get(node)
+            if load_dsts:
+                for obj in node_pts:
+                    loaders[obj].add(node)
+                for dst in load_dsts:
+                    changed = False
+                    for obj in list(node_pts):
+                        for value in list(self.contents.get(obj, ())):
+                            changed |= self._add_pts(dst, value)
+                    if changed:
+                        enqueue(dst)
+            for src in stores_by_ptr.get(node, ()):
+                store(node, src)
+            for ptr in stores_by_src.get(node, ()):
+                store(ptr, node)
+            for dst, fieldname in geps_by_base.get(node, ()):
                 changed = False
-                for obj in list(self.pts[ptr]):
-                    for value in list(self.contents[obj]):
-                        changed |= self._add_pts(dst, value)
-                if changed:
-                    enqueue(dst)
-            for ptr, src in self._stores:
-                if ptr != node and src != node:
-                    continue
-                for obj in list(self.pts[ptr]):
-                    for value in list(self.pts[src]):
-                        if self._add_contents(obj, value):
-                            # Loads from obj must be reconsidered.
-                            for dst2, ptr2 in self._loads:
-                                if obj in self.pts[ptr2]:
-                                    enqueue(ptr2)
-            for dst, base, fieldname in self._geps:
-                if base != node:
-                    continue
-                changed = False
-                for obj in list(self.pts[base]):
+                for obj in list(node_pts):
                     changed |= self._add_pts(dst, ("f", obj, fieldname))
                 if changed:
                     enqueue(dst)

@@ -82,11 +82,26 @@ class ValueFlowGraph:
                 if isinstance(term, Ret) and isinstance(term.value, Var):
                     for receiver in returns.get(func.name, ()):
                         self.edges[term.value.name].add(receiver)
-        # Memory def-use through may-alias pointers.
+        # Memory def-use through may-alias pointers: a store feeds each
+        # load through the same pointer name or through a pointer whose
+        # points-to set shares an object with the store's.
+        loads_by_ptr: Dict[str, Set[str]] = defaultdict(set)
+        for load in loads:
+            loads_by_ptr[load.ptr.name].add(load.dst.name)
+        loads_by_obj: Dict[object, Set[str]] = defaultdict(set)
+        for ptr, dsts in loads_by_ptr.items():
+            for obj in self.points_to.points_to(ptr):
+                loads_by_obj[obj] |= dsts
+        fed: Dict[str, Set[str]] = {}
         for store in stores:
-            for load in loads:
-                if self.points_to.may_alias(store.ptr.name, load.ptr.name):
-                    self.edges[store.src.name].add(load.dst.name)
+            ptr = store.ptr.name
+            targets = fed.get(ptr)
+            if targets is None:
+                targets = fed[ptr] = set(loads_by_ptr.get(ptr, ()))
+                for obj in self.points_to.points_to(ptr):
+                    targets |= loads_by_obj.get(obj, set())
+            if targets:
+                self.edges[store.src.name] |= targets
 
     def reachable_from(self, name: str, limit: int = 100_000) -> Set[str]:
         seen: Set[str] = {name}

@@ -260,13 +260,14 @@ def test_store_pre_bump_format_heals_on_commit(tmp_path, caplog):
     module-summary layers dropped; 7 -> 8: cached outcomes carry P3
     verdicts; 8 -> 9: outcomes stored as the codec's bytes, instructions
     named by coordinate; 9 -> 10: checker arming at every alias tier
-    changes an ``off`` outcome's counters): a directory stamped with the
+    changes an ``off`` outcome's counters; 10 -> 11: IR values and types
+    pickle by constructor): a directory stamped with the
     pre-bump format must read as all-misses, stay usable, and be
     re-stamped with the current format by the next commit — no manual
     cache wipe needed."""
-    assert CACHE_FORMAT == 10  # update the pre-bump fixture when bumping again
-    # A format-9 cache: its header stamp plus a pack holding an outcome
-    # (the codec's bytes) under the key only the format-9 derivation
+    assert CACHE_FORMAT == 11  # update the pre-bump fixture when bumping again
+    # A format-10 cache: its header stamp plus a pack holding an outcome
+    # (the codec's bytes) under the key only the format-10 derivation
     # could produce.
     stale = _pre_bump_key("outcome", "spec", "cfg", "entry", "closure")
     (tmp_path / PACK_DIR).mkdir()

@@ -306,3 +306,166 @@ def test_exact_type_handler_tables_cover_every_instruction_class():
     assert set(_SCAN_DISPATCH) == classes
     assert set(_GEN_DISPATCH) == classes
     assert set(_EXEC_DISPATCH) == classes - {ir.Call}
+
+
+# -- the lean value layer ----------------------------------------------------------
+
+
+_PROFILE_NAMES = ["linux", "zephyr", "riot", "tencentos", "taintlab", "racelab", "firmlab"]
+
+
+def _profile_modules(name):
+    """``(filename, module)`` for each compiled file of one corpus profile."""
+    from repro.corpus import CORPUS_PROFILES_BY_NAME, generate
+    from repro.lang import compile_source
+
+    profile = CORPUS_PROFILES_BY_NAME[name].scaled(3.0 if name.endswith("lab") else 0.3)
+    return [(path, compile_source(text, path)) for path, text in generate(profile).compiled_sources()]
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` (classes excluded), once."""
+    import gc
+
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def _located(module):
+    """Each instruction and terminator's uid and location, in order."""
+    return [(inst.uid, inst.loc.filename, inst.loc.line)
+            for func in module.functions.values() for block in func.blocks
+            for inst in [*block.instructions, *filter(None, [block.terminator])]]
+
+
+def _assert_lean(module):
+    """The module's integer and void types are the process's instances,
+    and it holds one pointer type per distinct pointee and one source
+    location per (file, line)."""
+    pointers, locs = {}, {}
+    for obj in _reachable(module):
+        if obj.__class__ is ir.IntType:
+            assert obj is ir.IntType(obj.width)
+        elif obj.__class__ is ir.VoidType:
+            assert obj is ir.VOID
+        elif obj.__class__ is ir.PointerType:
+            pointers.setdefault(obj.pointee, set()).add(id(obj))
+        elif obj.__class__ is ir.SourceLoc:
+            locs.setdefault((obj.filename, obj.line), set()).add(id(obj))
+    assert pointers and locs
+    assert all(len(ids) == 1 for ids in pointers.values())
+    assert all(len(ids) == 1 for ids in locs.values())
+
+
+@pytest.mark.parametrize("name", _PROFILE_NAMES)
+def test_pickled_modules_print_identical_ir(name):
+    """Every module of every corpus profile survives the cache's pickle
+    round trip: identical printed IR, uids, locations and function
+    fingerprints, with the interned and per-unit types shared as they
+    were when compiled."""
+    from repro.incremental.fingerprint import module_fingerprints
+    from repro.incremental.store import dumps
+
+    for path, module in _profile_modules(name):
+        _assert_lean(module)
+        loaded = pickle.loads(dumps(module))
+        assert ir.format_module(loaded) == ir.format_module(module), path
+        assert ir.canonical_module_environment(loaded) == ir.canonical_module_environment(module)
+        assert _located(loaded) == _located(module)
+        assert module_fingerprints(loaded) == module_fingerprints(module)
+        _assert_lean(loaded)
+
+
+def test_interned_types_survive_copy_and_pickle():
+    import copy
+
+    for ty in (ir.VOID, ir.INT, ir.I8, ir.I64):
+        assert _round_trip(ty) is ty
+        assert copy.copy(ty) is ty and copy.deepcopy(ty) is ty
+    assert ir.IntType(32) is ir.INT and ir.IntType() is ir.INT and ir.VoidType() is ir.VOID
+    assert ir.Var("v").type is ir.INT and ir.Const(1).type is ir.INT
+
+
+def test_derived_types_are_immutable_and_structural():
+    struct = ir.StructType("s")
+    pointer = ir.PointerType(struct)
+    for ty, field in ((pointer, "pointee"), (ir.ArrayType(ir.INT, 4), "length"),
+                      (ir.FunctionType(ir.INT, (pointer,)), "variadic"), (ir.INT, "width")):
+        with pytest.raises(AttributeError):
+            setattr(ty, field, None)
+        assert not hasattr(ty, "__dict__")
+    assert pointer == ir.PointerType(ir.StructType("s"))
+    assert hash(pointer) == hash(ir.PointerType(ir.StructType("s")))
+    assert pointer != ir.PointerType(ir.StructType("t")) and pointer != (struct,)
+    assert repr(ir.ArrayType()) == "ArrayType(element=IntType(width=32), length=0)"
+    assert repr(ir.FunctionType()) == "FunctionType(return_type=VoidType(), param_types=(), variadic=False)"
+
+
+def test_type_table_builds_each_derived_type_once():
+    table = ir.TypeTable()
+    struct = ir.StructType("s")
+    assert table.pointer(struct) is table.pointer(struct)
+    assert table.pointer(None) is ir.VOID_PTR
+    assert table.array(ir.INT, 4) is table.array(ir.INT, 4)
+    assert table.function(ir.INT, (ir.INT,)) is table.function(ir.INT, (ir.INT,))
+    # Another unit's table builds its own: structs are nominal per module.
+    assert ir.TypeTable().pointer(struct) is not table.pointer(struct)
+
+
+_VALUES = [
+    (ir.Var, ("x",), ("x", ir.INT, None, False, False),
+     "Var(name='x', type=IntType(width=32), source_name=None, is_global=False, is_aggregate=False)"),
+    (ir.Var, ("@g", ir.VOID_PTR, "g", True, True), ("@g", ir.VOID_PTR, "g", True, True),
+     "Var(name='@g', type=PointerType(pointee=None), source_name='g', is_global=True, is_aggregate=True)"),
+    (ir.Const, (0, ir.VOID_PTR), (0, ir.VOID_PTR), "Const(value=0, type=PointerType(pointee=None))"),
+    (ir.Const, (7,), (7, ir.INT), "Const(value=7, type=IntType(width=32))"),
+    (ir.SourceLoc, ("a.c", 3), ("a.c", 3), "SourceLoc(filename='a.c', line=3)"),
+    (ir.SourceLoc, (), ("<ir>", 0), "SourceLoc(filename='<ir>', line=0)"),
+]
+
+
+@pytest.mark.parametrize("cls, args, fields, text", _VALUES, ids=lambda v: getattr(v, "__name__", None))
+def test_values_keep_dataclass_semantics(cls, args, fields, text):
+    """Equal only to the same class with equal fields (never to a
+    tuple of the fields or another value class), hashed as the frozen
+    dataclass hashed its field tuple, with the dataclass ``repr``; a
+    pickle round trip is equal, and nothing holds a ``__dict__``."""
+    value = cls(*args)
+    twin = cls(*fields)
+    assert value == twin and not value != twin and hash(value) == hash(twin) == hash(fields)
+    assert repr(value) == text
+    assert value != fields and fields != value
+    for other in (ir.Var("x"), ir.Const(0, ir.VOID_PTR), ir.Const(7), ir.SourceLoc("a.c", 3)):
+        if other.__class__ is not cls:
+            assert value != other and other != value
+    assert value != cls(*fields[:-1], "other")
+    assert _round_trip(value) == value and not hasattr(value, "__dict__")
+
+
+def test_nothing_reassigns_an_ir_value(monkeypatch):
+    """Values are immutable by contract: with assign-once slots, a
+    whole compile, cache round trip and analysis of a corpus profile
+    with every checker (taint, race and cross-module taint included)
+    runs through."""
+    from repro.core import PATA
+    from repro.incremental.store import dumps
+
+    def assign_once(obj, name, value):
+        if hasattr(obj, name):
+            raise AttributeError(f"{type(obj).__name__}.{name} reassigned")
+        object.__setattr__(obj, name, value)
+
+    for cls in (ir.Var, ir.Const, ir.SourceLoc):
+        monkeypatch.setattr(cls, "__setattr__", assign_once)
+    modules = [pickle.loads(dumps(module)) for _, module in _profile_modules("firmlab")]
+    program = ir.Program()
+    for module in modules:
+        program.add_module(module)
+    result = PATA(checker_spec="all,taint,race,xtaint").analyze(program)
+    assert result.reports

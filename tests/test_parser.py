@@ -288,3 +288,93 @@ def test_sources_at_the_nesting_bounds_compile_from_a_deep_stack():
     for name, source in past.items():
         with pytest.raises(ParseError, match="nesting too deep to parse"):
             compile_source(source, f"{name}.c")
+
+
+# -- address-taken names: the parser's record against the AST walk ---------------
+
+
+def _walked_address_taken(node, out):
+    """Lowering's former pre-pass, kept as the oracle: every ``&name``
+    found by walking the node's attributes."""
+    if node is None:
+        return out
+    if isinstance(node, ast.Unary) and node.op == "&" and isinstance(node.operand, ast.Name):
+        out.add(node.operand.ident)
+    for value in vars(node).values():
+        if isinstance(value, ast.Node):
+            _walked_address_taken(value, out)
+        elif isinstance(value, list):
+            for item in value:
+                if isinstance(item, ast.Node):
+                    _walked_address_taken(item, out)
+                elif isinstance(item, tuple):
+                    for sub in item:
+                        if isinstance(sub, ast.Node):
+                            _walked_address_taken(sub, out)
+                        elif isinstance(sub, list):
+                            for s2 in sub:
+                                if isinstance(s2, ast.Node):
+                                    _walked_address_taken(s2, out)
+    return out
+
+
+def _assert_recorded_matches_walk(sources):
+    checked = taken = 0
+    for filename, source in sources:
+        for decl in parse(source, filename).decls:
+            if isinstance(decl, ast.FunctionDef) and decl.body is not None:
+                walked = _walked_address_taken(decl.body, set())
+                assert decl.address_taken == walked, f"{filename}: {decl.name}"
+                checked += 1
+                taken += bool(walked)
+    return checked, taken
+
+
+def test_address_taken_is_recorded_per_function():
+    source = """
+int g;
+int *h = &g;
+void f(int a) { int b; int *p = &a; int **q = &p; int *r = &(b); }
+void k(int a) { int *p = 0; p = &g; }
+"""
+    f, k = (d for d in decls_of(source) if isinstance(d, ast.FunctionDef))
+    assert f.address_taken == {"a", "p", "b"}
+    assert k.address_taken == {"g"}
+
+
+def test_prototype_takes_no_address():
+    assert only_func("int f(int a);").address_taken == set()
+
+
+@pytest.mark.parametrize("name", ["linux", "zephyr", "riot", "tencentos",
+                                  "taintlab", "racelab", "firmlab"])
+def test_recorded_address_taken_equals_the_walk_on_profile(name):
+    """Every function of every corpus profile (config-excluded files
+    too): the parser's record is exactly what the walk finds."""
+    from repro.corpus import CORPUS_PROFILES_BY_NAME, generate
+
+    checked, taken = _assert_recorded_matches_walk(
+        generate(CORPUS_PROFILES_BY_NAME[name]).all_sources())
+    assert checked > 0
+
+
+def test_recorded_address_taken_equals_the_walk_on_test_fixtures():
+    """Every string literal in the tests and examples that parses as
+    mini-C: the parser's record is exactly what the walk finds."""
+    import ast as pyast
+    import pathlib
+
+    from repro.errors import ReproError
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    sources = []
+    for path in sorted([*root.glob("tests/*.py"), *root.glob("examples/*.py")]):
+        for node in pyast.walk(pyast.parse(path.read_text())):
+            if isinstance(node, pyast.Constant) and isinstance(node.value, str) and "{" in node.value:
+                try:
+                    parse(node.value, path.name)
+                except (ReproError, RecursionError):
+                    continue
+                sources.append((path.name, node.value))
+    checked, taken = _assert_recorded_matches_walk(sources)
+    assert checked > 100 and taken > 10

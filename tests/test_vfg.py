@@ -41,6 +41,15 @@ void f(void) {
     assert "f.out" in vfg.reachable_from(obj_site.dst.name)
 
 
+def test_memory_edge_through_one_pointer_name_without_objects():
+    """``may_alias(p, p)`` holds even when ``p`` points to nothing (an
+    interface parameter), so the store feeds the load through ``p``."""
+    program = program_of("void f(char **pp, char *x) { *pp = x; char *y = *pp; }")
+    vfg = ValueFlowGraph(program)
+    assert not vfg.points_to.points_to("f.pp")
+    assert "f.y" in vfg.reachable_from("f.x")
+
+
 def test_saber_detects_never_freed():
     program = program_of(
         "int f(int n) { int *p = malloc(n); if (!p) return -1; *p = n; return *p; }"
