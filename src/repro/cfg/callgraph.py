@@ -5,10 +5,10 @@ PATA starts path exploration at *functions without explicit callers*
 function-pointer fields (Fig. 1) and any function never called directly.
 :class:`CallGraph` computes those entry points, and it is the one answer
 to "which functions can an entry's exploration reach": the collector,
-the P1.5 event masks and sharpening closures, the P1.8 skip sets, the
-Steensgaard pass's indirect-call targets and the incremental cache's
-transitive keys all read the graph :meth:`repro.core.pata.PATA.analyze`
-builds once per run.
+the P1.5 event masks, the P1.8 skip sets, the Steensgaard pass's
+indirect-call targets and the incremental cache's transitive keys all
+read the graph :meth:`repro.core.pata.PATA.analyze` builds once per
+run.
 """
 
 from __future__ import annotations

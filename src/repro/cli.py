@@ -15,7 +15,9 @@ Also reachable as ``python -m repro ...``.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import pathlib
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -79,6 +81,24 @@ def _check_counts(workers: int, max_paths: Optional[int] = None) -> None:
         raise _UsageError(f"--max-paths must be at least 1, got {max_paths}")
 
 
+def _check_stats_json_target(name: Optional[str]) -> None:
+    """Before any work starts, reject a ``--stats-json`` FILE that cannot
+    be created: its directory must exist, and FILE must not be a
+    directory.  (The write at the end can still fail, and says so.)"""
+    if name is None or name == "-":
+        return
+    target = pathlib.Path(name)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.exists():
+        code = errno.ENOENT
+    elif not target.parent.is_dir():
+        code = errno.ENOTDIR
+    else:
+        return
+    raise _UsageError(f"cannot write --stats-json {name}: {os.strerror(code)}")
+
+
 def _check_seconds(option: str, value: Optional[float]) -> None:
     """Reject a time option that is not a positive, finite number of
     seconds (``None`` means the option is unset)."""
@@ -129,9 +149,10 @@ def _analysis_options() -> argparse.ArgumentParser:
                          default="flow",
                          help="alias precision tier: off (per-path graphs only), "
                               "steens (P1.7 whole-program Steensgaard pre-pass "
-                              "and its singleton fast paths), flow (additionally "
-                              "the P1.8 per-entry skip sets); reports are "
-                              "byte-identical across tiers (default: flow)")
+                              "and its singleton fast path), flow (additionally "
+                              "the P1.8 per-entry skip sets); reports, work "
+                              "counters and cache entries are the same at "
+                              "every tier (default: flow)")
     options.add_argument("--taint-borders", action="store_true",
                          help="xtaint border-source inference: treat interface "
                               "parameters of registered functions with no extern "
@@ -185,16 +206,18 @@ def build_parser() -> argparse.ArgumentParser:
                             "the cache cold, warm, or partially populated")
     check.add_argument("--cache", choices=["off", "ro", "rw"], default="off",
                        help="incremental cache mode: off (default), ro (reuse "
-                            "summaries, write nothing), rw (reuse and commit "
-                            "new summaries at exit)")
+                            "compiled modules and per-entry outcomes, write "
+                            "nothing), rw (reuse them and commit new ones at "
+                            "exit)")
     check.add_argument("--confirm", action="store_true",
                        help="re-run each report in the concrete interpreter "
                             "over adversarial inputs and tag confirmed bugs")
 
     serve = sub.add_parser(
         "serve", parents=[analysis],
-        help="resident analysis daemon: keep compiled modules + all cache "
-             "layers in RAM and answer check jobs over a local socket")
+        help="resident analysis daemon: keep live compiled modules and the "
+             "per-entry outcome store in RAM and answer check jobs over a "
+             "local socket")
     serve.add_argument("files", nargs="+", help="root mini-C source files to serve")
     serve.add_argument("--socket", metavar="PATH", default=None,
                        help="listen on a unix socket at PATH (default: TCP)")
@@ -318,6 +341,7 @@ def cmd_check(args) -> int:
         print("error: --json and --stats-json - would both write to stdout; "
               "give --stats-json a FILE", file=sys.stderr)
         return 2
+    _check_stats_json_target(args.stats_json)
     sources = _read_sources(args.files)
     if args.cache != "off" and not args.cache_dir:
         print("error: --cache ro/rw requires --cache-dir PATH", file=sys.stderr)
@@ -348,8 +372,8 @@ def cmd_check(args) -> int:
                 # Layer-0 frontend cache: unchanged files skip the parser
                 # and lowering entirely.  The modules are committed here
                 # (parent process, before analysis), and PATA reads the
-                # summary layers through the same handle and performs the
-                # second, analysis-side commit.
+                # per-entry outcomes through the same handle and performs
+                # the second, analysis-side commit.
                 program = compile_with_cache(sources, store)
                 store.commit()
                 pata = PATA(config=config, checker_spec=spec, store=store)

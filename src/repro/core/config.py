@@ -64,13 +64,13 @@ class AnalysisConfig:
     #: candidate targets explored per indirect call site when resolving
     max_indirect_targets: int = 4
     #: alias precision-tier ladder: ``"off"`` (per-path graphs only),
-    #: ``"steens"`` (the P1.7 Steensgaard pre-pass and its two sound
-    #: consumers: the per-path singleton fast path, and shared-access
-    #: sharpening of the relevance masks), or ``"flow"`` (additionally
+    #: ``"steens"`` (the P1.7 Steensgaard pre-pass and its one consumer,
+    #: the per-path singleton fast path), or ``"flow"`` (additionally
     #: the P1.8 occurrence walk: per-entry-closure skip sets for P2's
-    #: per-path graphs, each a superset of the P1.7 singletons).  P3
-    #: replays every trace on an unskipped graph at every tier.  Reports
-    #: are byte-identical across all tiers; only speed changes.
+    #: per-path graphs, each a superset of the P1.7 singletons).  P1.5
+    #: and P3 read no rung's product.  Reports, work counters and cached
+    #: outcomes are the same at every tier (the tier is not in the cache
+    #: key); only speed and the P1.7 stats change.
     alias_tier: str = "flow"
     #: run the checker-relevance pre-analysis (P1.5) and its two sound
     #: pruning layers: skip entry functions whose transitive region holds
@@ -96,8 +96,8 @@ class AnalysisConfig:
     #: cache on, off, or partially populated.
     cache_dir: Optional[str] = None
     #: "off" (ignore cache_dir), "ro" (read, never write), or "rw"
-    #: (read, and commit new summaries at the end of the run; the parent
-    #: process is the single writer)
+    #: (read, and commit new modules and outcomes at the end of the run;
+    #: the parent process is the single writer)
     cache_mode: str = "off"
 
     def __post_init__(self) -> None:

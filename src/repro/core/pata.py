@@ -166,7 +166,6 @@ class PATA:
                     may_return_zero=collector.may_return_zero,
                 ),
                 callgraph=callgraph,
-                sharpen_shared=self.config.alias_tier_level() >= 1,
             )
             analyzed_list, live_skipped = relevance.partition_entries(analyzed_list)
             skipped_names.extend(live_skipped)
@@ -175,10 +174,10 @@ class PATA:
 
         # P1.7: tiered may-alias pre-pass.  One whole-program Steensgaard
         # unification proves the singletons the explorer's per-path
-        # graphs keep node-free (shared-access sharpening, above, solves
-        # each entry closure on its own).  Report-preserving: `--alias-tier
-        # off` gives the same reports.  Every run builds it: it depends
-        # on every function, so no cache key could survive an edit.
+        # graphs keep node-free.  Report- and work-preserving:
+        # `--alias-tier off` gives the same reports and counters.  Every
+        # run builds it: it depends on every function, so no cache key
+        # could survive an edit.
         partition = None
         if self.config.alias_tier_level() >= 1 and self.config.alias_aware:
             phase_started = time.monotonic()

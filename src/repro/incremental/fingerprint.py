@@ -145,10 +145,12 @@ def engine_config_fingerprint(config) -> str:
     Budgets and exploration parameters change which paths (and so which
     possible bugs) exist; worker and cache knobs do not.  The knobs P1.5
     reads (``prune`` itself, ``resolve_function_pointers``,
-    ``optimize_ir``, ``alias_tier``, ``taint_borders``) are among them,
-    so an outcome can carry its entry's skip verdict, and so are the P3
-    knobs (``validate_paths``, ``solver_max_search_nodes``), so it can
-    carry its bugs' verdicts."""
+    ``optimize_ir``, ``taint_borders``) are among them, so an outcome can
+    carry its entry's skip verdict, and so are the P3 knobs
+    (``validate_paths``, ``solver_max_search_nodes``), so it can carry
+    its bugs' verdicts.  ``alias_tier`` is not: no rung changes P1.5,
+    a path, a counter or a verdict, so one cache directory serves every
+    rung."""
     return _sha(
         "cfg",
         repr(
@@ -165,7 +167,6 @@ def engine_config_fingerprint(config) -> str:
                 config.resolve_function_pointers,
                 config.max_indirect_targets,
                 config.prune,
-                config.alias_tier,
                 config.taint_borders,
                 config.validate_paths,
                 config.solver_max_search_nodes,

@@ -10,11 +10,10 @@ from .steensgaard import (
     SteensgaardPointsTo,
     UnionFind,
     build_partition,
-    shared_reaching_names,
 )
 
 __all__ = [
     "AndersenPointsTo", "MemoryBudgetExceeded", "FlowSensitivePointsTo",
     "MayAliasPartition", "MustAliasFacts", "SteensgaardPointsTo", "UnionFind",
-    "build_partition", "compute_flow_facts", "shared_reaching_names",
+    "build_partition", "compute_flow_facts",
 ]

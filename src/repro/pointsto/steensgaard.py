@@ -4,19 +4,15 @@ This is the *cheap tier* of the tiered alias analysis.  One near-linear
 union-find pass over the whole IR computes a :class:`MayAliasPartition`
 before any path is explored (phase P1.7).  The per-path alias graphs of
 §3.1 remain the precision tier; the pass only licenses *skipping* work
-whose outcome it can predict.  It has two consumers:
+whose outcome it can predict.  It has one consumer: a variable whose
+cell provably contains no other variable, carries no edges, and is never
+pointed to can never share a per-path alias node with anything — P2's
+per-path graphs skip node creation/updates for it entirely (the
+singleton fast path, ``AliasGraph.skip_names``; P1.8 widens the set per
+entry).  The skip changes no work counter, so no entry outcome depends
+on the tier.
 
-* a variable whose cell provably contains no other variable, carries no
-  edges, and is never pointed to can never share a per-path alias node
-  with anything — P2's per-path graphs skip node creation/updates for it
-  entirely (the singleton fast path, ``AliasGraph.skip_names``; P1.8
-  widens the set per entry);
-* the P1.5 relevance pre-analysis drops shared-access relevance for
-  loads/stores whose pointer cell cannot reach any shared root (global /
-  heap allocation), solved *closure-locally* (:func:`shared_reaching_names`)
-  so cached masks stay keyed by the entry's transitive closure alone.
-
-P3 reads neither: it replays every trace on a fresh, unskipped alias
+P3 does not read it: it replays every trace on a fresh, unskipped alias
 graph (:mod:`repro.smt.translate`).
 
 Soundness is by construction: every per-path operation that can ever put
@@ -31,7 +27,7 @@ singleton, behavior is exactly the untiered engine's.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..cfg import CallGraph
 from ..ir import (
@@ -65,7 +61,6 @@ POINTED_TO = 2   # some edge targets this cell (loads can join vars into it)
 HEAP_DST = 4     # malloc/alloca destination (race heap registration keys
                  # the pointer's node; the node must exist)
 LOCK_ID = 8      # used as a lock operand (lock identity resolves the node)
-SHARED_ROOT = 16  # roots shared-state reachability (global or heap site)
 
 
 class UnionFind:
@@ -128,12 +123,7 @@ class MayAliasPartition:
 
 
 class SteensgaardPointsTo:
-    """Unification-based points-to solver over (a subset of) a program.
-
-    Pass ``functions`` to restrict the constraint walk to a closure (the
-    P1.5 sharpening solves per entry closure so the result is a pure
-    function of the closure's contents — exactly what a cached skip
-    verdict relies on); the default is the whole program (the P1.7 global
+    """Unification-based points-to solver over a whole program (the P1.7
     partition).  ``callgraph`` is the run's call graph (the program's own
     when omitted).  Calls bind the definition :meth:`Program.lookup`
     resolves, as the explorer does.
@@ -142,7 +132,6 @@ class SteensgaardPointsTo:
     def __init__(
         self,
         program: Program,
-        functions: Optional[Iterable[Function]] = None,
         callgraph: Optional[CallGraph] = None,
     ):
         self.program = program
@@ -151,9 +140,6 @@ class SteensgaardPointsTo:
         #: field); over-unifying is the safe direction), whether or not
         #: the run resolves function pointers
         self.callgraph = callgraph if callgraph is not None else CallGraph(program)
-        self._functions: List[Function] = (
-            list(functions) if functions is not None else list(program.functions())
-        )
         self._uf = UnionFind()
         self._ids: Dict[str, int] = {}               # var name -> uf element
         self._out: Dict[int, Dict[str, int]] = {}    # root -> label -> element
@@ -177,7 +163,7 @@ class SteensgaardPointsTo:
             self._ids[name] = elem
             self._name_order.append(name)
             if name.startswith("@"):
-                self._flags[elem] = GLOBAL | SHARED_ROOT
+                self._flags[elem] = GLOBAL
         return elem
 
     def _var(self, value) -> Optional[int]:
@@ -354,9 +340,7 @@ class SteensgaardPointsTo:
         self._unify(self._id_of(inst.var.name), pointee)
 
     def _gen_malloc(self, inst) -> None:
-        # All heap sites count as shared roots (superset of the race
-        # checker's escaping-site registration set).
-        self._flag(self._id_of(inst.dst.name), HEAP_DST | SHARED_ROOT)
+        self._flag(self._id_of(inst.dst.name), HEAP_DST)
 
     def _gen_alloc(self, inst) -> None:
         # Stack objects never register as cross-entry shared state, but
@@ -424,7 +408,7 @@ class SteensgaardPointsTo:
     # -- solving -----------------------------------------------------------------
 
     def solve(self) -> "SteensgaardPointsTo":
-        for func in self._functions:
+        for func in self.program.functions():
             self._gen_function(func)
         self.solved = True
         return self
@@ -439,59 +423,6 @@ class SteensgaardPointsTo:
         if ea is None or eb is None:
             return False
         return self._uf.same(ea, eb)
-
-    def _component_marks(self) -> Set[int]:
-        """Roots whose edge-connected component (edges taken undirected)
-        contains a shared root.  Mirrors ``races.shared.object_root``: it
-        resolves along deref/field edges in both directions, so component
-        membership over-approximates every resolution it can make."""
-        # Hot on large programs (every out-edge is visited): finds are
-        # inlined, adjacency lists may hold duplicates (the BFS dedups
-        # through ``marked`` anyway).
-        parent = self._uf._parent
-        adjacency: Dict[int, List[int]] = {}
-        adj_get = adjacency.get
-        for src, out in self._out.items():
-            x = src
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            rs = x
-            for target in out.values():
-                x = target
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                if rs == x:
-                    continue
-                lst = adj_get(rs)
-                if lst is None:
-                    adjacency[rs] = [x]
-                else:
-                    lst.append(x)
-                lst = adj_get(x)
-                if lst is None:
-                    adjacency[x] = [rs]
-                else:
-                    lst.append(rs)
-        marked: Set[int] = set()
-        stack: List[int] = []
-        for elem, bits in self._flags.items():
-            if bits & SHARED_ROOT:
-                x = elem
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                if x not in marked:
-                    marked.add(x)
-                    stack.append(x)
-        while stack:
-            current = stack.pop()
-            for neighbor in adjacency.get(current, ()):
-                if neighbor not in marked:
-                    marked.add(neighbor)
-                    stack.append(neighbor)
-        return marked
 
     def partition(self) -> MayAliasPartition:
         """Finalize into a :class:`MayAliasPartition`."""
@@ -556,24 +487,3 @@ def build_partition(program: Program, callgraph: Optional[CallGraph] = None) -> 
     """The P1.7 entry point: solve the whole program and finalize."""
     return SteensgaardPointsTo(program, callgraph=callgraph).solve().partition()
 
-
-def shared_reaching_names(
-    program: Program,
-    functions: Iterable[Function],
-    callgraph: CallGraph,
-) -> FrozenSet[str]:
-    """Closure-local shared-state reachability for the P1.5 sharpening:
-    the names whose cell can reach (through any chain of field/deref
-    edges, in either direction) a shared root — a global or a heap
-    allocation site.  An access through a pointer outside this set can
-    never resolve to a shared key in the race detector.
-
-    Solved over exactly ``functions`` so the answer is a deterministic
-    function of the closure contents — cached skip verdicts keyed by
-    the entry's transitive closure stay sound."""
-    solver = SteensgaardPointsTo(program, functions=functions, callgraph=callgraph).solve()
-    marked = solver._component_marks()
-    return frozenset(
-        name for name in solver._name_order
-        if solver._uf.find(solver._ids[name]) in marked
-    )

@@ -26,11 +26,8 @@ A checker that does not declare its event kinds (``trigger_events`` or
 both layers shut off: the pre-analysis cannot reason about what such a
 checker reacts to, so it conservatively deems everything relevant.
 
-**Sharpening.**  At alias tier ``steens`` and above, one mask bit is
-sharpened before the arming test: SHARED_ACCESS counts only for
-accesses whose pointer can reach a shared root in the entry closure's
-own Steensgaard solve (``sharpen_shared``).  On the taint lab it skips
-more entries and explores fewer paths than the unsharpened masks.
+The masks are a pure function of the program, the checkers and the
+call graph: no alias tier changes them.
 """
 
 from __future__ import annotations
@@ -38,13 +35,12 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..cfg import CallGraph
-from ..ir import Function, Program, Ret
+from ..ir import Function, Program
 from .events import EventKind
 from .scan import ScanContext
 from .summary import EventSummaryIndex
 
 _EMPTY: FrozenSet[int] = frozenset()
-_SHARED = EventKind.SHARED_ACCESS.value
 
 
 class RelevancePreAnalysis:
@@ -64,20 +60,9 @@ class RelevancePreAnalysis:
         checkers: Sequence,
         scan_ctx: Optional[ScanContext] = None,
         callgraph: Optional[CallGraph] = None,
-        sharpen_shared: bool = False,
     ):
-        self.program = program
         self.checkers = list(checkers)
-        self.scan_ctx = scan_ctx or ScanContext()
-        self.index = EventSummaryIndex(program, scan_ctx=self.scan_ctx, callgraph=callgraph)
-        self.callgraph = self.index.callgraph
-        #: P1.7 sharpening: intersect pointer-access relevance with the
-        #: entry closure's shared-reaching cells (see module docstring of
-        #: :mod:`repro.pointsto.steensgaard`).  Computed *per entry
-        #: closure* — never from the whole-program partition — so every
-        #: mask stays a pure function of the entry's transitive closure,
-        #: which is exactly what a cached skip verdict relies on.
-        self.sharpen_shared = sharpen_shared
+        self.index = EventSummaryIndex(program, scan_ctx=scan_ctx, callgraph=callgraph)
         #: pruning is sound only when every enabled checker declares its
         #: trigger and sink kinds; one undeclared checker disables both layers
         self.supported = bool(self.checkers) and all(
@@ -96,76 +81,20 @@ class RelevancePreAnalysis:
             )
             for c in self.checkers
         ]
-        #: (trigger, sink) int masks of checkers whose arming can hinge
-        #: on the SHARED_ACCESS bit at all — only their (trigger | sink)
-        #: masks contain it.  For any other checker the sharpened and
-        #: unconditional arming answers are equal by construction, so
-        #: with this list empty (no race-style checker enabled) the
-        #: per-entry ``depends`` test in :meth:`armed_checkers`
-        #: short-circuits without any mask work.
-        self._shared_sensitive = [
-            (trigger, sink)
-            for _, trigger, sink in self._checker_masks
-            if (trigger | sink) & _SHARED
-        ]
         self._dead_blocks: Dict[str, FrozenSet[int]] = {}
-        self._shared_by_closure: Dict[FrozenSet[str], FrozenSet[str]] = {}
-        self._shared_by_entry: Dict[str, FrozenSet[str]] = {}
         self._armed: Dict[str, List] = {}
         self._armed_names: Dict[str, FrozenSet[str]] = {}
-
-    # -- P1.7 sharpening -----------------------------------------------------
-
-    def _reaches_shared(self, entry: Function):
-        """The per-entry shared-reaching predicate for mask queries, or
-        None when sharpening is off (= every pointer counts).  Memoized
-        twice: per entry name (the hot path — every mask query re-asks)
-        and per closure set (entries sharing a helper subtree share one
-        unification solve)."""
-        if not self.sharpen_shared:
-            return None
-        shared = self._shared_by_entry.get(entry.name)
-        if shared is None:
-            closure = self.callgraph.closure(entry.name)
-            shared = self._shared_by_closure.get(closure)
-            if shared is None:
-                from ..pointsto.steensgaard import shared_reaching_names
-
-                shared = shared_reaching_names(
-                    self.program, map(self.program.lookup, closure), self.callgraph
-                )
-                self._shared_by_closure[closure] = shared
-            self._shared_by_entry[entry.name] = shared
-        return shared.__contains__
 
     # -- entry pruning -------------------------------------------------------
 
     def armed_checkers(self, entry: Function) -> List:
         """Enabled checkers whose trigger *and* sink kinds both occur in
         ``entry``'s transitive region.  Memoized per entry — the explorer
-        asks once per entry, the block walk once per block batch.
-
-        The P1.7 closure solve is lazy: sharpening can only *remove* the
-        SHARED_ACCESS bit, so it runs only when some checker's arming
-        actually hinges on that bit — with no race-style checker enabled
-        the sharpened answer is the unconditional one and no unification
-        happens at all."""
+        asks once per entry, the block walk once per block batch."""
         cached = self._armed.get(entry.name)
         if cached is not None:
             return cached
         region = self.index.region_events_mask(entry.name)
-        if self.sharpen_shared and self._shared_sensitive and (region & _SHARED):
-            without = region & ~_SHARED
-            depends = any(
-                (region & trigger)
-                and (region & sink)
-                and not ((without & trigger) and (without & sink))
-                for trigger, sink in self._shared_sensitive
-            )
-            if depends:
-                region = self.index.region_events_mask(
-                    entry.name, self._reaches_shared(entry)
-                )
         armed = [
             c
             for c, trigger, sink in self._checker_masks
@@ -234,32 +163,16 @@ class RelevancePreAnalysis:
             # (escape hatch, direct calls), every block is prunable —
             # but keep the walk intact rather than contradict the caller.
             return _EMPTY
-        # Per-block SHARED_ACCESS restoration needs the closure predicate
-        # only when an armed sink actually includes that bit (only
-        # race-style checkers sink there); everything else is decided by
-        # the other bits, identically with or without the solve.
-        reaches = self._reaches_shared(entry) if sinks & _SHARED else None
         blocks = entry.blocks
         generates: Dict[int, int] = {}
         index = self.index
-        callee_memo: Dict[str, int] = {}
         for block in blocks:
             result = index.block_result(block)
             mask = result.events_mask
-            # _restore_shared, open-coded on the raw pointer list — the
-            # per-block frozenset it would build is pure overhead here
-            if result.shared_ptrs and (
-                reaches is None or any(reaches(p) for p in result.shared_ptrs)
-            ):
-                mask |= _SHARED
             for callee in result.callees:
-                callee_mask = callee_memo.get(callee)
-                if callee_mask is None:
-                    callee_mask = index.region_events_mask(callee, reaches)
-                    callee_memo[callee] = callee_mask
-                mask |= callee_mask
+                mask |= index.region_events_mask(callee)
             if result.has_indirect_call:
-                mask |= index.pool_events_mask(reaches)
+                mask |= index.indirect_pool
             generates[block.uid] = mask
 
         # Backward reachability of sink-generating blocks: iterate to a

@@ -74,29 +74,20 @@ class ScanContext:
 class ScanResult:
     """Kinds one block generates directly, plus its outgoing call edges."""
 
-    events: EventKind = EventKind.NONE
-    #: the same kinds as a plain-int bit mask — the form the summary
-    #: fold and the prune walks compute with (enum bit-ops route
-    #: through ``Flag.__or__`` and are far slower than int ops)
+    #: the kinds as a plain-int bit mask — the form the summary fold
+    #: and the prune walks compute with (enum bit-ops route through
+    #: ``Flag.__or__`` and are far slower than int ops)
     events_mask: int = 0
     #: names of directly called functions
     callees: List[str] = field(default_factory=list)
     #: True when the block contains an indirect call (resolved separately)
     has_indirect_call: bool = False
-    #: pointer names of Load/Store/MemSet instructions — the accesses
-    #: whose SHARED_ACCESS kind is *conditional*: it applies only when
-    #: the pointer may reach shared state.  Kept separate from ``events``
-    #: so the P1.7 tier can sharpen it per entry closure; without a
-    #: points-to answer every name here counts as shared-reaching
-    #: (exactly the old unconditional bit).
-    shared_ptrs: List[str] = field(default_factory=list)
 
 
 # Plain-int mirrors of the EventKind bits.  ``enum.Flag`` bit-ops are
 # slow in CPython (every ``|`` routes through ``Flag.__or__`` plus a
 # ``__call__`` interning the result); the scan visits every instruction
-# of the corpus, so the handlers below accumulate plain ints and convert
-# to EventKind once per block through the small ``_as_kinds`` memo.
+# of the corpus, so the handlers below accumulate plain ints.
 _USE = EventKind.USE.value
 _ESCAPE = EventKind.ESCAPE.value
 _ASSIGN_NULL = EventKind.ASSIGN_NULL.value
@@ -121,16 +112,6 @@ _BRANCH_NULL = EventKind.BRANCH_NULL.value
 _CMP_ZERO = EventKind.CMP_ZERO.value
 _CMP_CONST = EventKind.CMP_CONST.value
 _DIV = EventKind.DIV.value
-
-_KIND_MEMO = {0: EventKind.NONE}
-
-
-def _as_kinds(mask: int) -> EventKind:
-    kinds = _KIND_MEMO.get(mask)
-    if kinds is None:
-        kinds = EventKind(mask)
-        _KIND_MEMO[mask] = kinds
-    return kinds
 
 
 def _const_value_mask(value: int) -> int:
@@ -211,13 +192,11 @@ def _scan_move(inst, ctx, result) -> int:
 def _scan_load(inst, ctx, result) -> int:
     # DerefEvent + LoadEvent; a Load is also the UVA region sink.
     # Loads read through a pointer, which may reach shared state.
-    result.shared_ptrs.append(inst.ptr.name)
-    return _DEREF | _USE
+    return _DEREF | _USE | _SHARED_ACCESS
 
 
 def _scan_store(inst, ctx, result) -> int:
-    kinds = _DEREF | _STORE
-    result.shared_ptrs.append(inst.ptr.name)
+    kinds = _DEREF | _STORE | _SHARED_ACCESS
     src = inst.src
     if isinstance(src, Var):
         kinds |= _USE
@@ -305,8 +284,7 @@ def _scan_decl_local(inst, ctx, result) -> int:
 
 
 def _scan_memset(inst, ctx, result) -> int:
-    result.shared_ptrs.append(inst.ptr.name)
-    return _DEREF | _MEM_INIT
+    return _DEREF | _MEM_INIT | _SHARED_ACCESS
 
 
 def _scan_free(inst, ctx, result) -> int:
@@ -390,13 +368,7 @@ def _terminator_mask(term) -> int:
 
 
 def block_events(block: BasicBlock, ctx: ScanContext) -> ScanResult:
-    """Kinds (and call edges) one basic block can generate directly.
-
-    ``result.events`` excludes the pointer-conditional SHARED_ACCESS bit;
-    consumers fold it back via ``result.shared_ptrs`` (unconditionally,
-    or filtered by a shared-reaching predicate — see
-    :meth:`~repro.presolve.summary.EventSummaryIndex.region_events`).
-    """
+    """Kinds (and call edges) one basic block can generate directly."""
     result = ScanResult()
     dispatch = _SCAN_DISPATCH
     mask = 0
@@ -405,5 +377,4 @@ def block_events(block: BasicBlock, ctx: ScanContext) -> ScanResult:
     if block.terminator is not None:
         mask |= _terminator_mask(block.terminator)
     result.events_mask = mask
-    result.events = _as_kinds(mask)
     return result

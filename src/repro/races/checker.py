@@ -29,8 +29,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, Optional
 
-from ..alias.graph import DEREF
-from ..ir import Move, Var
+from ..ir import Move
 from ..presolve.events import EventKind
 from ..typestate.events import (
     AllocEvent,
@@ -53,11 +52,11 @@ from .shared import (
     LOCKSET_NAMESPACE,
     OBJ_NAMESPACE,
     AccessKey,
-    object_root,
+    SharedKeyResolver,
 )
 
 
-class RaceChecker(Checker):
+class RaceChecker(SharedKeyResolver, Checker):
     """Lockset recorder; see the module docstring."""
 
     name = "race"
@@ -122,13 +121,6 @@ class RaceChecker(Checker):
             if self._is_global_scalar(event.dst):
                 self._record(ctx, (event.dst.name, DIRECT), True, event.inst)
 
-    @staticmethod
-    def _is_global_scalar(var: Var) -> bool:
-        # Aggregate globals are *addresses*; reading one is not an
-        # access to the struct's storage (field accesses go through
-        # Load/Store and key on the aggregate's object root).
-        return var.is_global and not var.is_aggregate
-
     # -- lockset -----------------------------------------------------------------
 
     def _lockset(self, ctx: TrackerContext) -> FrozenSet[AccessKey]:
@@ -147,44 +139,6 @@ class RaceChecker(Checker):
         if updated != held:
             # Trailed store: backtracking restores the branch-point lockset.
             ctx.set_key(LOCKSET_NAMESPACE, LOCKSET_KEY, updated)
-
-    # -- shared-key resolution ---------------------------------------------------
-
-    def _register_heap(self, event: AllocEvent, ctx: TrackerContext) -> None:
-        if not event.heap or event.inst.uid not in self.shared_sites:
-            return
-        if ctx.alias_aware and ctx.graph is not None:
-            node = ctx.graph.node_of(event.ptr)
-            ctx.set_key(OBJ_NAMESPACE, node.uid, f"heap#{event.inst.uid}")
-
-    def _location(self, ctx: TrackerContext, addr: Var) -> Optional[AccessKey]:
-        """Canonical (root, field) for an access through ``addr``."""
-        base = ctx.base_of(addr)
-        if base is not None:
-            base_var, fieldname = base
-            root = self._root_of(ctx, base_var)
-            if root is None:
-                return None
-            return (root, fieldname)
-        root = self._root_of(ctx, addr)
-        if root is None:
-            return None
-        if root.startswith("@"):
-            # ``*(&g)`` *is* the scalar global — match direct accesses.
-            return (root, DIRECT)
-        return (root, DEREF)
-
-    def _root_of(self, ctx: TrackerContext, ptr: Var) -> Optional[str]:
-        if ctx.alias_aware and ctx.graph is not None:
-            return object_root(
-                ctx.graph.node_of(ptr),
-                lambda uid: ctx.get_key(OBJ_NAMESPACE, uid),
-            )
-        # NA ablation: no pointee identity — only syntactically global
-        # pointers/aggregates resolve (Table 6's regression, on purpose).
-        if ptr.name.startswith("@"):
-            return "*" + ptr.name
-        return None
 
     # -- recording ---------------------------------------------------------------
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, FrozenSet, Optional, Tuple
 
 from ..alias.graph import DEREF, AliasNode
-from ..ir import Instruction
+from ..ir import Instruction, Var
 
 #: state namespace for heap-object registrations (node uid -> "heap#N")
 OBJ_NAMESPACE = "race.obj"
@@ -135,6 +135,63 @@ def object_root(
     if candidates:
         return min(candidates)
     return None
+
+
+class SharedKeyResolver:
+    """Shared-key resolution for a checker that names shared state: the
+    race checker and the cross-module taint checker.  Each registers the
+    escaping heap objects its paths allocate under its own state
+    namespace (``obj_namespace``), so ``race,xtaint`` runs never
+    cross-talk through the shared store; ``shared_sites`` holds the uids
+    of the malloc instructions whose objects escape (the heap half of
+    the shared universe; globals are the other half)."""
+
+    obj_namespace = OBJ_NAMESPACE
+    shared_sites: FrozenSet[int]
+
+    def _register_heap(self, event, ctx) -> None:
+        if not event.heap or event.inst.uid not in self.shared_sites:
+            return
+        if ctx.alias_aware and ctx.graph is not None:
+            node = ctx.graph.node_of(event.ptr)
+            ctx.set_key(self.obj_namespace, node.uid, f"heap#{event.inst.uid}")
+
+    @staticmethod
+    def _is_global_scalar(var: Var) -> bool:
+        # Aggregate globals are *addresses*; reading one is not an
+        # access to the struct's storage (field accesses go through
+        # Load/Store and key on the aggregate's object root).
+        return var.is_global and not var.is_aggregate
+
+    def _location(self, ctx, addr: Var) -> Optional[AccessKey]:
+        """Canonical (root, field) for an access through ``addr``."""
+        base = ctx.base_of(addr)
+        if base is not None:
+            base_var, fieldname = base
+            root = self._root_of(ctx, base_var)
+            if root is None:
+                return None
+            return (root, fieldname)
+        root = self._root_of(ctx, addr)
+        if root is None:
+            return None
+        if root.startswith("@"):
+            # ``*(&g)`` *is* the scalar global — match direct accesses.
+            return (root, DIRECT)
+        return (root, DEREF)
+
+    def _root_of(self, ctx, ptr: Var) -> Optional[str]:
+        if ctx.alias_aware and ctx.graph is not None:
+            namespace = self.obj_namespace
+            return object_root(
+                ctx.graph.node_of(ptr),
+                lambda uid: ctx.get_key(namespace, uid),
+            )
+        # NA ablation: no pointee identity — only syntactically global
+        # pointers/aggregates resolve (Table 6's regression, on purpose).
+        if ptr.name.startswith("@"):
+            return "*" + ptr.name
+        return None
 
 
 def render_key(key: AccessKey) -> str:

@@ -285,7 +285,7 @@ class TypestateManager:
     def set_active(self, names=None) -> None:
         """Restrict dispatch to the named checkers, or restore every
         checker with ``None``.  Used by the explorer's per-entry arming
-        (P1.5 masks + P1.7 sharpening): a checker whose trigger or sink
+        (the P1.5 masks): a checker whose trigger or sink
         kinds don't occur in the entry's transitive region cannot report
         there, so skipping its ``handle`` calls preserves the report set
         exactly — it only skips typestate updates no report could read."""

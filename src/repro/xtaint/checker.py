@@ -37,7 +37,7 @@ from typing import Dict, Optional, Tuple
 
 from ..ir import Function, Move, PointerType, Var
 from ..presolve.events import EventKind
-from ..races.shared import DIRECT, AccessKey, object_root
+from ..races.shared import DIRECT, AccessKey, SharedKeyResolver
 from ..taint.checker import TaintChecker
 from ..taint.spec import DEFAULT_TAINT_SPEC, TaintSpec
 from ..typestate.events import (
@@ -60,10 +60,11 @@ XOBJ_NAMESPACE = "xtaint.obj"
 _TAINT_TAGS = ("ST", "SB", "XT")
 
 
-class CrossModuleTaintChecker(TaintChecker):
+class CrossModuleTaintChecker(SharedKeyResolver, TaintChecker):
     """Cross-module taint recorder; see the module docstring."""
 
     name = "xtaint"
+    obj_namespace = XOBJ_NAMESPACE
     relevant_events = (
         TaintChecker.relevant_events
         | EventKind.STORE | EventKind.SHARED_ACCESS | EventKind.CALL_RETURN
@@ -259,45 +260,6 @@ class CrossModuleTaintChecker(TaintChecker):
             return
         # tag == "ST": a purely local flow — the plain taint checker's
         # report; staying silent keeps "taint,xtaint" duplicate-free.
-
-    # -- shared-key resolution (race canonicalization, own namespace) ------------
-
-    def _register_heap(self, event: AllocEvent, ctx: TrackerContext) -> None:
-        if not event.heap or event.inst.uid not in self.shared_sites:
-            return
-        if ctx.alias_aware and ctx.graph is not None:
-            node = ctx.graph.node_of(event.ptr)
-            ctx.set_key(XOBJ_NAMESPACE, node.uid, f"heap#{event.inst.uid}")
-
-    @staticmethod
-    def _is_global_scalar(var: Var) -> bool:
-        return var.is_global and not var.is_aggregate
-
-    def _location(self, ctx: TrackerContext, addr: Var) -> Optional[AccessKey]:
-        base = ctx.base_of(addr)
-        if base is not None:
-            base_var, fieldname = base
-            root = self._root_of(ctx, base_var)
-            if root is None:
-                return None
-            return (root, fieldname)
-        root = self._root_of(ctx, addr)
-        if root is None:
-            return None
-        if root.startswith("@"):
-            return (root, DIRECT)
-        from ..alias.graph import DEREF
-        return (root, DEREF)
-
-    def _root_of(self, ctx: TrackerContext, ptr: Var) -> Optional[str]:
-        if ctx.alias_aware and ctx.graph is not None:
-            return object_root(
-                ctx.graph.node_of(ptr),
-                lambda uid: ctx.get_key(XOBJ_NAMESPACE, uid),
-            )
-        if ptr.name.startswith("@"):
-            return "*" + ptr.name
-        return None
 
 
 def border_entries_of(program, callgraph) -> Dict[str, Tuple[Tuple[Var, ...], object]]:

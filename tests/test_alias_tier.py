@@ -1,22 +1,21 @@
-"""Tier-ladder differential: no rung of ``--alias-tier`` changes a byte.
+"""Tier-ladder differential: no rung of ``--alias-tier`` changes a byte
+or a work counter.
 
-The P1.7 partition licenses two skip paths in P2: the per-path
-singleton fast path, and shared-access sharpening of the relevance
-masks; the P1.8 flow tier generalizes the first to per-entry closure
-skip sets.  P3 reads none of them: it replays every trace on an
-unskipped alias graph.  All of them claim soundness *by construction* —
-so the whole suite is one assertion repeated across every axis that
-could break it:
+The P1.7 partition licenses one skip path in P2, the per-path singleton
+fast path; the P1.8 flow tier generalizes it to per-entry closure skip
+sets.  P1.5 and P3 read neither: checker arming and pruning read the
+P1.5 scan alone, and P3 replays every trace on an unskipped alias
+graph.  Both claim soundness *by construction* — so the whole suite is
+one assertion repeated across every axis that could break it:
 
-* the full tier ladder ``off`` × ``steens`` × ``flow``;
+* the full tier ladder ``off`` × ``steens`` × ``flow``: the same
+  reports, and every counter and per-entry row equal apart from the
+  rung's own P1.7 products and the clocks;
 * every checker-spec string (each checker consumes different events);
 * workers 1 and 4 (forked workers inherit partition and flow facts);
-* cold and warm incremental cache (both are cached layers, and cached
-  entry results must not leak tier-dependent state);
+* cold and warm incremental cache: the tier is not in the outcome key,
+  so one directory serves every rung;
 * the linux corpus profile, the shape the benchmark workloads run.
-  Under spec ``all`` no checker's arming hinges on shared-access
-  sharpening, so there every rung also does the same work: checker
-  arming and pruning read P1.5 alone.
 """
 
 import pytest
@@ -76,28 +75,33 @@ def _assert_engagement(result, tier):
         assert result.stats.time_flow_seconds == 0
 
 
-def _assert_ladder_identical(program, spec):
-    results = {tier: _run(program, spec=spec, tier=tier) for tier in TIERS}
-    baseline = _render(results["off"])
-    for tier in TIERS:
-        assert _render(results[tier]) == baseline
-        _assert_engagement(results[tier], tier)
-    return results
-
-
 #: stats a rung may move: its own P1.7 products (and the clocks)
 _RUNG_PRODUCTS = {"singletons_proven", "alias_cells"}
 
 
-def _work(result):
-    """Every counter but the clocks and the rung's own products, and
-    the per-entry rows without their wall times."""
+def _work(result, keep=frozenset()):
+    """Every counter but the clocks and the rung's own products (unless
+    named in ``keep``), and the per-entry rows without their wall
+    times."""
     stats = result.stats.to_dict()
     rows = [{k: v for k, v in row.items() if k != "wall_seconds"}
             for row in stats.pop("per_entry")]
     counters = {k: v for k, v in stats.items()
-                if k not in _RUNG_PRODUCTS and not k.startswith("time_")}
+                if (k in keep or k not in _RUNG_PRODUCTS)
+                and not k.startswith("time_")}
     return counters, rows
+
+
+def _assert_ladder_identical(program, spec):
+    """Every rung prints the same reports and does the same work."""
+    results = {tier: _run(program, spec=spec, tier=tier) for tier in TIERS}
+    baseline = _render(results["off"])
+    work = _work(results["off"])
+    for tier in TIERS:
+        assert _render(results[tier]) == baseline
+        assert _work(results[tier]) == work, tier
+        _assert_engagement(results[tier], tier)
+    return results
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -110,10 +114,8 @@ def test_tier_ladder_byte_identical_on_linux():
     program = compile_program(linux.compiled_sources())
     results = _assert_ladder_identical(program, "all")
     assert _render(results["off"])  # vacuous otherwise
-    counters, rows = _work(results["off"])
+    counters, _ = _work(results["off"])
     assert counters["typestates_aware"] and counters["validated_paths"]
-    for tier in TIERS:
-        assert _work(results[tier]) == (counters, rows), tier
 
 
 @pytest.mark.parametrize("workers", [1, 4])
@@ -149,7 +151,7 @@ def test_tier_back_compat_spellings():
             AnalysisConfig(alias_tier=tier)
 
 
-def _cached_run(sources, cache_dir, tier):
+def _cached_run(sources, cache_dir, tier, spec="all"):
     config = AnalysisConfig(
         alias_tier=tier, cache_dir=cache_dir, cache_mode="rw"
     )
@@ -157,15 +159,13 @@ def _cached_run(sources, cache_dir, tier):
     program = compile_with_cache(sources, store)
     if store is not None:
         store.commit()
-    return PATA(config=config, checker_spec="all").analyze(program)
+    return PATA(config=config, checker_spec=spec).analyze(program)
 
 
 def test_tier_ladder_byte_identical_cold_and_warm(tmp_path):
-    """Six runs — three tiers × {cold, warm} — one report text.  Tier
-    state lives in the cache fingerprints, so a warm run at one tier
-    over another tier's cache must re-derive rather than replay;
-    separate cache dirs per tier keep this test about the byte-identity
-    contract, the fingerprint isolation is asserted below."""
+    """Six runs — three tiers × {cold, warm} — one report text, each
+    rung over its own cache directory; one directory shared by the
+    rungs is exercised below."""
     sources = _mixed_sources()
     cold = {}
     warm = {}
@@ -187,22 +187,30 @@ def test_tier_ladder_byte_identical_cold_and_warm(tmp_path):
 
 
 def test_tier_flip_on_shared_cache_is_safe(tmp_path):
-    """Walking the ladder over one cache directory must stay
-    byte-identical: entry fingerprints include ``alias_tier``, so a run
-    at one tier never replays another tier's entries — and report text
-    never changes either way."""
+    """Walking the ladder over one cache directory replays the first
+    rung's outcomes at every rung: no rung changes P1.5, a path or a
+    verdict, so ``alias_tier`` is not in the outcome key.  The ``steens``
+    and ``off`` runs over the ``flow``-populated directory miss nothing,
+    and each equals a warm run over a directory its own rung populated.
+    The spec includes the race checker, which arms on pointer
+    accesses."""
     sources = _mixed_sources()
+    spec = "all,taint,race"
     cache_dir = str(tmp_path / "shared")
 
-    first = _cached_run(sources, cache_dir, "flow")
-    down = _cached_run(sources, cache_dir, "steens")
-    bottom = _cached_run(sources, cache_dir, "off")
-    back = _cached_run(sources, cache_dir, "flow")
+    first = _cached_run(sources, cache_dir, "flow", spec)
+    down = _cached_run(sources, cache_dir, "steens", spec)
+    bottom = _cached_run(sources, cache_dir, "off", spec)
+    back = _cached_run(sources, cache_dir, "flow", spec)
 
     baseline = _render(first)
     assert baseline
-    assert _render(down) == baseline
-    assert _render(bottom) == baseline
-    assert _render(back) == baseline
-    # The return run replays the first run's entries (same fingerprints).
-    assert any(row.cached for row in back.stats.per_entry)
+    for run in (down, bottom, back):
+        assert _render(run) == baseline
+        assert run.stats.cache_misses == 0
+        assert run.stats.cache_hits > 0
+    for tier, run in (("steens", down), ("off", bottom)):
+        own_dir = str(tmp_path / tier)
+        _cached_run(sources, own_dir, tier, spec)
+        own_warm = _cached_run(sources, own_dir, tier, spec)
+        assert _work(run, _RUNG_PRODUCTS) == _work(own_warm, _RUNG_PRODUCTS), tier

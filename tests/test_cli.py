@@ -512,6 +512,18 @@ def test_check_unwritable_stats_json_is_one_error_line(tmp_path, buggy_file, cap
     _assert_one_error_line(capsys.readouterr(), str(target))
 
 
+@pytest.mark.parametrize("case", ["missing-directory", "directory"])
+def test_check_unusable_stats_json_fails_before_reading_sources(tmp_path, capsys, case):
+    """The --stats-json target is checked before any source is read, so
+    a source that does not parse cannot hide it: the one error line is
+    the --stats-json one."""
+    broken = tmp_path / "broken.c"
+    broken.write_text("int f(void) { return 0 }\n")
+    target = tmp_path / "missing" / "s.json" if case == "missing-directory" else tmp_path
+    assert main(["check", "--stats-json", str(target), str(broken)]) == 2
+    _assert_one_error_line(capsys.readouterr(), f"cannot write --stats-json {target}")
+
+
 _BAD_COUNTS = [
     (["check", "--max-paths", "0"], "--max-paths"),
     (["check", "--max-paths", "-5"], "--max-paths"),

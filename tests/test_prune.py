@@ -201,6 +201,23 @@ int reads_field(struct s *p) { return p->v; }
     assert not relevance.is_entry_relevant(entry)
 
 
+def test_pointer_access_arms_race_at_every_alias_tier():
+    # Every Load, Store and MemSet sets SHARED_ACCESS whatever its
+    # pointer may reach: the scan reads no points-to answer, so a write
+    # through a pointer to a local arms the race checker, and every
+    # rung explores the entry.
+    program = compile_program(
+        [("local.c", "void f(void) { int a; int *p = &a; *p = 1; }")]
+    )
+    for tier in ("off", "steens", "flow"):
+        result = PATA(
+            checker_spec="race", config=AnalysisConfig(alias_tier=tier)
+        ).analyze(program)
+        assert result.stats.entries_skipped == 0, tier
+        assert result.stats.explored_paths == 1, tier
+        assert [(e.name, e.skipped) for e in result.stats.per_entry] == [("f", False)]
+
+
 # ---------------------------------------------------------------------------
 # Block pruning
 # ---------------------------------------------------------------------------
