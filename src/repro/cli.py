@@ -356,6 +356,10 @@ def cmd_check(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # The frontend by the name PATA.analyze_sources compiles through,
+    # where bench/traced.py wraps it as the `lang.compile_program` span.
+    from .core.pata import compile_program
+
     store = None
     try:
         with analysis_heap():
@@ -377,9 +381,14 @@ def cmd_check(args) -> int:
                 program = compile_with_cache(sources, store)
                 store.commit()
                 pata = PATA(config=config, checker_spec=spec, store=store)
-                result = pata.analyze(program)
             else:
-                result = pata.analyze_sources(sources)
+                program = compile_program(sources)
+            if not args.confirm:
+                # Only the confirmer reads the texts again.
+                del sources
+            result = pata.analyze(program)
+            # Reports hold no IR: rendering them may reuse its memory.
+            del program
     except _SOURCE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -390,9 +399,8 @@ def cmd_check(args) -> int:
     confirmations = {}
     if args.confirm and result.reports:
         from .interp import DynamicConfirmer
-        from .lang import compile_program as _compile
 
-        program = _compile(sources)
+        program = compile_program(sources)
         confirmer = DynamicConfirmer(program)
         for report, confirmation in zip(result.reports, confirmer.confirm_all(result.reports)):
             confirmations[id(report)] = confirmation

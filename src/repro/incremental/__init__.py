@@ -26,7 +26,7 @@ Corruption, version skew, and stale coordinates all degrade to warned
 misses — a cache can make a run faster, never wrong.
 """
 
-from .coords import CoordIndex, StaleEntry, renumber_program
+from .coords import CoordNaming, StaleEntry, renumber_program
 from .engine import (
     IncrementalContext,
     IncrementalPlan,
@@ -44,7 +44,7 @@ from .store import CACHE_FORMAT, CacheStore, open_store
 __all__ = [
     "CACHE_FORMAT",
     "CacheStore",
-    "CoordIndex",
+    "CoordNaming",
     "IncrementalContext",
     "IncrementalPlan",
     "StaleEntry",

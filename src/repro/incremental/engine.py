@@ -4,11 +4,11 @@
 actually talks to.  Opened once per analysis (when the config enables
 caching and the checker set is spec-addressable), it:
 
-* derives every function's transitive key (:mod:`.fingerprint`) and the
-  program's coordinate index (:mod:`.coords`) once: the index is the
-  cache's naming for the codec, so an outcome is stored as bytes with
-  each instruction written as its coordinate, and decoded onto the
-  current program's own instructions;
+* derives every function's transitive key (:mod:`.fingerprint`) once,
+  and names instructions through :class:`~.coords.CoordNaming`, which
+  reads a coordinate off each instruction's parent links: an outcome is
+  stored as bytes with each instruction written as its coordinate, and
+  decoded onto the current program's own instructions;
 * serves every cache layer through one :meth:`~IncrementalContext.load`
   and one :meth:`~IncrementalContext.stage`, both driven by the
   declarative :data:`LAYERS` table;
@@ -33,7 +33,7 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..cfg import CallGraph
 from ..ir import Function, Program
-from .coords import CoordIndex, StaleEntry, decode, encode, renumber_program
+from .coords import CoordNaming, StaleEntry, decode, encode, renumber_program
 from .fingerprint import TransitiveKeys, _sha, engine_config_fingerprint, spec_fingerprint
 from .store import CacheStore, open_store
 
@@ -65,7 +65,7 @@ class Layer:
     #: ``"module:Class"`` of the payload, imported on first use
     payload: str
     #: whether the row stores the codec's bytes, instructions named by
-    #: coordinate (:class:`~.coords.CoordIndex`), rather than the payload
+    #: coordinate (:class:`~.coords.CoordNaming`), rather than the payload
     coded: bool = False
 
     def key(self, *parts: str) -> str:
@@ -97,7 +97,7 @@ LAYERS: Dict[str, Layer] = {row.tag: row for row in (
 )}
 
 
-def _fetch(store, row: Layer, key: str, index: Optional[CoordIndex] = None):
+def _fetch(store, row: Layer, key: str, coords: Optional[CoordNaming] = None):
     """The one load path: get, decode, shape-check.  A wrong-typed
     payload, undecodable bytes or a stale coordinate is a warned miss —
     never a crash, never a report against the wrong instructions — and
@@ -108,7 +108,7 @@ def _fetch(store, row: Layer, key: str, index: Optional[CoordIndex] = None):
     value, problem = stored, "unexpected payload shape"
     if row.coded:
         try:
-            value = decode(stored, index.resolve)
+            value = decode(stored, coords.resolve)
         except StaleEntry as exc:
             # The transitive key should make this unreachable; if key
             # derivation ever misses a dependency, degrade to a miss.
@@ -149,7 +149,7 @@ class IncrementalContext:
         )
         self.spec_fp = spec_fingerprint(checker_spec)
         self.engine_fp = engine_config_fingerprint(config)
-        self.index = CoordIndex(program)
+        self.coords = CoordNaming(program)
 
     # -- the generic layer path -----------------------------------------------
 
@@ -161,7 +161,7 @@ class IncrementalContext:
         """Layer ``layer``'s payload for ``name``, holding the current
         program's instructions, or ``None`` on a miss."""
         row = LAYERS[layer]
-        return _fetch(self.store, row, self._key(row, name), self.index)
+        return _fetch(self.store, row, self._key(row, name), self.coords)
 
     def stage(self, layer: str, value, name: str) -> None:
         """Stage ``value`` for the next commit (``put`` skips keys staged
@@ -174,7 +174,7 @@ class IncrementalContext:
             if self.store.contains(key):
                 return
             try:
-                value = encode(value, self.index.name)
+                value = encode(value, self.coords.name)
             except StaleEntry as exc:  # pragma: no cover - defensive
                 log.warning("cache: not storing %s object (%s)", row.tag, exc)
                 return

@@ -101,9 +101,11 @@ class UnitLowerer:
         self.unit = unit
         self.module = Module(unit.filename)
         self.module.source_lines = unit.source_lines
-        #: the unit's derived types and source locations, each built once
+        #: the unit's derived types, source locations and constants,
+        #: each built once
         self.types = ir.TypeTable()
         self._locs: Dict[int, SourceLoc] = {}
+        self._consts: Dict[Tuple[int, ir.Type], Const] = {}
         self.typedefs: Dict[str, ast.TypeRef] = {}
         self.enum_constants: Dict[str, int] = {}
         self.function_defs: Dict[str, ast.FunctionDef] = {}
@@ -132,6 +134,14 @@ class UnitLowerer:
         if loc is None:
             loc = self._locs[line] = SourceLoc(self.unit.filename, line)
         return loc
+
+    def const(self, value: int, ty: ir.Type = ir.INT) -> Const:
+        """The unit's constant ``value`` of type ``ty``."""
+        key = (value, ty)
+        const = self._consts.get(key)
+        if const is None:
+            const = self._consts[key] = Const(value, ty)
+        return const
 
     def _resolve_base(self, ref: ast.TypeRef, depth: int) -> ir.Type:
         name = ref.base
@@ -255,6 +265,7 @@ class FunctionLowerer:
         self.fdef = fdef
         self.func = unit.module.functions[fdef.name]
         self.types = unit.types
+        self.const = unit.const
         self.builder = IRBuilder(self.func, unit.types)
         self.scopes: List[Dict[str, _Local]] = [{}]
         self.labels: Dict[str, ir.BasicBlock] = {}
@@ -314,7 +325,7 @@ class FunctionLowerer:
                 if self.func.return_type.is_void():
                     self.builder.ret()
                 else:
-                    self.builder.ret(Const(0, self.func.return_type))
+                    self.builder.ret(self.const(0, self.func.return_type))
 
     # -- statements ---------------------------------------------------------------
 
@@ -425,12 +436,12 @@ class FunctionLowerer:
                 for e in init.elements
             ):
                 # {0} / {} zero-initialize the aggregate.
-                self.builder.memset(slot, Const(0), Const(UnitLowerer.sizeof(ctype)))
+                self.builder.memset(slot, self.const(0), self.const(UnitLowerer.sizeof(ctype)))
             else:
                 for index, element in enumerate(init.elements):
                     if element.expr is None:
                         continue
-                    addr = self.builder.gep(slot, f"[{index}]", index=Const(index))
+                    addr = self.builder.gep(slot, f"[{index}]", index=self.const(index))
                     self.builder.store(addr, self.lower_expr(element.expr))
 
     def _lower_if(self, stmt: ast.IfStmt) -> None:
@@ -503,7 +514,7 @@ class FunctionLowerer:
         for (label, _), block in zip(stmt.cases, case_blocks):
             if label is None:
                 continue
-            cmp = self.builder.binop("eq", value, Const(label))
+            cmp = self.builder.binop("eq", value, self.const(label))
             next_bb = self.builder.new_block("switch.next")
             self.builder.branch(cmp, block, next_bb)
             self.builder.position_at(next_bb)
@@ -548,18 +559,17 @@ class FunctionLowerer:
             self.builder.branch(cmp, true_bb, false_bb)
             return
         value = self.lower_expr(expr)
-        zero = Const(0, value.type) if isinstance(value.type, PointerType) else Const(0)
+        zero = self.const(0, value.type) if isinstance(value.type, PointerType) else self.const(0)
         cmp = self.builder.binop("ne", value, zero)
         self.builder.branch(cmp, true_bb, false_bb)
 
-    @staticmethod
-    def _match_null(lhs: ir.Value, rhs: ir.Value) -> Tuple[ir.Value, ir.Value]:
+    def _match_null(self, lhs: ir.Value, rhs: ir.Value) -> Tuple[ir.Value, ir.Value]:
         """Give a 0 literal a pointer type when compared against a pointer so
         the NPD checker sees a null comparison."""
         if isinstance(lhs.type, PointerType) and isinstance(rhs, Const) and rhs.value == 0:
-            rhs = Const(0, lhs.type)
+            rhs = self.const(0, lhs.type)
         elif isinstance(rhs.type, PointerType) and isinstance(lhs, Const) and lhs.value == 0:
-            lhs = Const(0, rhs.type)
+            lhs = self.const(0, rhs.type)
         return lhs, rhs
 
     # -- expressions -------------------------------------------------------------------
@@ -567,24 +577,24 @@ class FunctionLowerer:
     def lower_expr(self, expr: ast.Expr) -> ir.Value:
         self.builder.set_loc(self._loc(expr))
         if isinstance(expr, ast.IntLit):
-            return Const(expr.value)
+            return self.const(expr.value)
         if isinstance(expr, ast.CharLit):
-            return Const(ord(expr.value[0]) if expr.value else 0, IntType(8))
+            return self.const(ord(expr.value[0]) if expr.value else 0, IntType(8))
         if isinstance(expr, ast.StrLit):
-            return Const(next(_string_ids), self.types.pointer(ir.I8))
+            return self.const(next(_string_ids), self.types.pointer(ir.I8))
         if isinstance(expr, ast.NullLit):
-            return Const(0, ir.VOID_PTR)
+            return self.const(0, ir.VOID_PTR)
         if isinstance(expr, ast.Name):
             return self._lower_name(expr)
         if isinstance(expr, ast.SizeOf):
             if expr.target_type is not None:
-                return Const(UnitLowerer.sizeof(self.unit.resolve_type(expr.target_type)))
-            return Const(8)
+                return self.const(UnitLowerer.sizeof(self.unit.resolve_type(expr.target_type)))
+            return self.const(8)
         if isinstance(expr, ast.Cast):
             value = self.lower_expr(expr.operand)
             target = self.unit.resolve_type(expr.target_type)
             if isinstance(value, Const):
-                return Const(value.value, target)
+                return self.const(value.value, target)
             if isinstance(target, PointerType) and not isinstance(value.type, PointerType):
                 # Casting an integer to a pointer: keep the value flowing
                 # through a MOVE so aliasing still tracks it.
@@ -622,7 +632,7 @@ class FunctionLowerer:
                 return self.builder.load(local.var, local.ctype)
             return local.var
         if name in self.unit.enum_constants:
-            return Const(self.unit.enum_constants[name])
+            return self.const(self.unit.enum_constants[name])
         if name in self.unit.module.globals:
             return self.unit.module.globals[name]
         gvar = self.unit.module.globals.get(f"@{name}")
@@ -691,17 +701,17 @@ class FunctionLowerer:
             return self.lower_addr(expr.operand)
         if expr.op == "!":
             value = self.lower_expr(expr.operand)
-            zero = Const(0, value.type) if isinstance(value.type, PointerType) else Const(0)
+            zero = self.const(0, value.type) if isinstance(value.type, PointerType) else self.const(0)
             return self.builder.binop("eq", value, zero)
         if expr.op == "-":
             value = self.lower_expr(expr.operand)
             if isinstance(value, Const):
-                return Const(-value.value, value.type)
+                return self.const(-value.value, value.type)
             return self.builder.unop("neg", value)
         if expr.op == "~":
             value = self.lower_expr(expr.operand)
             if isinstance(value, Const):
-                return Const(~value.value, value.type)
+                return self.const(~value.value, value.type)
             return self.builder.unop("not", value)
         if expr.op in ("++", "--", "p++", "p--"):
             return self._lower_incdec(expr)
@@ -716,7 +726,7 @@ class FunctionLowerer:
             snapshot = self.builder.temp(old.type, "old")
             self.builder.move(snapshot, old)
             old = snapshot
-        new = self.builder.binop(op, old, Const(1), ty=old.type if isinstance(old.type, IntType) else ir.INT)
+        new = self.builder.binop(op, old, self.const(1), ty=old.type if isinstance(old.type, IntType) else ir.INT)
         self._store_to(expr.operand, new)
         return old if expr.op.startswith("p") else new
 
@@ -731,10 +741,10 @@ class FunctionLowerer:
             end_bb = self.builder.new_block("sc.end")
             self.lower_condition(expr, true_bb, false_bb)
             self.builder.position_at(true_bb)
-            self.builder.move(result, Const(1))
+            self.builder.move(result, self.const(1))
             self.builder.jump(end_bb)
             self.builder.position_at(false_bb)
-            self.builder.move(result, Const(0))
+            self.builder.move(result, self.const(0))
             self.builder.jump(end_bb)
             self.builder.position_at(end_bb)
             return result
@@ -814,7 +824,7 @@ class FunctionLowerer:
 
     def _coerce(self, value: ir.Value, ty: ir.Type) -> ir.Value:
         if isinstance(value, Const) and isinstance(ty, PointerType) and value.value == 0:
-            return Const(0, ty)
+            return self.const(0, ty)
         return value
 
     def _as_var(self, value: ir.Value) -> Var:
@@ -879,12 +889,12 @@ class FunctionLowerer:
                 ret_ty = func.return_type if func is not None else self._guess_return_type(name)
                 args = [self.lower_expr(a) for a in expr.args]
                 dst = self.builder.call(name, args, None if ret_ty.is_void() else ret_ty)
-                return dst if dst is not None else Const(0)
+                return dst if dst is not None else self.const(0)
         # Function-pointer call (PATA does not follow these, §7).
         fn = self._as_var(self.lower_expr(callee))
         args = [self.lower_expr(a) for a in expr.args]
         dst = self.builder.call_indirect(fn, args, ir.INT)
-        return dst if dst is not None else Const(0)
+        return dst if dst is not None else self.const(0)
 
     @staticmethod
     def _guess_return_type(name: str) -> ir.Type:
@@ -900,7 +910,7 @@ class FunctionLowerer:
             for index, arg in enumerate(expr.args):
                 if index != size_index:
                     self.lower_expr(arg)
-            size = self.lower_expr(expr.args[size_index]) if size_index < len(expr.args) else Const(8)
+            size = self.lower_expr(expr.args[size_index]) if size_index < len(expr.args) else self.const(8)
             return self.builder.malloc(size, zeroed, may_fail, name)
         if name in DEALLOCATORS:
             arg_index = DEALLOCATORS[name]
@@ -909,14 +919,14 @@ class FunctionLowerer:
                 if index != arg_index:
                     self.lower_expr(arg)
             self.builder.free(ptr, name)
-            return Const(0)
+            return self.const(0)
         if name in MEMSET_APIS:
             dst_index, size_index = MEMSET_APIS[name]
             dst = self._as_var(self.lower_expr(expr.args[dst_index]))
-            value = self.lower_expr(expr.args[1]) if name == "memset" and len(expr.args) > 1 else Const(0)
-            size = self.lower_expr(expr.args[size_index]) if size_index < len(expr.args) else Const(8)
+            value = self.lower_expr(expr.args[1]) if name == "memset" and len(expr.args) > 1 else self.const(0)
+            size = self.lower_expr(expr.args[size_index]) if size_index < len(expr.args) else self.const(8)
             self.builder.memset(dst, value, size)
-            return Const(0)
+            return self.const(0)
         if name in LOCK_APIS:
             arg_index, acquires = LOCK_APIS[name]
             lock = self._as_var(self.lower_expr(expr.args[arg_index]))
@@ -927,7 +937,7 @@ class FunctionLowerer:
                 self.builder.lock(lock, name)
             else:
                 self.builder.unlock(lock, name)
-            return Const(0)
+            return self.const(0)
         return None
 
 

@@ -485,18 +485,18 @@ def test_stale_coordinate_is_a_warned_miss(tmp_path, caplog, monkeypatch):
     written by a naming that prefixes every function name) is a warned
     miss per entry: the entry is explored again, its key rewritten, and
     the reports are the cache-off run's."""
-    from repro.incremental.coords import CoordIndex
+    from repro.incremental.coords import CoordNaming
 
     sources = _sources() + [("w.c", XT_WRITER), ("r.c", XT_READER)]
     cache = str(tmp_path)
-    real = CoordIndex.name
+    real = CoordNaming.name
 
     def ghost(self, obj):
         name = real(self, obj)
         return ("ghost_" + name[0], *name[1:]) if isinstance(name, tuple) else name
 
     with monkeypatch.context() as patch:
-        patch.setattr(CoordIndex, "name", ghost)
+        patch.setattr(CoordNaming, "name", ghost)
         _analyze(sources, cache, "rw", spec="default,xtaint")
     stale = 0  # outcomes naming at least one instruction
     for path in pack_paths(cache):

@@ -346,9 +346,9 @@ def _located(module):
 
 def _assert_lean(module):
     """The module's integer and void types are the process's instances,
-    and it holds one pointer type per distinct pointee and one source
-    location per (file, line)."""
-    pointers, locs = {}, {}
+    and it holds one pointer type per distinct pointee, one source
+    location per (file, line) and one constant per (value, type)."""
+    pointers, locs, consts = {}, {}, {}
     for obj in _reachable(module):
         if obj.__class__ is ir.IntType:
             assert obj is ir.IntType(obj.width)
@@ -358,17 +358,20 @@ def _assert_lean(module):
             pointers.setdefault(obj.pointee, set()).add(id(obj))
         elif obj.__class__ is ir.SourceLoc:
             locs.setdefault((obj.filename, obj.line), set()).add(id(obj))
+        elif obj.__class__ is ir.Const:
+            consts.setdefault((obj.value, obj.type), set()).add(id(obj))
     assert pointers and locs
     assert all(len(ids) == 1 for ids in pointers.values())
     assert all(len(ids) == 1 for ids in locs.values())
+    assert all(len(ids) == 1 for ids in consts.values())
 
 
 @pytest.mark.parametrize("name", _PROFILE_NAMES)
 def test_pickled_modules_print_identical_ir(name):
     """Every module of every corpus profile survives the cache's pickle
     round trip: identical printed IR, uids, locations and function
-    fingerprints, with the interned and per-unit types shared as they
-    were when compiled."""
+    fingerprints, with the interned and per-unit types and constants
+    shared as they were when compiled."""
     from repro.incremental.fingerprint import module_fingerprints
     from repro.incremental.store import dumps
 
