@@ -186,6 +186,7 @@ class PathExplorer:
             alias_aware=self.config.alias_aware,
             report_fn=self._report,
             base_of_fn=lambda name: self.addr_defs.get(name),
+            record_fn=self._record,
         )
 
         self.trace: List[Tuple] = []
@@ -197,15 +198,14 @@ class PathExplorer:
         self.possible_bugs: List[PossibleBug] = []
         self.seen_bug_keys: Set[Tuple] = set()
         self.repeated_bugs = 0
-        #: shared-state accesses recorded by the race checker (P2.5
-        #: input).  Same accumulation contract as ``possible_bugs``:
-        #: shared across every entry this explorer walks — cross-entry
-        #: matching *needs* both sides — and deduplicated on the fly.
+        #: cross-entry observations (:meth:`_record`): the race
+        #: checker's shared-state accesses (P2.5 input) and the xtaint
+        #: checker's taint flows (P2.6 input).  Same accumulation
+        #: contract as ``possible_bugs``: shared across every entry this
+        #: explorer walks — cross-entry matching *needs* both sides — and
+        #: deduplicated on the fly.
         self.shared_accesses: List[SharedAccess] = []
         self.seen_access_keys: Set[Tuple] = set()
-        self.repeated_accesses = 0
-        self.ctx.record_access_fn = self._record_access
-        self.ctx.record_flow_fn = self._record_flow
         self.paths = 0
         self.steps = 0
         self.budget_exhausted = False
@@ -227,42 +227,21 @@ class PathExplorer:
         bug.trace = tuple(self.trace)
         self.possible_bugs.append(bug)
 
-    def _record_access(self, key, is_write: bool, inst: Instruction, lockset) -> None:
-        """Record one shared-state access on the current path (the
-        :meth:`~repro.typestate.manager.TrackerContext.record_access`
-        hook).  Dedup *before* snapshotting the trace: path re-merges
-        and loop re-visits repeat the same (entry, key, inst, lockset)
-        access, and the first path's snapshot stands in for all."""
-        access = SharedAccess(
-            key=key,
-            is_write=is_write,
-            inst=inst,
-            entry=self.ctx.entry_function,
-            lockset=lockset,
-        )
-        dedup = access.dedup_key
+    def _record(self, record) -> None:
+        """Record one cross-entry observation on the current path (the
+        :meth:`~repro.typestate.manager.TrackerContext.record` hook): a
+        :class:`SharedAccess` or a taint flow, stamped with the entry.
+        Dedup *before* snapshotting the trace: path re-merges and loop
+        re-visits repeat the same record, and the first path's snapshot
+        stands in for all.  A flow's ``dedup_key`` is "xflow"-namespaced,
+        so the two kinds share one seen-set without colliding."""
+        record.entry = self.ctx.entry_function
+        dedup = record.dedup_key
         if dedup in self.seen_access_keys:
-            self.repeated_accesses += 1
             return
         self.seen_access_keys.add(dedup)
-        access.trace = tuple(self.trace)
-        self.shared_accesses.append(access)
-
-    def _record_flow(self, flow) -> None:
-        """Record one cross-module taint half-flow (the
-        :meth:`~repro.typestate.manager.TrackerContext.record_flow`
-        hook, P2.6 input).  Flows ride the ``shared_accesses`` channel —
-        same list, same dedup-before-snapshot contract, same worker and
-        cache plumbing; their ``dedup_key`` is "xflow"-namespaced so it
-        can never collide with a :class:`SharedAccess` key."""
-        flow.entry = self.ctx.entry_function
-        dedup = flow.dedup_key
-        if dedup in self.seen_access_keys:
-            self.repeated_accesses += 1
-            return
-        self.seen_access_keys.add(dedup)
-        flow.trace = tuple(self.trace)
-        self.shared_accesses.append(flow)
+        record.trace = tuple(self.trace)
+        self.shared_accesses.append(record)
 
     def _dispatch(self, event) -> None:
         self.manager.dispatch(event, self.ctx)

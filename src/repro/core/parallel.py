@@ -20,12 +20,13 @@ protocol:
 * each batch returns a small ``(entry name, EntryOutcome)`` chunk —
   bounding peak pickle size to one batch, never a whole shard — and the
   parent folds chunks into its outcome map as they complete.  A chunk
-  goes through the codec the cache uses too
-  (:mod:`repro.incremental.coords`), with the pool's naming: every
-  instruction and terminator is written as its uid (forked workers
-  share the parent's uids), and the parent reads each uid back as its
-  own object, so a result never carries a copy of the IR;
-* the final merge (:func:`merge_outcomes`) visits entries in
+  goes through the codec and the naming the cache uses
+  (:mod:`repro.incremental.coords`): every instruction and terminator
+  is written as its coordinate, and each ``heap#<uid>`` root with its
+  allocation's coordinate; the parent resolves each back to its own
+  object, so a result never carries a copy of the IR;
+* the final merge (:func:`merge_outcomes`) folds one outcome per entry
+  — explored here, served from the cache, or skipped by P1.5 — in
   ``entry_list`` order regardless of completion order, deduplicating
   with the same ``dedup_key`` logic the sequential explorer applies
   in-process, on the parent's own instructions.
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import heap
-from ..ir import Function, Instruction, Program, Terminator
+from ..ir import Function, Program
 from ..races.shared import SharedAccess
 from ..typestate import Checker, PossibleBug
 from .analyzer import PathExplorer
@@ -71,10 +72,13 @@ _TOUCH_ENV = "REPRO_PARALLEL_TEST_TOUCH_DIR"
 
 @dataclass
 class EntryOutcome:
-    """One entry function's exploration record: its stats row plus the
-    bugs *first sighted* while exploring it (after per-entry dedup), and
-    the shared-state accesses the race checker recorded there (empty
-    unless a race checker is registered).
+    """One entry function's P2 result, the one thing P2 hands downstream:
+    its stats row plus the bugs *first sighted* while exploring it
+    (after per-entry dedup), and the cross-entry records the race and
+    xtaint checkers made there (empty unless one is registered).  An
+    entry P1.5 skips is an outcome whose row says ``skipped``, live or
+    served from the cache; a served explored outcome's row says
+    ``cached``.
 
     The three counters are this entry's *deltas* of the explorer's
     cumulative typestate/repeat counters — each is a deterministic
@@ -93,7 +97,8 @@ class EntryOutcome:
 @dataclass
 class ParallelRun:
     """What :func:`run_parallel` hands back: every explored entry's
-    outcome (keyed by entry name), plus how the run was shaped."""
+    outcome (keyed by entry name, in entry-list order), plus how the run
+    was shaped."""
 
     outcomes: Dict[str, EntryOutcome] = field(default_factory=dict)
     workers: int = 1
@@ -190,40 +195,14 @@ def _init_worker(world: World) -> None:
     _WORLD = world
 
 
-def _uid(obj):
-    """The pool's naming for the codec (:mod:`repro.incremental.coords`):
-    an instruction or terminator by its uid, which forked workers share
-    with the parent."""
-    return obj.uid if isinstance(obj, (Instruction, Terminator)) else None
-
-
-def instruction_index(program: Program) -> Dict[int, object]:
-    """uid -> instruction or terminator, over every defined function."""
-    index: Dict[int, object] = {}
-    for func in program.functions():
-        for block in func.blocks:
-            for inst in block.instructions:
-                index[inst.uid] = inst
-            if block.terminator is not None:
-                index[block.terminator.uid] = block.terminator
-    return index
-
-
-def load_chunk(data: bytes, index: Dict[int, object]) -> List[Tuple[str, "EntryOutcome"]]:
-    """Decode a :func:`_run_batch` result against the parent's program,
-    each uid through ``index`` (:func:`instruction_index`)."""
-    # Imported here: repro.incremental cannot load while repro does.
-    from ..incremental.coords import decode
-
-    return decode(data, index.__getitem__)
-
-
 def _run_batch(entry_names: List[str]) -> bytes:
     """Worker-process batch body: explore one small batch of entries on
     a fresh explorer over the inherited world and return its outcome
     chunk, one per-entry-pure outcome per name, in batch order, encoded
-    with instructions as uids (:func:`load_chunk` decodes it)."""
-    from ..incremental.coords import encode
+    with the cache's naming (the parent decodes it with
+    :meth:`~repro.incremental.coords.CoordNaming.resolve`)."""
+    # Imported here: repro.incremental cannot load while repro does.
+    from ..incremental.coords import CoordNaming, encode
 
     world = _WORLD
     assert world is not None, "worker batch before initializer ran"
@@ -241,7 +220,7 @@ def _run_batch(entry_names: List[str]) -> bytes:
     if touch_dir:
         with open(os.path.join(touch_dir, f"batch-{os.getpid()}-{entry_names[0]}"), "w"):
             pass
-    return encode(list(zip(entry_names, outcomes)), _uid)
+    return encode(list(zip(entry_names, outcomes)), CoordNaming(world.program).name)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +275,8 @@ def run_parallel(world: World, entry_list: Sequence[Function]) -> Optional[Paral
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
+    from ..incremental.coords import CoordNaming, decode
+
     try:
         with ProcessPoolExecutor(
             max_workers=workers,
@@ -305,11 +286,9 @@ def run_parallel(world: World, entry_list: Sequence[Function]) -> Optional[Paral
         ) as pool:
             futures = [pool.submit(_run_batch, batch) for batch in batches]
             try:
-                # Built while the first batches run.
-                index = instruction_index(world.program)
+                naming = CoordNaming(world.program)
                 for future in as_completed(futures):
-                    for name, outcome in load_chunk(future.result(), index):
-                        outcomes[name] = outcome
+                    outcomes.update(decode(future.result(), naming.resolve))
             except BaseException:
                 # One failed batch fails the whole parallel attempt; the
                 # queued remainder must not keep running (double work —
@@ -325,7 +304,10 @@ def run_parallel(world: World, entry_list: Sequence[Function]) -> Optional[Paral
             len(outcomes), len(entry_list),
         )
         return None
-    return ParallelRun(outcomes=outcomes, workers=workers, batches=len(batches))
+    # Entry-list order, not completion order: the cache commit stages in
+    # map order, so a pool run writes what a sequential run writes.
+    in_order = {func.name: outcomes[func.name] for func in entry_list}
+    return ParallelRun(outcomes=in_order, workers=workers, batches=len(batches))
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +317,15 @@ def run_parallel(world: World, entry_list: Sequence[Function]) -> Optional[Paral
 
 def merge_outcomes(
     entry_list: Sequence[Function],
-    outcome_by_entry: Dict[str, EntryOutcome],
+    outcomes: Dict[str, EntryOutcome],
     stats: AnalysisStats,
 ) -> Tuple[List[PossibleBug], List[SharedAccess]]:
-    """Fold per-entry outcomes into ``stats`` and one deduplicated bug
-    list plus one deduplicated shared-access list, visiting entries in
-    ``entry_list`` order regardless of which process (or completion
-    order) produced them.
+    """Fold each entry's outcome — explored, served from the cache or
+    skipped by P1.5 — into ``stats`` and one deduplicated bug list plus
+    one deduplicated record list, visiting entries in ``entry_list``
+    order regardless of which process (or completion order) produced
+    them.  ``per_entry`` gets one row per entry, and the skipped and
+    cached entries are counted from those rows.
 
     Dedup bookkeeping mirrors one explorer walking every entry in order:
     a bug's (or access's) first sighting in global entry order is kept;
@@ -359,14 +343,19 @@ def merge_outcomes(
     aware = 0
     unaware = 0
     for entry in entry_list:
-        outcome = outcome_by_entry[entry.name]
-        stats.per_entry.append(outcome.stats)
-        stats.explored_paths += outcome.stats.paths
-        stats.executed_steps += outcome.stats.steps
-        if outcome.stats.budget_exhausted:
+        outcome = outcomes[entry.name]
+        row = outcome.stats
+        stats.per_entry.append(row)
+        if row.skipped:
+            stats.entries_skipped += 1
+        elif row.cached:
+            stats.entries_cached += 1
+        stats.explored_paths += row.paths
+        stats.executed_steps += row.steps
+        if row.budget_exhausted:
             stats.budget_exhausted_entries += 1
-        stats.blocks_pruned += outcome.stats.blocks_pruned
-        stats.paths_pruned += outcome.stats.paths_pruned
+        stats.blocks_pruned += row.blocks_pruned
+        stats.paths_pruned += row.paths_pruned
         repeated += outcome.repeated_bugs
         aware += outcome.aware_updates
         unaware += outcome.unaware_updates

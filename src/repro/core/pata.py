@@ -24,7 +24,7 @@ from ..typestate import Checker, checkers_from_spec, configure_checkers
 from .collector import InformationCollector
 from .config import AnalysisConfig
 from .filter import BugFilter
-from .parallel import World, explore_entries, merge_outcomes, run_parallel
+from .parallel import EntryOutcome, World, explore_entries, merge_outcomes, run_parallel
 from .report import AnalysisResult, AnalysisStats, EntryStats
 
 log = logging.getLogger("repro.pata")
@@ -136,26 +136,19 @@ class PATA:
         checkers = self._resolve_checkers(collector)
         stats.time_collect_seconds = time.monotonic() - phase_started
 
-        # P1.5: checker-relevance pre-analysis.  Entry pruning happens
-        # here, *before* dispatch, so skipped entries never reach a
-        # worker; block pruning happens inside each explorer through the
-        # `relevance` handle (forked workers inherit it with the rest of
-        # the P2 world — see parallel.py).  With a warm cache the
-        # per-entry outcomes partition the entries first: a cached
-        # outcome is either an explored entry's record or a skip verdict,
-        # and the pre-analysis is built only when some entry is left to
-        # explore.
+        # P1.5: checker-relevance pre-analysis.  Every entry ends as one
+        # EntryOutcome in `outcomes`: served from the cache (an explored
+        # entry's record or a skip verdict), skipped here, or explored in
+        # P2.  Entry pruning happens *before* dispatch, so skipped
+        # entries never reach a worker; block pruning happens inside each
+        # explorer through the `relevance` handle (forked workers inherit
+        # it with the rest of the P2 world — see parallel.py).  The
+        # pre-analysis is built only when some entry is left to explore.
         phase_started = time.monotonic()
         relevance = None
-        analyzed_list = list(entry_list)
-        skipped_names: List[str] = []
-        cached_outcomes = {}
-        if incr is not None:
-            plan = incr.plan(entry_list)
-            cached_outcomes = plan.cached
-            skipped_names = plan.skipped
-            analyzed_list = plan.dirty
-        if self.config.prune and analyzed_list:
+        outcomes: Dict[str, EntryOutcome] = incr.plan(entry_list) if incr is not None else {}
+        to_explore = [func for func in entry_list if func.name not in outcomes]
+        if self.config.prune and to_explore:
             from ..presolve import RelevancePreAnalysis, ScanContext
 
             relevance = RelevancePreAnalysis(
@@ -167,9 +160,9 @@ class PATA:
                 ),
                 callgraph=callgraph,
             )
-            analyzed_list, live_skipped = relevance.partition_entries(analyzed_list)
-            skipped_names.extend(live_skipped)
-        stats.entries_skipped = len(skipped_names)
+            to_explore, skipped = relevance.partition_entries(to_explore)
+            for name in skipped:
+                outcomes[name] = EntryOutcome(EntryStats(name, skipped=True))
         stats.time_presolve_seconds = time.monotonic() - phase_started
 
         # P1.7: tiered may-alias pre-pass.  One whole-program Steensgaard
@@ -222,37 +215,23 @@ class PATA:
             partition=partition,
             flow_facts=flow_facts,
         )
-        outcome_by_name = None
-        if self.config.resolved_workers() > 1 and len(analyzed_list) > 1:
-            run = run_parallel(world, analyzed_list)
-            if run is not None:
-                outcome_by_name = run.outcomes
-                stats.workers_used = run.workers
-                stats.batches_dispatched = run.batches
-        if outcome_by_name is None:
-            outcomes = explore_entries(world.explorer(), analyzed_list)
-            outcome_by_name = {
-                func.name: outcome for func, outcome in zip(analyzed_list, outcomes)
-            }
+        run = None
+        if self.config.resolved_workers() > 1 and len(to_explore) > 1:
+            run = run_parallel(world, to_explore)
+        if run is not None:
+            outcomes.update(run.outcomes)
+            stats.workers_used = run.workers
+            stats.batches_dispatched = run.batches
+        else:
+            fresh = explore_entries(world.explorer(), to_explore)
+            outcomes.update(zip([func.name for func in to_explore], fresh))
         stats.time_explore_seconds = time.monotonic() - phase_started
         if incr is not None:
-            stats.entries_reanalyzed = len(analyzed_list)
-        merge_map = outcome_by_name
-        merge_list = analyzed_list
-        if cached_outcomes:
-            # Splice the cache hits straight into the outcome map; the
-            # deterministic entry-order merge below then treats them
-            # exactly like freshly explored outcomes, so mixed
-            # cached/fresh runs dedup — and race-match — identically to
-            # a cold run.
-            merge_map = {**outcome_by_name, **cached_outcomes}
-            explored = {func.name for func in analyzed_list}
-            merge_list = [
-                func for func in entry_list
-                if func.name in explored or func.name in cached_outcomes
-            ]
-            stats.entries_cached = len(merge_list) - len(analyzed_list)
-        possible_bugs, merged_records = merge_outcomes(merge_list, merge_map, stats)
+            stats.entries_reanalyzed = len(to_explore)
+        # One entry-order fold over every entry's outcome: cached, skipped
+        # and fresh rows interleave as the entry list has them, and mixed
+        # runs dedup — and race-match — identically to a cold run.
+        possible_bugs, merged_records = merge_outcomes(entry_list, outcomes, stats)
         # The access channel carries two record families: SharedAccess
         # (P2.5 race input) and TaintFlow (P2.6 cross-module taint
         # input).  Partition once; each matcher sees only its own.
@@ -296,13 +275,6 @@ class PATA:
             stats.xtaint_pairs_matched = len(xtaint_bugs)
             possible_bugs.extend(xtaint_bugs)
         stats.time_xmatch_seconds = time.monotonic() - phase_started
-        if skipped_names:
-            # Re-interleave the skipped entries' zero rows so per_entry
-            # stays in original entry-list order with or without pruning.
-            by_name = {row.name: row for row in stats.per_entry}
-            for name in skipped_names:
-                by_name[name] = EntryStats(name=name, skipped=True)
-            stats.per_entry = [by_name[func.name] for func in entry_list]
 
         phase_started = time.monotonic()
         bug_filter = BugFilter(
@@ -320,15 +292,13 @@ class PATA:
         stats.time_filter_seconds = time.monotonic() - phase_started
 
         if incr is not None:
-            # Parent-only, single-writer commit of outcomes and skip
-            # verdicts (a no-op under --cache ro).  Staged after P3, so
-            # each explored outcome carries the verdicts of its bugs
-            # that reached the filter.  The map holds both executors'
-            # products: worker batches and the in-process path emit the
-            # same per-entry-pure EntryOutcome objects, so their
-            # coordinates stage identically (cache hits are skipped
-            # inside commit via ``stats.cached``).
-            incr.commit(analyzed_list, merge_map, skipped_names)
+            # Parent-only, single-writer commit of the outcome map (a
+            # no-op under --cache ro).  Staged after P3, so each explored
+            # outcome carries the verdicts of its bugs that reached the
+            # filter.  Worker batches and the in-process path emit the
+            # same per-entry-pure EntryOutcome objects, so they stage
+            # identically; a skip verdict is staged like any outcome.
+            incr.commit(outcomes)
             stats.cache_hits = incr.store.hits
             stats.cache_misses = incr.store.misses
             stats.cache_corrupt = incr.store.corrupt

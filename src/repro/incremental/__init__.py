@@ -10,18 +10,19 @@ The subsystem splits into four modules:
   and an in-memory key index, checksummed reads, staged single-writer
   atomic commits, a bounded pack count, versioned header;
 * :mod:`.coords` — stable instruction coordinates and the one codec
-  that carries an outcome across a boundary: the worker pool names
-  instructions by uid, the cache by coordinate (uids are
-  process-local);
-* :mod:`.engine` — orchestration: :class:`IncrementalContext` drives
-  plan/load/stage/commit inside :meth:`repro.core.pata.PATA.analyze`;
+  and naming that carry an outcome across a boundary, from a worker
+  process or from an earlier run (uids are process-local);
+* :mod:`.engine` — orchestration: :class:`IncrementalContext` serves
+  the cached outcome map (plan) and stages the run's outcome map
+  (commit) inside :meth:`repro.core.pata.PATA.analyze`;
   :func:`compile_with_cache` is the frontend (layer-0) cache.
 
-Cache layers (one row each in :data:`.engine.LAYERS`): compiled
-modules and per-entry P2 outcomes, whose bugs carry their P3 verdicts;
-an entry P1.5 skips stores a skip verdict as its outcome.  P1 facts, the P1.5 pre-analysis and the
-whole-program products (the P1.7 partition, P1.8 must-alias facts,
-P2.6 module summaries) are rebuilt by any run that needs them.
+Two cache layers, each a key and a fetch: compiled modules, and
+per-entry P2 outcomes, whose bugs carry their P3 verdicts; an entry
+P1.5 skips stores a skip verdict as its outcome.  P1 facts, the P1.5
+pre-analysis and the whole-program products (the P1.7 partition, P1.8
+must-alias facts, P2.6 module summaries) are rebuilt by any run that
+needs them.
 Corruption, version skew, and stale coordinates all degrade to warned
 misses — a cache can make a run faster, never wrong.
 """
@@ -29,7 +30,6 @@ misses — a cache can make a run faster, never wrong.
 from .coords import CoordNaming, StaleEntry, renumber_program
 from .engine import (
     IncrementalContext,
-    IncrementalPlan,
     compile_with_cache,
     open_incremental,
 )
@@ -46,7 +46,6 @@ __all__ = [
     "CacheStore",
     "CoordNaming",
     "IncrementalContext",
-    "IncrementalPlan",
     "StaleEntry",
     "TransitiveKeys",
     "compile_with_cache",

@@ -12,30 +12,32 @@ runs for an unchanged function::
 The codec (:func:`encode` / :func:`decode`) is one pickler/unpickler
 pair: it writes each object a *naming* function names as that name,
 and reads each name back through a *resolver*.  An outcome crosses two
-boundaries, each with its own naming:
+boundaries — from a worker process to the parent
+(:mod:`repro.core.parallel`) and from one run to a later one through
+the cache — with one naming, :class:`CoordNaming`: an instruction or
+terminator is written as its coordinate, and a string holding
+``heap#<uid>`` as the same string with each uid replaced by that
+instruction's coordinate (:meth:`CoordNaming.name`).  The engine writes
+``heap#N`` only from an allocation's uid, so the rule rewrites exactly
+what a cold run would print, in whatever field it sits.
 
-* the worker pool names an instruction or terminator by its uid, which
-  forked workers share with the parent (:mod:`repro.core.parallel`);
-* the cache names it by its coordinate, and a string holding
-  ``heap#<uid>`` by the same string with each uid replaced by that
-  instruction's coordinate (:meth:`CoordNaming.name`).  The engine writes
-  ``heap#N`` only from an allocation's uid, so the rule rewrites exactly
-  what a cold run would print, in whatever field it sits.
+No pickled outcome carries a copy of the IR, and a decoded one holds
+the current program's own objects.  A forked worker's program is the
+parent's, so every name it writes resolves in the parent.  A cache
+hit's entry has an unchanged callgraph closure (that is what the
+transitive key certifies), so every coordinate its records name still
+resolves, and the outcome is indistinguishable from one the current
+run explored — uid-based dedup keys, race-matcher sort orders and
+``heap#<uid>`` shared-state roots all agree with freshly analyzed
+entries.
 
-Either way no pickled outcome carries a copy of the IR, and a decoded
-one holds the current program's own objects: a cache hit's entry has an
-unchanged callgraph closure (that is what the transitive key
-certifies), so every coordinate its records name still resolves, and
-the outcome is indistinguishable from one the current run explored —
-uid-based dedup keys, race-matcher sort orders and ``heap#<uid>``
-shared-state roots all agree with freshly analyzed entries.
-
-The cache's naming keeps no table per instruction.  The IR links each
+The naming keeps no table per instruction.  The IR links each
 instruction to its block and each block to its function, so a
 coordinate is read off the instruction, and resolved by indexing the
 function :meth:`Program.lookup` returns.  Only a ``heap#`` string asks
 for an instruction by uid; the first one sorts the defined functions
-by their first uid, and a run whose outcomes hold none sorts nothing.
+by their first uid, and a naming whose outcomes hold none sorts
+nothing.
 
 The module also owns :func:`renumber_program` — after assembling a
 program from cached (unpickled) modules, every uid is reassigned
@@ -84,15 +86,6 @@ class _Pickler(pickle.Pickler):
         return name if name is None else self._names.setdefault(name, name)
 
 
-class _Unpickler(pickle.Unpickler):
-    def __init__(self, file, resolve: Callable[[Any], Any]):
-        super().__init__(file)
-        self._resolve = resolve
-
-    def persistent_load(self, name):
-        return self._resolve(name)
-
-
 def encode(value: Any, ref: Callable[[Any], Any]) -> bytes:
     """``value`` pickled with each object for which ``ref`` returns a
     name (anything but ``None``) written as that name."""
@@ -103,7 +96,9 @@ def encode(value: Any, ref: Callable[[Any], Any]) -> bytes:
 
 def decode(data: bytes, resolve: Callable[[Any], Any]) -> Any:
     """Read :func:`encode`'s bytes back, each name through ``resolve``."""
-    return _Unpickler(io.BytesIO(data), resolve).load()
+    unpickler = pickle.Unpickler(io.BytesIO(data))
+    unpickler.persistent_load = resolve
+    return unpickler.load()
 
 
 def _index(items, item) -> int:
@@ -139,7 +134,7 @@ def _numbered_in(func: Function, uid: int):
 
 
 class CoordNaming:
-    """The cache's naming and resolver over one program.  Nothing is
+    """The codec's naming and resolver over one program.  Nothing is
     built per instruction: a coordinate is read off the instruction
     through its ``parent`` links, and resolved by indexing the function
     :meth:`Program.lookup` returns.
@@ -197,7 +192,7 @@ class CoordNaming:
         return f"heap#{self.resolve(coord).uid}"
 
     def name(self, obj):
-        """The cache's naming: an instruction or terminator by its
+        """The codec's naming: an instruction or terminator by its
         coordinate, a string holding ``heap#<uid>`` by the same string
         with each uid replaced by that instruction's coordinate."""
         if isinstance(obj, (Instruction, Terminator)):
@@ -235,7 +230,7 @@ def renumber_program(program: Program) -> None:
     long-lived process) would otherwise drift from a one-shot CLI run on
     the same sources.  Per-program numbering cannot collide across
     programs — every uid consumer (dedup keys, race-matcher sort orders,
-    the cache's naming, heap roots) is scoped to a single analysis, and
+    the codec's naming, heap roots) is scoped to a single analysis, and
     every uid inside one program is reassigned here in one pass."""
     next_block = 0
     next_inst = 0

@@ -9,27 +9,37 @@ caching and the checker set is spec-addressable), it:
   reads a coordinate off each instruction's parent links: an outcome is
   stored as bytes with each instruction written as its coordinate, and
   decoded onto the current program's own instructions;
-* serves every cache layer through one :meth:`~IncrementalContext.load`
-  and one :meth:`~IncrementalContext.stage`, both driven by the
-  declarative :data:`LAYERS` table;
-* partitions the entry list into cache hits, cached skips, and dirty
-  entries (:meth:`~IncrementalContext.plan`);
-* after P3, stages one outcome per explored entry, its bugs carrying
-  their P3 verdicts, and one per skipped entry — a P1.5 skip verdict is
-  an outcome whose stats say ``skipped`` — and flushes everything with
-  the store's single
+* serves the entry list's cached outcomes as one name → outcome map
+  (:meth:`~IncrementalContext.plan`): an explored entry's record, or a
+  P1.5 skip verdict — an outcome whose stats say ``skipped``;
+* after P3, stages the run's whole outcome map — each explored entry's
+  bugs carrying their P3 verdicts, each skip verdict as it is — and
+  flushes everything with the store's single
   :meth:`~.store.CacheStore.commit` — the parent process is the only
   store client: worker processes never open it (they inherit the
   parent's explorer world, see :mod:`repro.core.parallel`).
+
+There are two cache layers, one per unit of work in the paper's
+framework (§4), and each is a key and a fetch through :func:`_fetch`: a
+compiled module (layer 0, :func:`compile_with_cache`), keyed by its
+filename and source digest, and an entry function's P2 outcome, keyed
+by the entry's name and transitive key, the checker spec and the engine
+config; every key also folds the engine and cache-format versions (see
+:meth:`~.store.CacheStore.object_key`).  A skip verdict depends only on
+the entry's closure, the spec and the config knobs the outcome key
+already folds.  An explored entry's bugs carry their P3 verdicts: the
+key fixes each bug's trace, and with it the translation and the
+solver's answer under the folded P3 knobs (pair findings are matched
+after the merge and carry none).  No layer holds a product of the whole
+program (the P1.7 partition, the P1.8 flow facts, the P2.6 module
+summaries): its key would fold every function, so any edit anywhere
+would miss it.  Each run rebuilds those, and P1's may-return facts.
 """
 
 from __future__ import annotations
 
-import importlib
 import logging
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional
 
 from ..cfg import CallGraph
 from ..ir import Function, Program
@@ -47,66 +57,18 @@ class CompiledModule(NamedTuple):
     fingerprints: Dict[str, str]
 
 
-@lru_cache(maxsize=None)
-def _resolve(path: str) -> type:
-    module, _, name = path.partition(":")
-    return getattr(importlib.import_module(module), name)
-
-
-@dataclass(frozen=True)
-class Layer:
-    """One row of the layer table."""
-
-    #: key tag, also the layer's name in :data:`LAYERS`
-    tag: str
-    #: context fingerprints folded into the key on top of the object's
-    #: own parts
-    folds: Tuple[str, ...]
-    #: ``"module:Class"`` of the payload, imported on first use
-    payload: str
-    #: whether the row stores the codec's bytes, instructions named by
-    #: coordinate (:class:`~.coords.CoordNaming`), rather than the payload
-    coded: bool = False
-
-    def key(self, *parts: str) -> str:
-        return CacheStore.object_key(self.tag, *parts)
-
-    def accepts(self, value) -> bool:
-        return isinstance(value, _resolve(self.payload))
-
-
-#: Every cache layer, one per unit of work in the paper's framework
-#: (§4): a compiled module, keyed by its filename and source digest,
-#: and an entry function's P2 outcome, keyed by the entry's name and
-#: transitive key; each key also folds the engine and cache-format
-#: versions (see :meth:`~.store.CacheStore.object_key`).  An entry
-#: P1.5 skips stores an outcome whose stats say ``skipped``: the
-#: verdict depends only on the entry's closure, the spec and config
-#: knobs the outcome key already folds.  An explored entry's bugs carry
-#: their P3 verdicts: the key fixes each bug's trace, and with it the
-#: translation and the solver's answer under the folded P3 knobs (pair
-#: findings are matched after the merge and carry none).  No layer holds a product of
-#: the whole program (the P1.7 partition, the P1.8 flow facts, the
-#: P2.6 module summaries): its key would fold every function, so any
-#: edit anywhere would miss it.  Each run rebuilds those, and P1's
-#: may-return facts.
-LAYERS: Dict[str, Layer] = {row.tag: row for row in (
-    Layer("module", (), "repro.incremental.engine:CompiledModule"),
-    Layer("outcome", ("spec_fp", "engine_fp"), "repro.core.parallel:EntryOutcome",
-          coded=True),
-)}
-
-
-def _fetch(store, row: Layer, key: str, coords: Optional[CoordNaming] = None):
-    """The one load path: get, decode, shape-check.  A wrong-typed
-    payload, undecodable bytes or a stale coordinate is a warned miss —
-    never a crash, never a report against the wrong instructions — and
-    the store lets the next stage of the key overwrite the object."""
+def _fetch(store, tag: str, key: str, payload: type,
+           coords: Optional[CoordNaming] = None):
+    """The one load path: get, decode (when ``coords`` names the
+    stored bytes' instructions), shape-check.  A wrong-typed payload,
+    undecodable bytes or a stale coordinate is a warned miss — never a
+    crash, never a report against the wrong instructions — and the store
+    lets the next stage of the key overwrite the object."""
     stored = store.get(key)
     if stored is None:
         return None
     value, problem = stored, "unexpected payload shape"
-    if row.coded:
+    if coords is not None:
         try:
             value = decode(stored, coords.resolve)
         except StaleEntry as exc:
@@ -115,23 +77,11 @@ def _fetch(store, row: Layer, key: str, coords: Optional[CoordNaming] = None):
             value, problem = None, f"stale coordinates ({exc})"
         except Exception as exc:
             value, problem = None, f"undecodable payload ({exc})"
-    if row.accepts(value):
+    if isinstance(value, payload):
         return value
-    log.warning("cache: %s object %s: %s; treating as a miss", row.tag, key[:12], problem)
+    log.warning("cache: %s object %s: %s; treating as a miss", tag, key[:12], problem)
     store.reject(key)
     return None
-
-
-@dataclass
-class IncrementalPlan:
-    """The per-entry partition one warm-start run works from."""
-
-    #: entry name -> decoded cached outcome of an explored entry
-    cached: Dict[str, object] = field(default_factory=dict)
-    #: entries whose cached outcome says P1.5 skipped them
-    skipped: List[str] = field(default_factory=list)
-    #: entries this run must explore, in entry-list order
-    dirty: List[Function] = field(default_factory=list)
 
 
 class IncrementalContext:
@@ -151,74 +101,55 @@ class IncrementalContext:
         self.engine_fp = engine_config_fingerprint(config)
         self.coords = CoordNaming(program)
 
-    # -- the generic layer path -----------------------------------------------
+    # -- the outcome layer -----------------------------------------------------
 
-    def _key(self, row: Layer, name: str) -> str:
-        folds = [getattr(self, fp) for fp in row.folds]
-        return row.key(*folds, name, self.keys.key(name))
+    def _key(self, name: str) -> str:
+        return CacheStore.object_key(
+            "outcome", self.spec_fp, self.engine_fp, name, self.keys.key(name)
+        )
 
-    def load(self, layer: str, name: str):
-        """Layer ``layer``'s payload for ``name``, holding the current
-        program's instructions, or ``None`` on a miss."""
-        row = LAYERS[layer]
-        return _fetch(self.store, row, self._key(row, name), self.coords)
+    def plan(self, entry_list: List[Function]) -> Dict[str, Any]:
+        """Entry name -> its cached :class:`~repro.core.parallel.EntryOutcome`,
+        holding the current program's instructions, for every entry the
+        cache serves; the run explores or P1.5-skips the rest."""
+        # Imported here: repro.incremental cannot load while repro does.
+        from ..core.parallel import EntryOutcome
 
-    def stage(self, layer: str, value, name: str) -> None:
-        """Stage ``value`` for the next commit (``put`` skips keys staged
-        or on disk, so warm runs write nothing)."""
-        if self.store.mode != "rw":
-            return
-        row = LAYERS[layer]
-        key = self._key(row, name)
-        if row.coded:
-            if self.store.contains(key):
-                return
-            try:
-                value = encode(value, self.coords.name)
-            except StaleEntry as exc:  # pragma: no cover - defensive
-                log.warning("cache: not storing %s object (%s)", row.tag, exc)
-                return
-        self.store.put(key, value)
-
-    # -- the outcome layer: entry partition ------------------------------------
-
-    def plan(self, entry_list: List[Function]) -> IncrementalPlan:
-        plan = IncrementalPlan()
+        served: Dict[str, Any] = {}
         for entry in entry_list:
-            outcome = self.load("outcome", entry.name)
+            outcome = _fetch(self.store, "outcome", self._key(entry.name),
+                             EntryOutcome, self.coords)
             if outcome is None:
-                plan.dirty.append(entry)
-            elif outcome.stats.skipped:
-                plan.skipped.append(entry.name)
-            else:
+                continue
+            if not outcome.stats.skipped:
                 # A cached entry's phase timing is 0 by definition — the
                 # stored wall time belongs to the run that produced it.
                 outcome.stats.wall_seconds = 0.0
                 outcome.stats.cached = True
-                plan.cached[entry.name] = outcome
-        return plan
+            served[entry.name] = outcome
+        return served
 
     # -- commit (parent process, single writer) ------------------------------
 
-    def commit(
-        self,
-        analyzed: List[Function],
-        outcomes: Dict[str, object],
-        skipped_names: List[str],
-    ) -> int:
-        """Stage an outcome for every entry this run explored and a skip
-        verdict for every entry it skipped, then flush atomically."""
+    def commit(self, outcomes: Dict[str, Any]) -> int:
+        """Stage every outcome of ``outcomes`` the cache did not serve —
+        explored entries' records and P1.5 skip verdicts — then flush
+        atomically.  A key already staged or on disk is skipped before
+        encoding, so a served skip verdict writes nothing."""
         if self.store.mode != "rw":
             return 0
-        from ..core.parallel import EntryOutcome
-        from ..core.report import EntryStats
-
-        for entry in analyzed:
-            outcome = outcomes.get(entry.name)
-            if outcome is not None and not outcome.stats.cached:
-                self.stage("outcome", outcome, entry.name)
-        for name in skipped_names:
-            self.stage("outcome", EntryOutcome(EntryStats(name, skipped=True)), name)
+        for name, outcome in outcomes.items():
+            if outcome.stats.cached:
+                continue
+            key = self._key(name)
+            if self.store.contains(key):
+                continue
+            try:
+                data = encode(outcome, self.coords.name)
+            except StaleEntry as exc:  # pragma: no cover - defensive
+                log.warning("cache: not storing outcome object (%s)", exc)
+                continue
+            self.store.put(key, data)
         return self.store.commit()
 
 
@@ -276,13 +207,12 @@ def compile_with_cache(sources, store: Optional[CacheStore]) -> Program:
 
     Each payload also carries the module's function fingerprints so a
     warm :class:`TransitiveKeys` need not re-print unchanged functions."""
-    row = LAYERS["module"]
     compiled: List[CompiledModule] = []
     for filename, source in sources:
         cached = None
         if store is not None:
-            key = row.key(filename, _sha("src", source))
-            cached = _fetch(store, row, key)
+            key = CacheStore.object_key("module", filename, _sha("src", source))
+            cached = _fetch(store, "module", key, CompiledModule)
         if cached is None:
             cached = compile_module(filename, source)
             if store is not None:

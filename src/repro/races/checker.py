@@ -12,8 +12,9 @@ Classic lockset (Eraser) discipline, upgraded with the alias graph:
 * every read/write whose target canonicalizes to *shared* state — a
   global, or a heap object whose allocation site escapes per the VFG
   (:meth:`repro.core.collector.InformationCollector.shared_heap_sites`)
-  — is recorded through the engine's ``record_access`` hook together
-  with the entry, the lockset and the full path snapshot.
+  — is recorded as a :class:`~repro.races.shared.SharedAccess` with the
+  lockset, through the engine's ``record`` hook, which adds the entry
+  and the full path snapshot.
 
 No bug is reported here: single paths cannot race.  The cross-entry
 matcher (:mod:`repro.races.match`, phase P2.5) pairs the recorded
@@ -52,6 +53,7 @@ from .shared import (
     LOCKSET_NAMESPACE,
     OBJ_NAMESPACE,
     AccessKey,
+    SharedAccess,
     SharedKeyResolver,
 )
 
@@ -146,4 +148,5 @@ class RaceChecker(SharedKeyResolver, Checker):
                 is_write: bool, inst) -> None:
         if key is None:
             return
-        ctx.record_access(key, is_write, inst, self._lockset(ctx))
+        ctx.record(SharedAccess(key=key, is_write=is_write, inst=inst, entry="",
+                                lockset=self._lockset(ctx)))

@@ -59,7 +59,7 @@ class SharedAccess:
     """One read or write of shared state on one explored path.
 
     Recorded by :class:`~repro.races.checker.RaceChecker` through the
-    engine's ``record_access`` hook; shipped from workers to the parent
+    engine's ``record`` hook; shipped from workers to the parent
     inside :class:`~repro.core.parallel.EntryOutcome`, so everything
     here must pickle (instructions and traces already do — possible
     bugs carry the same).

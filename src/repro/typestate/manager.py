@@ -131,20 +131,18 @@ class TrackerContext:
         alias_aware: bool,
         report_fn: Callable[[PossibleBug], None],
         base_of_fn: Callable[[str], Optional[Tuple[Var, str]]],
+        record_fn: Optional[Callable[[Any], None]] = None,
     ):
         self.graph = graph
         self.store = store
         self.alias_aware = alias_aware
         self._report = report_fn
         self._base_of = base_of_fn
+        #: the engine's recorder of cross-entry observations (see
+        #: :meth:`record`); None when no recording engine is attached
+        self._record = record_fn
         self.frame_id = 0
         self.entry_function = ""
-        #: engine hook for shared-access recording (the race checker's
-        #: output channel); None when no recording engine is attached.
-        self.record_access_fn: Optional[Callable] = None
-        #: engine hook for cross-module taint-flow recording (the xtaint
-        #: checker's output channel, P2.6 input); same contract.
-        self.record_flow_fn: Optional[Callable] = None
 
     # -- keys -------------------------------------------------------------------
 
@@ -204,18 +202,15 @@ class TrackerContext:
         bug.entry_function = self.entry_function
         self._report(bug)
 
-    def record_access(self, key, is_write: bool, inst: Instruction, lockset) -> None:
-        """Record a shared-state access on the current path (race
-        detection, P2.5 input).  A no-op unless the engine attached its
-        recorder — checkers may call this unconditionally."""
-        if self.record_access_fn is not None:
-            self.record_access_fn(key, is_write, inst, lockset)
-
-    def record_flow(self, flow) -> None:
-        """Record a cross-module taint half-flow on the current path
-        (P2.6 input).  Same no-op contract as :meth:`record_access`."""
-        if self.record_flow_fn is not None:
-            self.record_flow_fn(flow)
+    def record(self, record) -> None:
+        """Record a cross-entry observation on the current path: the race
+        checker's :class:`~repro.races.shared.SharedAccess` (P2.5 input)
+        or the xtaint checker's :class:`~repro.xtaint.TaintFlow` (P2.6
+        input).  The engine stamps its entry and path snapshot.  A no-op
+        unless the engine attached its recorder — checkers may call this
+        unconditionally."""
+        if self._record is not None:
+            self._record(record)
 
 
 class Checker:

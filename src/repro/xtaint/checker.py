@@ -215,12 +215,12 @@ class CrossModuleTaintChecker(SharedKeyResolver, TaintChecker):
             from_key = state[2]
             if from_key == key:
                 return  # stored back where it came from: not an edge
-            ctx.record_flow(TaintFlow(
+            ctx.record(TaintFlow(
                 key=from_key, direction=RELAY, dst_key=key, inst=inst,
                 entry="", source=state[1], subject=var.display_name(),
             ))
         else:
-            ctx.record_flow(TaintFlow(
+            ctx.record(TaintFlow(
                 key=key, direction=EXPORT, inst=inst, entry="",
                 source=state[1], subject=var.display_name(),
                 border=(tag == "SB"),
@@ -238,7 +238,7 @@ class CrossModuleTaintChecker(SharedKeyResolver, TaintChecker):
             # Shared state reached a sink: record the import half-flow.
             # Whether any module actually taints the key is the
             # matcher's question, not this path's.
-            ctx.record_flow(TaintFlow(
+            ctx.record(TaintFlow(
                 key=state[2], direction=IMPORT, inst=event.inst, entry="",
                 source=state[1], subject=subject,
                 message=message.format(subject),

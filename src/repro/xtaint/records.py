@@ -9,13 +9,13 @@ the race detector's canonical ``(root, field)`` key universe
 taint source and the global it lands in, the alias graph collapses them
 and only the root name must agree across modules.
 
-Flows ride the engine's existing access channel — the same
-``shared_accesses`` list, ``EntryOutcome`` field and entry-order merge
-that carries :class:`~repro.races.shared.SharedAccess` — so workers,
-the incremental cache and the deterministic merge all handle them with
-no new plumbing: the codec that carries an outcome across both
-boundaries (:mod:`repro.incremental.coords`) names every instruction
-and ``heap#`` root a flow holds, whatever its field.  ``dedup_key`` is
+Flows ride the engine's existing access channel — the same ``record``
+hook, ``shared_accesses`` list, ``EntryOutcome`` field and entry-order
+merge that carries :class:`~repro.races.shared.SharedAccess` — so
+workers, the incremental cache and the deterministic merge all handle
+them with no new plumbing: the codec that carries an outcome across a
+process or run boundary (:mod:`repro.incremental.coords`) names every
+instruction and ``heap#`` root a flow holds, whatever its field.  ``dedup_key`` is
 namespaced with a literal ``"xflow"`` head so it can never collide with
 a ``SharedAccess`` key inside the shared seen-set.
 """

@@ -34,6 +34,7 @@ import pytest
 from repro import PATA, AnalysisConfig
 from repro.cfg import CallGraph
 from repro.cli import main as cli_main
+from repro.core.parallel import EntryOutcome
 from repro.corpus import PROFILES_BY_NAME, generate
 from repro.incremental import (
     CACHE_FORMAT,
@@ -44,7 +45,7 @@ from repro.incremental import (
     spec_fingerprint,
 )
 from repro.incremental.coords import decode
-from repro.incremental.engine import LAYERS
+from repro.incremental.engine import CompiledModule
 from repro.incremental.store import (
     DIGEST_BYTES,
     PACK_DIR,
@@ -151,9 +152,14 @@ def _payload(record):
 
 
 def _decoded(payload):
-    """A coded row's bytes read back with every name left as the name
-    (a coordinate tuple or a ``heap#`` string): no program needed."""
+    """An outcome record's bytes read back with every name left as the
+    name (a coordinate tuple or a ``heap#`` string): no program needed."""
     return decode(payload, lambda name: name)
+
+
+def _is_outcome(payload):
+    """An outcome-layer record: the codec's bytes of an EntryOutcome."""
+    return isinstance(payload, bytes) and isinstance(_decoded(payload), EntryOutcome)
 
 
 def _entry_status(result):
@@ -394,8 +400,7 @@ def test_corrupt_object_is_counted_and_warned_once(tmp_path, caplog):
     all meet it, yet it is one count and one warning line."""
     cache = str(tmp_path / "cache")
     cold = _analyze(_sources(), cache, "rw")
-    outcome = LAYERS["outcome"]
-    _flip_first(cache, lambda p: isinstance(p, bytes) and outcome.accepts(_decoded(p)))
+    _flip_first(cache, _is_outcome)
     with caplog.at_level(logging.WARNING, logger="repro.incremental"):
         warm = _analyze(_sources(), cache, "rw")
     assert _report_text(warm) == _report_text(cold)
@@ -414,7 +419,7 @@ def test_open_store_unopenable_dir_is_none(tmp_path, caplog):
 
 
 # ---------------------------------------------------------------------------
-# The layer table: every layer degrades a shape surprise to a rebuild
+# Both layers degrade a shape surprise to a rebuild
 # ---------------------------------------------------------------------------
 
 XT_WRITER = r"""
@@ -448,24 +453,26 @@ def _layer_run(sources, cache_dir):
     return _report_text(result), store.misses + result.stats.cache_misses
 
 
-@pytest.mark.parametrize("tag", list(LAYERS))
+#: layer tag -> whether a stored payload is one of that layer's records
+_HELD = {
+    "module": lambda payload: isinstance(payload, CompiledModule),
+    "outcome": _is_outcome,
+}
+
+
+@pytest.mark.parametrize("tag", list(_HELD))
 def test_layer_shape_surprise_degrades_to_rebuild(tmp_path, tag):
-    """A checksummed object of the wrong type under any layer's key is
-    a miss with a rebuild — never a crash, never a wrong report."""
-    row = LAYERS[tag]
+    """A checksummed object of the wrong type under either layer's key
+    is a miss with a rebuild — never a crash, never a wrong report."""
+    held = _HELD[tag]
     sources = _sources() + [("w.c", XT_WRITER), ("r.c", XT_READER)]
     cache_dir = str(tmp_path)
     cold, _ = _layer_run(sources, cache_dir)
     warm, clean_misses = _layer_run(sources, cache_dir)
     assert warm == cold
 
-    def held(value):
-        if row.coded:
-            return isinstance(value, bytes) and row.accepts(_decoded(value))
-        return row.accepts(value)
-
     bogus = {"not": "a payload"}
-    if row.coded:
+    if tag == "outcome":
         bogus = pickle.dumps(bogus)  # the codec's bytes, of the wrong shape
     blob = pickle.dumps(bogus)
 

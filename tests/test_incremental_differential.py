@@ -4,7 +4,8 @@ For every checker spec, a corpus analyzed **cold** (empty cache),
 **warm** (fully populated cache), and **mixed** (every other record
 dropped from each pack, so cached and freshly explored entries
 interleave) must produce byte-identical reports — and the deterministic
-stats totals must agree — at workers 1 and workers 4.  The mixed leg is the sharp edge: it
+stats totals and the per-entry rows, in entry-list order, must agree —
+at workers 1 and workers 4.  The mixed leg is the sharp edge: it
 exercises outcome decoding, per-entry dedup reconciliation, and
 cross-entry race matching over a blend of cached and fresh SharedAccess
 tuples.  A cache populated with pruning on must not serve its P1.5 skip
@@ -69,6 +70,13 @@ def _text(result):
     return "\n\n".join(r.render() for r in result.reports)
 
 
+def _rows(result):
+    """The per-entry rows in order, without the fields a cache changes
+    by design (the wall time and the cached flag)."""
+    return [{k: v for k, v in vars(row).items() if k not in ("wall_seconds", "cached")}
+            for row in result.stats.per_entry]
+
+
 def _delete_half(cache_dir):
     """Drop every other record from every pack."""
     packs = pack_paths(cache_dir)
@@ -104,6 +112,9 @@ def test_cold_warm_mixed_reports_identical(corpus_sources, tmp_path, spec, worke
             assert getattr(run.stats, name) == getattr(baseline.stats, name), (
                 f"{name} diverged under spec={spec} workers={workers}"
             )
+        # Cached skip verdicts, live skips, cached and fresh outcomes
+        # interleave in entry-list order, as the cache-off run has them.
+        assert _rows(run) == _rows(baseline), f"per-entry rows under spec={spec}"
 
 
 def test_warm_cache_crosses_worker_counts(corpus_sources, tmp_path):

@@ -193,22 +193,42 @@ def test_entry_order_does_not_change_results():
 # ---------------------------------------------------------------------------
 
 
+def _instructions(program):
+    """uid -> instruction or terminator, over every defined function."""
+    index = {}
+    for func in program.functions():
+        for block in func.blocks:
+            for inst in [*block.instructions, block.terminator]:
+                if inst is not None:
+                    index[inst.uid] = inst
+    return index
+
+
+def _run_batch_in_process(world, names):
+    """One worker batch run in this process over ``world``: its bytes,
+    and those bytes decoded the way the parent decodes them."""
+    import repro.core.parallel as parallel_mod
+    from repro.core.parallel import _init_worker, _run_batch
+    from repro.incremental.coords import CoordNaming, decode
+
+    try:
+        _init_worker(world)
+        assert parallel_mod._WORLD is world
+        data = _run_batch(names)
+    finally:
+        parallel_mod._WORLD = None
+    return data, decode(data, CoordNaming(world.program).resolve)
+
+
 def test_worker_world_and_batch():
     """A worker adopts the parent's world as is, and its batch body
     explores a batch and returns per-entry-pure outcomes in batch order,
     equal to the in-process path's."""
-    import repro.core.parallel as parallel_mod
-    from repro.core.parallel import (
-        World, _init_worker, _run_batch, instruction_index, load_chunk)
+    from repro.core.parallel import World
 
     program = compile_program([("budget.c", BUDGET_SOURCE)])
     world = World(program, AnalysisConfig(), default_checkers())
-    try:
-        _init_worker(world)
-        assert parallel_mod._WORLD is world
-        chunk = load_chunk(_run_batch(["heavy", "light"]), instruction_index(program))
-    finally:
-        parallel_mod._WORLD = None
+    _, chunk = _run_batch_in_process(world, ["heavy", "light"])
     assert [name for name, _ in chunk] == ["heavy", "light"]
     assert [outcome.stats.name for _, outcome in chunk] == ["heavy", "light"]
     entries = [program.lookup("heavy"), program.lookup("light")]
@@ -520,7 +540,7 @@ int e2(struct s *p) { return helper(p); }
 
 
 def test_deep_function_results_cross_the_pool(tmp_path, capsys, caplog):
-    """A worker ships instructions as uids, never the IR around them:
+    """A worker ships instructions as coordinates, never the IR around them:
     a function of 400 chained ``if`` blocks, whose pickled IR would nest
     past the pickler's recursion limit, still comes back through the
     pool, and the report equals the sequential one."""
@@ -546,20 +566,15 @@ def test_deep_function_results_cross_the_pool(tmp_path, capsys, caplog):
 
 
 def test_decoded_outcomes_hold_the_parents_instructions():
-    import repro.core.parallel as parallel_mod
-    from repro.core.parallel import World, _init_worker, _run_batch, instruction_index, load_chunk
+    from repro.core.parallel import World
 
     source = ("struct s { int v; };\n"
               "int f(struct s *p) { if (!p) { return p->v; } return 0; }\n"
               "int g(int n) { int *q = malloc(8); if (n) return 1; free(q); return 0; }\n")
     program = compile_program([("bugs.c", source)])
     world = World(program, AnalysisConfig(), default_checkers())
-    index = instruction_index(program)
-    try:
-        _init_worker(world)
-        chunk = load_chunk(_run_batch(["f", "g"]), index)
-    finally:
-        parallel_mod._WORLD = None
+    index = _instructions(program)
+    _, chunk = _run_batch_in_process(world, ["f", "g"])
     bugs = [bug for _, outcome in chunk for bug in outcome.bugs]
     assert len(bugs) == 2
     for bug in bugs:
@@ -567,3 +582,38 @@ def test_decoded_outcomes_hold_the_parents_instructions():
         assert steps
         for inst in [bug.source, bug.sink, *steps]:
             assert index[inst.uid] is inst
+
+
+def test_heap_roots_cross_the_pool_as_coordinates():
+    """A batch holding ``HEAP_RACE``'s accesses: each ``heap#`` root
+    leaves the worker as its allocation's coordinate, and comes back as
+    the parent's ``heap#<uid>`` string — the in-process run's accesses,
+    on the parent's instructions."""
+    from repro.cfg import CallGraph
+    from repro.core.parallel import World
+    from repro.incremental.coords import decode
+    from repro.typestate import checkers_from_spec
+    from tests.test_serve import HEAP_RACE
+
+    program = compile_program([("race.c", HEAP_RACE)])
+    collector = InformationCollector(program, CallGraph(program))
+    world = World(program, AnalysisConfig(), checkers_from_spec("race", collector))
+    names = ["dev_write", "dev_read"]
+    data, chunk = _run_batch_in_process(world, names)
+    sent = []
+    decode(data, sent.append)  # the names as the worker wrote them
+    written = {name for name in sent if isinstance(name, str)}
+    assert written and all(name.startswith("heap#acquire@") for name in written)
+
+    accesses = [access for _, outcome in chunk for access in outcome.accesses]
+    roots = {access.key[0] for access in accesses if access.key[0].startswith("heap#")}
+    assert roots and all(root[len("heap#"):].isdigit() for root in roots)
+    in_process = explore_entries(world.explorer(), [program.lookup(n) for n in names])
+    expected = [access for outcome in in_process for access in outcome.accesses]
+
+    def shape(access):
+        return access.key, access.is_write, access.inst.uid, access.entry, access.lockset
+
+    assert [shape(a) for a in accesses] == [shape(a) for a in expected]
+    index = _instructions(program)
+    assert all(index[access.inst.uid] is access.inst for access in accesses)
